@@ -2,13 +2,16 @@
 
 Everything downstream (reading, writing, the exact oracle) is built on a
 single division primitive that rounds to nearest with ties to even, plus
-precomputed tables of integer powers of 5 and 10.
+precomputed tables of integer powers of 5 and 10.  The reader and writer
+call ``round_quotient``, which also records each division in an optional
+``ConversionStats``; the oracle calls ``round_quotient_big``, the same
+rounding without the result-width contract.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "DBL_MANT_DIG",
@@ -21,7 +24,6 @@ __all__ = [
     "power_of_10",
     "round_quotient",
     "round_quotient_big",
-    "round_quotient_counted",
 ]
 
 DBL_MANT_DIG = 53            # significand bits of binary64, implicit bit included
@@ -56,8 +58,10 @@ _POWS10 = POWER_TABLES.pows10
 class ConversionStats:
     """Per-call instrumentation for the conversion routines.
 
-    ``divisions`` counts rounding divisions, ``max_intermediate_bits`` the
-    widest operand fed to one.  ``trace`` (opt-in) records every division as
+    Every rounding division of a read or a write passes through
+    ``round_quotient``, which notes it here when given a stats object:
+    ``divisions`` counts them, ``max_intermediate_bits`` is the widest
+    operand fed to one.  ``trace`` (opt-in) records every division as
     ``(site, num_bits, den_bits, quotient)`` for the quotient-length audit.
     """
 
@@ -77,9 +81,15 @@ class ConversionStats:
             self.trace.append((site, nb, db, quo))
 
 
-def _round_div(num: int, den: int) -> int:
-    # Shared rounding kernel.  If twice the remainder exceeds the denominator
-    # round up; if below, down; on a tie take the even quotient.
+def round_quotient_big(num: int, den: int) -> int:
+    """Nearest integer to num/den with ties to even, of any width.
+
+    Requires num >= 0 and den > 0; a zero denominator raises
+    ZeroDivisionError.  If twice the remainder exceeds the denominator the
+    quotient rounds up; if below, down; on a tie it takes the even one.
+    """
+    if num < 0 or den < 0:
+        raise ValueError("the rounding division requires num >= 0 and den > 0")
     quo, rem = divmod(num, den)
     rem2 = rem << 1
     if rem2 > den or (rem2 == den and quo & 1):
@@ -87,33 +97,17 @@ def _round_div(num: int, den: int) -> int:
     return quo
 
 
-def round_quotient(num: int, den: int) -> int:
-    """Nearest integer to num/den with ties to even; result fits 63 bits.
-
-    Requires num >= 0 and den > 0.  A zero denominator raises
-    ZeroDivisionError.  The width limit is a caller contract, checked by
-    assertion: every caller in this package produces quotients of at most
-    57 bits.
-    """
-    if num < 0 or den < 0:
-        raise ValueError("round_quotient requires num >= 0 and den > 0")
-    quo = _round_div(num, den)
-    assert quo.bit_length() <= 63, "round_quotient result exceeds 63 bits"
-    return quo
-
-
-def round_quotient_big(num: int, den: int) -> int:
-    """round_quotient without the result-width contract (for the oracle)."""
-    if num < 0 or den < 0:
-        raise ValueError("round_quotient_big requires num >= 0 and den > 0")
-    return _round_div(num, den)
-
-
-def round_quotient_counted(
-    site: str, num: int, den: int, stats: ConversionStats | None
+def round_quotient(
+    num: int, den: int, stats: ConversionStats | None = None, site: str = ""
 ) -> int:
-    """round_quotient, recording the division in *stats* when given."""
-    quo = round_quotient(num, den)
+    """round_quotient_big for the conversions: result fits 63 bits.
+
+    The width limit is a caller contract, checked by assertion: every
+    caller in this package produces quotients of at most 57 bits.  When
+    *stats* is given the division is recorded there under *site*.
+    """
+    quo = round_quotient_big(num, den)
+    assert quo.bit_length() <= 63, "round_quotient result exceeds 63 bits"
     if stats is not None:
         stats.note_division(site, num, den, quo)
     return quo

@@ -17,7 +17,7 @@ from .bigmath import (
     ConversionStats,
     power_of_5,
     power_of_10,
-    round_quotient_counted,
+    round_quotient,
 )
 
 __all__ = [
@@ -172,9 +172,9 @@ def _subnormal_quotient(
     # exactly 2**52 is the smallest normal and still scales exactly.
     shift = 1074 + point
     if shift >= 0:
-        quo = round_quotient_counted("read-subnormal", mant << shift, scl5, stats)
+        quo = round_quotient(mant << shift, scl5, stats, "read-subnormal")
     else:
-        quo = round_quotient_counted("read-subnormal", mant, scl5 << -shift, stats)
+        quo = round_quotient(mant, scl5 << -shift, stats, "read-subnormal")
     return math.ldexp(quo, -1074)
 
 
@@ -207,7 +207,7 @@ def mant_exp_to_double5(
         bex = num.bit_length() - DBL_MANT_DIG
         if bex <= 0:
             return math.ldexp(num, point)  # exact: num fits the significand
-        quo = round_quotient_counted("read5-shift", num, 1 << bex, stats)
+        quo = round_quotient(num, 1 << bex, stats, "read5-shift")
         return _finish(quo, bex + point)
 
     scl = power_of_5(-point)
@@ -218,12 +218,12 @@ def mant_exp_to_double5(
     else:
         num = mant
         den = scl << bex
-    quo = round_quotient_counted("read5-main", num, den, stats)
+    quo = round_quotient(num, den, stats, "read5-main")
     if _is_subnormal(num, den, bex + point):
         return _subnormal_quotient(mant, point, scl, stats)
     if quo.bit_length() > DBL_MANT_DIG:
         bex += 1
-        quo = round_quotient_counted("read5-retry", num, den << 1, stats)
+        quo = round_quotient(num, den << 1, stats, "read5-retry")
     return _finish(quo, bex + point)
 
 
@@ -244,7 +244,7 @@ def mant_exp_to_double10(
         bex = num.bit_length() - DBL_MANT_DIG
         if bex <= 0:
             return float(num)  # exact small integer
-        quo = round_quotient_counted("read10-shift", num, 1 << bex, stats)
+        quo = round_quotient(num, 1 << bex, stats, "read10-shift")
         return _finish(quo, bex)
 
     scl = power_of_10(-point)
@@ -255,12 +255,12 @@ def mant_exp_to_double10(
     else:
         num = mant
         den = scl << bex
-    quo = round_quotient_counted("read10-main", num, den, stats)
+    quo = round_quotient(num, den, stats, "read10-main")
     if _is_subnormal(num, den, bex):
         return _subnormal_quotient(mant, point, power_of_5(-point), stats)
     if quo.bit_length() > DBL_MANT_DIG:
         bex += 1
-        quo = round_quotient_counted("read10-retry", num, den << 1, stats)
+        quo = round_quotient(num, den << 1, stats, "read10-retry")
     return _finish(quo, bex)
 
 

@@ -1,14 +1,14 @@
 """binary64 to the shortest scientific-notation string that reads back exactly.
 
-The first rounding division aims at the fewest digits the binary exponent
-allows; if that starved guess fails to read back to the original bit
-pattern, one more digit of precision is taken.  Two attempts all but
-always suffice, so a write costs at most four rounding divisions
-including the read-back check.
-One wrinkle: just above a binade boundary the read-back interval is only a
-quarter ulp wide on the low side, and the second attempt's half-even
-rounding can land there; the neighbouring candidate is then the shortest
-form and is taken instead.
+|f| = lmant * 2**e2 is divided by 10**point with one rounding division,
+starting at the fewest digits the binary exponent allows.  The division's
+exact remainder decides whether the quotient reads back to f: it must lie
+in f's rounding interval, half an ulp on each side, with the endpoints
+counting only for an even significand.  Just above a binade boundary the
+interval reaches only a quarter ulp down; a quotient that falls short
+there gives way to its upper neighbour when that one fits.  Otherwise one
+more digit is taken.  Two divisions all but always suffice, three are the
+most any double needs, and nothing is read back.
 """
 
 from __future__ import annotations
@@ -18,14 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._bits import float_to_bits
-from .bigmath import (
-    LLOG2,
-    ConversionStats,
-    power_of_5,
-    round_quotient,
-    round_quotient_counted,
-)
-from .reader import mant_exp_to_double5
+from .bigmath import LLOG2, ConversionStats, power_of_5, round_quotient
 
 __all__ = [
     "FloatKind",
@@ -38,6 +31,8 @@ __all__ = [
     "shortest_digits",
     "unpack_double",
 ]
+
+_FRAC_MASK = (1 << 52) - 1
 
 
 class FloatKind(Enum):
@@ -71,19 +66,22 @@ class ShortestDigits:
     point: int
 
 
-def unpack_double(f: float) -> UnpackedDouble:
+def _fields(f: float) -> tuple[int, int, int]:
+    """Sign bit, biased exponent and 52-bit fraction of f's bit pattern."""
     bits = float_to_bits(f)
-    negative = bool(bits >> 63)
-    ue2 = (bits >> 52) & 0x7FF
-    frac = bits & ((1 << 52) - 1)
+    return bits >> 63, (bits >> 52) & 0x7FF, bits & _FRAC_MASK
+
+
+def unpack_double(f: float) -> UnpackedDouble:
+    sign, ue2, frac = _fields(f)
+    negative = bool(sign)
     if ue2 == 0x7FF:
         return UnpackedDouble(negative, frac, 0, FloatKind.NAN if frac else FloatKind.INFINITE)
     # Biased exponent 0 means no implicit bit and a one-higher scale.
-    e2 = ue2 - 1075 + (1 if ue2 == 0 else 0)
     if ue2 == 0:
         kind = FloatKind.ZERO if frac == 0 else FloatKind.SUBNORMAL
-        return UnpackedDouble(negative, frac, e2, kind)
-    return UnpackedDouble(negative, frac + (1 << 52), e2, FloatKind.NORMAL)
+        return UnpackedDouble(negative, frac, -1074, kind)
+    return UnpackedDouble(negative, frac + (1 << 52), ue2 - 1075, FloatKind.NORMAL)
 
 
 def estimate_point(e2: int) -> int:
@@ -95,74 +93,57 @@ def estimate_point(e2: int) -> int:
     return math.ceil(e2 * LLOG2)
 
 
-def shortest_digits(
-    f: float, stats: ConversionStats | None = None, skip_first: bool = False
-) -> ShortestDigits:
-    """Shortest (lquo, point) with read-back equal to |f| bit for bit.
+def shortest_digits(f: float, stats: ConversionStats | None = None) -> ShortestDigits:
+    """Shortest (lquo, point) whose read-back equals |f| bit for bit.
 
-    ``skip_first`` trades the minimal-digit guarantee for one fewer
-    division by starting directly at the extra-digit attempt.
+    Of the shortest candidates the nearest to |f| is taken, or its upper
+    neighbour where the nearest falls below a binade boundary's narrow
+    interval.
     """
-    u = unpack_double(f)
-    if u.kind not in (FloatKind.NORMAL, FloatKind.SUBNORMAL):
+    _, ue2, lmant = _fields(f)
+    if ue2 == 0x7FF or (ue2 == 0 and lmant == 0):
         raise ValueError("shortest_digits requires a finite nonzero value")
-    af = abs(f)
-    lmant = u.lmant
-    e2 = u.e2
+    if ue2:
+        lmant += 1 << 52
+        e2 = ue2 - 1075
+    else:
+        e2 = -1074
     point = estimate_point(e2)
-    shifting = e2 > 0
-    if shifting:
-        num = lmant << (e2 - point)
+    # num / den == |f| / 10**point, and one ulp of f is `ulp` in num's units.
+    if e2 > 0:
+        ulp = 1 << (e2 - point)
         den = power_of_5(point)
     else:
-        num = lmant * power_of_5(-point)
+        ulp = power_of_5(-point)
         den = 1 << (point - e2)
-    if not skip_first:
-        lquo = round_quotient_counted("write-attempt", num, den, stats)
-        if mant_exp_to_double5(lquo, point, stats) == af:
-            return _checked(lquo, point)
-    # One more digit: the effective power-of-10 divisor shrinks tenfold.
-    point -= 1
-    if shifting:
-        num <<= 1
-        den = power_of_5(point)
-    else:
-        num *= 10
-    lquo = round_quotient_counted("write-attempt", num, den, stats)
-    if mant_exp_to_double5(lquo, point) == af:
-        return _checked(lquo, point)
-    return _boundary_fallback(af, num, den, lquo, point, shifting)
-
-
-def _boundary_fallback(
-    af: float, num: int, den: int, lquo: int, point: int, shifting: bool
-) -> ShortestDigits:
-    # Only reachable for values whose significand is exactly 2**52: just
-    # above a binade boundary the read-back interval is a quarter ulp wide
-    # below and a half ulp above, so the half-even quotient of the second
-    # attempt can land outside it.  Either the neighbouring candidate at the
-    # same digit count is the shortest form (2**-24), or no decimal of this
-    # length lies in the interval at all and one more digit is needed
-    # (2**-1011).  Seventeen digits always succeed.
-    for _ in range(2):
-        rem = num - lquo * den
-        if rem:
-            sibling = lquo + (1 if rem > 0 else -1)
-            if mant_exp_to_double5(sibling, point) == af:
-                return _checked(sibling, point)
+    num = lmant * ulp
+    # Twice a candidate's distance from |f| may reach one ulp, a tie only
+    # for an even significand.  Above a power of two the next double down
+    # is half as far, so the reach below halves.
+    odd = lmant & 1
+    narrow = 1 if lmant == 1 << 52 and e2 > -1074 else 0
+    for _ in range(3):
+        lquo = round_quotient(num, den, stats, "write-attempt")
+        dist2 = (lquo * den - num) << 1
+        if dist2 >= 0:
+            if dist2 <= ulp - odd:
+                break
+        elif (-dist2 << narrow) <= ulp - odd:
+            break
+        elif narrow and dist2 + (den << 1) <= ulp:
+            lquo += 1
+            break
+        # One more digit: |f| / 10**point grows tenfold, and the ulp with it.
         point -= 1
-        if shifting:
+        if e2 > 0:
             num <<= 1
+            ulp <<= 1
             den = power_of_5(point)
         else:
             num *= 10
-        lquo = round_quotient(num, den)
-        if mant_exp_to_double5(lquo, point) == af:
-            return _checked(lquo, point)
-    raise AssertionError(f"shortest-digits candidates exhausted for {af!r}")
-
-
-def _checked(lquo: int, point: int) -> ShortestDigits:
+            ulp *= 10
+    else:
+        raise AssertionError(f"shortest-digits candidates exhausted for {f!r}")
     assert 0 < lquo < 10**17, "decimal significand out of range"
     return ShortestDigits(lquo, point)
 
@@ -188,10 +169,7 @@ def format_sci(negative: bool, lquo: int, point: int, compat: bool = False) -> s
 
 
 def double_to_string(
-    f: float,
-    compat: bool = False,
-    skip_first: bool = False,
-    stats: ConversionStats | None = None,
+    f: float, compat: bool = False, stats: ConversionStats | None = None
 ) -> str:
     """Shortest scientific notation whose read-back is bit-identical to f.
 
@@ -208,50 +186,9 @@ def double_to_string(
         if not compat and math.copysign(1.0, f) < 0:
             return "-0.0"
         return "0.0"
-    sd = shortest_digits(f, stats, skip_first)
+    sd = shortest_digits(f, stats)
     return format_sci(f < 0, sd.lquo, sd.point, compat)
 
 
-# Conservative 63-bit-arithmetic guards for the fast path: the dividend must
-# stay narrow even after the extra-digit retry doubles or decuples it.
-_FAST_SHIFT_MAX = 9
-_FAST_POW5_MAX = 27
-_FAST_NUM_MAX = 1 << 59
-
-
-def double_to_string_fast(f: float, compat: bool = False) -> str:
-    """double_to_string via machine-word-sized integers when they suffice.
-
-    Output is byte-identical to the general routine; values whose
-    intermediates would not fit in 63 bits fall back to it.
-    """
-    if f != f or f in (math.inf, -math.inf) or f == 0.0:
-        return double_to_string(f, compat)
-    u = unpack_double(f)
-    af = abs(f)
-    lmant = u.lmant
-    e2 = u.e2
-    point = estimate_point(e2)
-    if e2 > 0:
-        shift = e2 - point
-        if shift > _FAST_SHIFT_MAX or point > _FAST_POW5_MAX:
-            return double_to_string(f, compat)
-        num = lmant << shift
-        lquo = round_quotient(num, power_of_5(point))
-        if mant_exp_to_double5(lquo, point) != af:
-            point -= 1
-            lquo = round_quotient(num << 1, power_of_5(point))
-    else:
-        if point - e2 > 62:
-            return double_to_string(f, compat)
-        num = lmant * power_of_5(-point)
-        if num > _FAST_NUM_MAX:
-            return double_to_string(f, compat)
-        den = 1 << (point - e2)
-        lquo = round_quotient(num, den)
-        if mant_exp_to_double5(lquo, point) != af:
-            point -= 1
-            lquo = round_quotient(num * 10, den)
-    if mant_exp_to_double5(lquo, point) != af:
-        return double_to_string(f, compat)  # rare boundary repair path
-    return format_sci(f < 0, lquo, point, compat)
+# Same function under the name that `write --fast` and `bench --fast` use.
+double_to_string_fast = double_to_string

@@ -193,7 +193,7 @@ def test_criterion_4_division_count_bounds():
     for f in _curated_values():
         if f != 0.0:
             observe(abs(f))
-    ok = over_read == 0 and over_write == 0 and max_read == 2 and max_write == 4
+    ok = over_read == 0 and over_write == 0 and max_read == 2 and max_write == 3
     _report(
         4,
         "division-count bounds",
@@ -202,7 +202,9 @@ def test_criterion_4_division_count_bounds():
         f" {over_read + over_write} over budget",
     )
     assert over_read == 0 and over_write == 0
-    assert max_read == 2 and max_write == 4  # the bounds are tight
+    # Reads attain their budget; writes attain 3 (a third division only at
+    # binade boundaries), one below theirs.
+    assert max_read == 2 and max_write == 3
 
 
 def test_criterion_5_intermediate_size_bounds():

@@ -122,7 +122,7 @@ class TestVerify:
         assert "max pow5 bits: 843" in out
         assert "max pow10 bits: 1183" in out
         assert "max read divisions: 2" in out
-        assert "max write divisions: 4" in out
+        assert "max write divisions: 3" in out
         assert "bounds: ok" in out
 
 

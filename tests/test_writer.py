@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from ezfloat import (
     ConversionStats,
     FloatKind,
     ShortestDigits,
+    bigmath,
     bits_to_float,
     double_to_string,
     double_to_string_fast,
@@ -23,6 +25,8 @@ from ezfloat import (
 
 MAX_FINITE = 1.7976931348623157e308
 MIN_SUBNORMAL = 5e-324
+# Every power of two: 52 subnormals and one per normal binade.
+POWERS_OF_TWO = [math.ldexp(1.0, k) for k in range(-1074, 1024)]
 
 
 def _repack(negative: bool, lmant: int, e2: int) -> int:
@@ -111,7 +115,7 @@ class TestShortestDigits:
     def test_min_subnormal_needs_fallback(self):
         stats = ConversionStats()
         assert shortest_digits(MIN_SUBNORMAL, stats) == ShortestDigits(5, -324)
-        # Starved first attempt (quotient 0), free failed check, one retry.
+        # Starved first attempt (quotient 0) rejected by its remainder, one retry.
         assert stats.divisions == 2
 
     def test_tenth(self):
@@ -148,16 +152,48 @@ class TestShortestDigits:
             shortest_digits(f, stats)
             assert stats.divisions <= 4
             worst = max(worst, stats.divisions)
-        assert worst == 4
+        # Random patterns all but never need the third division, which only
+        # binade boundaries take (see test_powers_of_two_are_minimal).
+        assert worst == 2
 
-    def test_skip_first_still_roundtrips(self):
-        rng = random.Random(17)
-        for _ in range(1500):
-            f = abs(bits_to_float(rng.getrandbits(64)))
-            if f != f or f == math.inf or f == 0.0:
+    def test_stats_count_every_division(self, monkeypatch):
+        # Count the kernel's calls wherever ezfloat holds it, so a division
+        # that bypasses the stats hook shows as a mismatch.
+        kernel = bigmath.round_quotient
+        calls = 0
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return kernel(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "ezfloat" or name.startswith("ezfloat."):
+                for attr, value in list(vars(module).items()):
+                    if value is kernel:
+                        monkeypatch.setattr(module, attr, counted)
+        rng = random.Random(19)
+        values = [bits_to_float(rng.getrandbits(64)) for _ in range(3000)]
+        for f in values + POWERS_OF_TWO:
+            if f != f or f in (math.inf, -math.inf) or f == 0.0:
                 continue
-            sd = shortest_digits(f, skip_first=True)
-            assert read_double(f"{sd.lquo}E{sd.point}") == f
+            calls = 0
+            stats = ConversionStats()
+            shortest_digits(f, stats)
+            assert stats.divisions == calls, hex(float_to_bits(f))
+
+    def test_powers_of_two_are_minimal(self):
+        # Just above a binade boundary the rounding interval reaches only a
+        # quarter ulp down; random patterns almost never land there.
+        def significant(text):
+            return len(text.lower().split("e")[0].replace(".", "").strip("0"))
+
+        assert len(POWERS_OF_TWO) == 2098
+        for f in POWERS_OF_TWO:
+            text = double_to_string(f)
+            assert minimality_check(f, significant(text)), text
+            assert significant(text) == significant(repr(f)), text
+            assert float_to_bits(read_double(text)) == float_to_bits(f), text
 
 
 class TestFormatSci:
@@ -264,12 +300,6 @@ class TestDoubleToString:
                 digits = digits[:-1]
             assert minimality_check(f, len(digits)), text
             checked += 1
-
-    def test_skip_first_roundtrips_with_possible_extra_digit(self):
-        text = double_to_string(0.1, skip_first=True)
-        assert read_double(text) == 0.1
-        digits = text.split("E")[0].lstrip("-").replace(".", "")
-        assert len(digits) == 17  # one more than the minimal form
 
     @settings(max_examples=400)
     @given(st.floats(allow_nan=False))
