@@ -44,7 +44,6 @@ from .writer import (
     ShortestDigits,
     UnpackedDouble,
     double_to_string,
-    double_to_string_fast,
     estimate_point,
     format_sci,
     shortest_digits,
@@ -72,7 +71,6 @@ __all__ = [
     "all_ones_mantissa_values",
     "bits_to_float",
     "double_to_string",
-    "double_to_string_fast",
     "estimate_point",
     "float_to_bits",
     "format_sci",

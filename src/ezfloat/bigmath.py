@@ -114,28 +114,14 @@ def round_quotient(
 
 
 def power_of_5(k: int) -> int:
-    """5**k.  Table lookup for k <= 325, chained table products beyond."""
+    """5**k: a table lookup for k <= MAX_POW, computed directly above it."""
     if k < 0:
         raise ValueError("power_of_5 requires k >= 0")
-    if k <= MAX_POW:
-        return _POWS5[k]
-    acc = _POWS5[MAX_POW]
-    k -= MAX_POW
-    while k > MAX_POW:
-        acc *= _POWS5[MAX_POW]
-        k -= MAX_POW
-    return acc * _POWS5[k]
+    return _POWS5[k] if k <= MAX_POW else 5**k
 
 
 def power_of_10(k: int) -> int:
-    """10**k, same table-plus-chaining scheme as power_of_5."""
+    """10**k, the same lookup as power_of_5."""
     if k < 0:
         raise ValueError("power_of_10 requires k >= 0")
-    if k <= MAX_POW:
-        return _POWS10[k]
-    acc = _POWS10[MAX_POW]
-    k -= MAX_POW
-    while k > MAX_POW:
-        acc *= _POWS10[MAX_POW]
-        k -= MAX_POW
-    return acc * _POWS10[k]
+    return _POWS10[k] if k <= MAX_POW else 10**k

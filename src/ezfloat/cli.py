@@ -24,7 +24,7 @@ from .oracle import (
     quotient_length_audit,
 )
 from .reader import DecimalSci, ParseError, mant_exp_to_double5, mant_exp_to_double10, read_double, read_double_with_stats
-from .writer import double_to_string, double_to_string_fast, shortest_digits
+from .writer import double_to_string, shortest_digits
 from .bigmath import ConversionStats, power_of_5, power_of_10
 
 __all__ = ["main"]
@@ -73,8 +73,7 @@ def cmd_write(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    writer = double_to_string_fast if args.fast else double_to_string
-    print(writer(value, compat=_compat_enabled()))
+    print(double_to_string(value, compat=_compat_enabled()))
     return 0
 
 
@@ -230,12 +229,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     base = [10.0 ** rng.gauss(0.0, 1.0) for _ in range(args.count)]
     decs = [shortest_digits(v) for v in base]
-    if args.fast:
-        ours_name = "ezfloat-fast"
-        write_ours = lambda v: double_to_string_fast(v, compat)
-    else:
-        ours_name = "ezfloat"
-        write_ours = lambda v: double_to_string(v, compat)
+    write_ours = lambda v: double_to_string(v, compat)
     rows_ours: list[list] = []
     rows_native: list[list] = []
     for n in range(args.exp_low, args.exp_high + 1):
@@ -245,7 +239,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         else:
             # Exact scaling: shift the decimal exponent, convert once.
             vec = [mant_exp_to_double5(sd.lquo, sd.point + n) for sd in decs]
-        if not _bench_engine_rows(ours_name, vec, write_ours, read_double, n, rows_ours):
+        if not _bench_engine_rows("ezfloat", vec, write_ours, read_double, n, rows_ours):
             return 1
         if not _bench_engine_rows("native", vec, repr, float, n, rows_native):
             return 1
@@ -272,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("write", help="print the shortest form of a double")
     p.add_argument("value", help="0x-prefixed 16-hex-digit pattern or decimal literal")
-    p.add_argument("--fast", action="store_true", help="alias of the default writer, kept for old scripts")
     p.set_defaults(func=cmd_write)
 
     p = sub.add_parser("roundtrip", help="write/read random bit patterns")
@@ -294,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default="bench.csv", help="output CSV path")
     p.add_argument("--scale-float", action="store_true",
                    help="scale by floating multiplication instead of exponent shifts")
-    p.add_argument("--fast", action="store_true", help="same writer (an alias), labelled ezfloat-fast")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -10,6 +10,7 @@ at the subnormal bit position, never by rounding twice.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .bigmath import (
@@ -42,9 +43,24 @@ _HUGE_EXP = 10**12
 _INT_CHUNK = 4000
 _CHUNK_SCALE = 10**_INT_CHUNK
 
+# The accepted grammar, groups: sign, NaN, Infinity, integer digits,
+# fraction digits, exponent sign, exponent digits.  A match with no
+# mantissa digit and no special word is rejected.
+_NUMBER = re.compile(
+    r"([+-]?)(?:(NaN)|(Infinity)|(\d*)(?:\.(\d*))?(?:[eE]([+-]?)(\d+))?)",
+    re.ASCII,
+)
+# The longest prefix of some accepted string: an exponent is viable only
+# after a digit, the special words only whole.
+_VIABLE = re.compile(
+    r"[+-]?(?:NaN|Infinity|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d*)?|\.?)",
+    re.ASCII,
+)
+
 
 class ParseError(ValueError):
-    """Rejected input text; ``position`` indexes the offending character."""
+    """Rejected input text; ``position`` indexes the offending character,
+    or equals the text's length when the input ends early."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at position {position}")
@@ -86,7 +102,7 @@ def _digits_to_int(s: str) -> int:
 def parse_decimal(text: str) -> DecimalSci | float:
     """Parse scientific-notation text.
 
-    Grammar::
+    The grammar is ``_NUMBER``::
 
         input    = sign? ("NaN" | "Infinity" | number)
         number   = digits ["." digits?] exponent?
@@ -95,59 +111,32 @@ def parse_decimal(text: str) -> DecimalSci | float:
 
     Digits are ASCII only and the special words are case sensitive.  At
     least one mantissa digit must be present and the whole string must be
-    consumed.  Returns a canonical DecimalSci, or a float for the special
-    tokens (NaN maps to the canonical quiet NaN regardless of sign).
+    consumed.  A rejection points just past the longest prefix that some
+    accepted string starts with (``_VIABLE``).  Returns a canonical
+    DecimalSci, or a float for the special tokens (NaN maps to the
+    canonical quiet NaN regardless of sign).
     """
-    n = len(text)
-    i = 0
-    negative = False
-    if i < n and text[i] in "+-":
-        negative = text[i] == "-"
-        i += 1
-    if text.startswith("NaN", i):
-        if i + 3 != n:
-            raise ParseError("unexpected text after NaN", i + 3)
+    m = _NUMBER.fullmatch(text)
+    if m is None or not (m[2] or m[3] or m[4] or m[5]):
+        pos = _VIABLE.match(text).end()
+        what = repr(text[pos]) if pos < len(text) else "end of input"
+        raise ParseError(f"unexpected {what}", pos)
+    sign, nan, inf, int_digits, frac_digits, exp_sign, exp_digits = m.groups("")
+    negative = sign == "-"
+    if nan:
         return math.nan
-    if text.startswith("Infinity", i):
-        if i + 8 != n:
-            raise ParseError("unexpected text after Infinity", i + 8)
+    if inf:
         return -math.inf if negative else math.inf
 
-    int_start = i
-    while i < n and "0" <= text[i] <= "9":
-        i += 1
-    int_digits = text[int_start:i]
-    frac_digits = ""
-    if i < n and text[i] == ".":
-        i += 1
-        frac_start = i
-        while i < n and "0" <= text[i] <= "9":
-            i += 1
-        frac_digits = text[frac_start:i]
-    if not int_digits and not frac_digits:
-        raise ParseError("expected a digit", i)
-
     exp = 0
-    if i < n and text[i] in "eE":
-        i += 1
-        exp_neg = False
-        if i < n and text[i] in "+-":
-            exp_neg = text[i] == "-"
-            i += 1
-        exp_start = i
-        while i < n and "0" <= text[i] <= "9":
-            i += 1
-        if i == exp_start:
-            raise ParseError("expected an exponent digit", i)
-        exp_digits = text[exp_start:i].lstrip("0")
+    if exp_digits:
+        exp_digits = exp_digits.lstrip("0")
         if len(exp_digits) > _MAX_EXP_DIGITS:
             exp = _HUGE_EXP  # saturates; the read clamps decide the value
         else:
-            exp = int(exp_digits) if exp_digits else 0
-        if exp_neg:
+            exp = int(exp_digits or 0)
+        if exp_sign == "-":
             exp = -exp
-    if i != n:
-        raise ParseError(f"unexpected character {text[i]!r}", i)
 
     digits = (int_digits + frac_digits).lstrip("0")
     stripped = digits.rstrip("0")
@@ -287,7 +276,7 @@ def _signed(value: float, negative: bool) -> float:
 def _convert(dec: DecimalSci, stats: ConversionStats | None) -> float:
     if dec.mant == 0:
         return _signed(0.0, dec.negative)
-    # Clamps keep power-table chaining and intermediate sizes bounded; any
+    # Clamps keep powers and intermediate sizes bounded; any
     # value that could round to a finite nonzero double passes through
     # (the smallest half-ulp is 2**-1075 ~= 2.47e-324).
     if dec.point >= 309:

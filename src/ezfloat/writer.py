@@ -25,7 +25,6 @@ __all__ = [
     "ShortestDigits",
     "UnpackedDouble",
     "double_to_string",
-    "double_to_string_fast",
     "estimate_point",
     "format_sci",
     "shortest_digits",
@@ -188,7 +187,3 @@ def double_to_string(
         return "0.0"
     sd = shortest_digits(f, stats)
     return format_sci(f < 0, sd.lquo, sd.point, compat)
-
-
-# Same function under the name that `write --fast` and `bench --fast` use.
-double_to_string_fast = double_to_string

@@ -62,10 +62,6 @@ class TestWrite:
         assert code == 2
         assert "hex" in err
 
-    def test_fast_flag_matches(self, capsys):
-        code, out, _ = run(capsys, "write", "--fast", "0x3FF0000000000000")
-        assert code == 0 and out.strip() == "1.0E0"
-
     def test_compat_env(self, capsys, monkeypatch):
         monkeypatch.setenv("EZFLOAT_COMPAT", "1")
         code, out, _ = run(capsys, "write", "0x8000000000000000")
@@ -162,18 +158,6 @@ class TestBench:
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
         assert all(row[5] == "true" for row in rows[1:])
-
-    def test_fast_engine_label(self, capsys, tmp_path):
-        path = tmp_path / "bench.csv"
-        code, _, _ = run(
-            capsys,
-            "bench", "--count", "5", "--exp-low", "0", "--exp-high", "0",
-            "--seed", "3", "--csv", str(path), "--fast",
-        )
-        assert code == 0
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert {row[1] for row in rows[1:]} == {"ezfloat-fast", "native"}
 
     def test_csv_deterministic_apart_from_timings(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

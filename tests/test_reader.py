@@ -73,12 +73,24 @@ class TestParseDecimal:
             ("1.5d3", 3),
             ("--1", 1),
             ("1e5.5", 3),
+            ("\u0661", 0),  # ARABIC-INDIC DIGIT ONE
+            ("\uff11", 0),  # FULLWIDTH DIGIT ONE
+            ("1\u0663", 1),
+            ("1_0", 1),
+            ("1\n", 1),
+            (".e5", 1),
+            ("-Inf", 1),
+            ("+NaNx", 4),
+            ("1e+5x", 4),
+            ("1e\u0660", 2),
         ],
     )
     def test_rejected_with_position(self, text, position):
         with pytest.raises(ParseError) as exc:
             parse_decimal(text)
         assert exc.value.position == position
+        what = repr(text[position]) if position < len(text) else "end of input"
+        assert str(exc.value) == f"unexpected {what} at position {position}"
 
     def test_special_tokens(self):
         assert math.isnan(parse_decimal("NaN"))
@@ -109,6 +121,20 @@ class TestParseDecimal:
         assert len(text) > 1000
         dec = parse_decimal(text)
         assert dec.mant == 5**1075 and dec.point == -1075
+
+    def test_significand_longer_than_int_conversion_limit(self):
+        # Over 4300 significant digits int() refuses the string, so the
+        # digits are converted in chunks.  1 + 2**-53 is the halfway point
+        # between 1.0 and its successor: exactly it rounds to the even 1.0,
+        # and a far trailing 1 tips it up.
+        halfway = "1." + str(5**53).rjust(53, "0")
+        for text, bits in (
+            (halfway + "0" * 9000 + "1", 0x3FF0000000000001),
+            (halfway + "0" * 9000, 0x3FF0000000000000),
+        ):
+            assert float_to_bits(read_double(text)) == bits
+            assert float_to_bits(float(text)) == bits
+            assert float_to_bits(nearest_double_exact(parse_decimal(text))) == bits
 
 
 class TestMantExpToDouble:

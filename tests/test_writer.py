@@ -13,7 +13,6 @@ from ezfloat import (
     bigmath,
     bits_to_float,
     double_to_string,
-    double_to_string_fast,
     estimate_point,
     float_to_bits,
     format_sci,
@@ -305,31 +304,3 @@ class TestDoubleToString:
     @given(st.floats(allow_nan=False))
     def test_roundtrip_property(self, f):
         assert float_to_bits(read_double(double_to_string(f))) == float_to_bits(f)
-
-
-class TestFastPath:
-    def test_examples(self):
-        assert double_to_string_fast(1.0) == "1.0E0"
-        assert double_to_string_fast(3.0e15) == double_to_string(3.0e15)
-        assert double_to_string_fast(0.1) == "1.0E-1"
-
-    def test_specials(self):
-        assert double_to_string_fast(math.nan) == "NaN"
-        assert double_to_string_fast(-math.inf) == "-Infinity"
-        assert double_to_string_fast(-0.0) == "-0.0"
-
-    def test_equivalence_random(self):
-        rng = random.Random(47)
-        for _ in range(6000):
-            f = bits_to_float(rng.getrandbits(64))
-            if f != f:
-                continue
-            assert double_to_string_fast(f) == double_to_string(f)
-
-    def test_equivalence_in_fast_eligible_band(self):
-        # Magnitudes around 10**10..10**19 are where the narrow path engages.
-        rng = random.Random(53)
-        for _ in range(4000):
-            f = rng.uniform(1e9, 1e19)
-            assert double_to_string_fast(f) == double_to_string(f)
-            assert double_to_string_fast(-f) == double_to_string(-f)
