@@ -4,7 +4,9 @@ The core routine scales the decimal significand by a power of two chosen so
 that a single rounding division by a power of 5 (or 10) lands exactly on the
 53-bit binary significand.  At most two rounding divisions are ever needed
 per conversion; results below the normal range are produced by one rounding
-at the subnormal bit position, never by rounding twice.
+at the subnormal bit position, never by rounding twice.  When both the
+significand and the power of ten are exact doubles (Clinger's path), the
+one rounding is an IEEE multiply or divide and no division is made.
 """
 
 from __future__ import annotations
@@ -42,6 +44,18 @@ _HUGE_EXP = 10**12
 # chunks so mantissas of any length are read exactly.
 _INT_CHUNK = 4000
 _CHUNK_SCALE = 10**_INT_CHUNK
+
+# Significant digits a read keeps: the most any binary64 halfway point
+# has, that of (2**53 - 1) * 2**-1075 between the largest subnormal and
+# the smallest normal.  A longer significand keeps these plus one sticky
+# digit.
+_KEPT_DIGITS = 768
+
+# Clinger's exact path: 10**k for 0 <= k <= 22 is an exact binary64
+# (5**22 < 2**53), so mant * 10**point with mant < 2**53 is one IEEE
+# rounding of two exact operands.
+_CLINGER_POWS = tuple(float(10**k) for k in range(23))
+_CLINGER_MANT = 1 << DBL_MANT_DIG
 
 # The accepted grammar, groups: sign, NaN, Infinity, integer digits,
 # fraction digits, exponent sign, exponent digits.  A match with no
@@ -99,23 +113,11 @@ def _digits_to_int(s: str) -> int:
     return val
 
 
-def parse_decimal(text: str) -> DecimalSci | float:
-    """Parse scientific-notation text.
-
-    The grammar is ``_NUMBER``::
-
-        input    = sign? ("NaN" | "Infinity" | number)
-        number   = digits ["." digits?] exponent?
-                 | "." digits exponent?
-        exponent = ("e" | "E") sign? digits
-
-    Digits are ASCII only and the special words are case sensitive.  At
-    least one mantissa digit must be present and the whole string must be
-    consumed.  A rejection points just past the longest prefix that some
-    accepted string starts with (``_VIABLE``).  Returns a canonical
-    DecimalSci, or a float for the special tokens (NaN maps to the
-    canonical quiet NaN regardless of sign).
-    """
+def _scan(text: str) -> tuple[bool, str, int] | float:
+    # The one scanner: (negative, digits, point) with the value
+    # (-1)**negative * int(digits) * 10**point, where digits has no leading
+    # or trailing zero ("" for zero, with point 0), or a float for the
+    # special tokens.
     m = _NUMBER.fullmatch(text)
     if m is None or not (m[2] or m[3] or m[4] or m[5]):
         pos = _VIABLE.match(text).end()
@@ -141,9 +143,32 @@ def parse_decimal(text: str) -> DecimalSci | float:
     digits = (int_digits + frac_digits).lstrip("0")
     stripped = digits.rstrip("0")
     if not stripped:
-        return DecimalSci(negative, 0, 0)
-    point = exp - len(frac_digits) + (len(digits) - len(stripped))
-    return DecimalSci(negative, _digits_to_int(stripped), point)
+        return negative, "", 0
+    return negative, stripped, exp - len(frac_digits) + (len(digits) - len(stripped))
+
+
+def parse_decimal(text: str) -> DecimalSci | float:
+    """Parse scientific-notation text, keeping every significand digit.
+
+    The grammar is ``_NUMBER``::
+
+        input    = sign? ("NaN" | "Infinity" | number)
+        number   = digits ["." digits?] exponent?
+                 | "." digits exponent?
+        exponent = ("e" | "E") sign? digits
+
+    Digits are ASCII only and the special words are case sensitive.  At
+    least one mantissa digit must be present and the whole string must be
+    consumed.  A rejection points just past the longest prefix that some
+    accepted string starts with (``_VIABLE``).  Returns a canonical
+    DecimalSci, exact at any length, or a float for the special tokens
+    (NaN maps to the canonical quiet NaN regardless of sign).
+    """
+    scanned = _scan(text)
+    if isinstance(scanned, float):
+        return scanned
+    negative, digits, point = scanned
+    return DecimalSci(negative, _digits_to_int(digits or "0"), point)
 
 
 def _finish(quo: int, e: int) -> float:
@@ -184,13 +209,18 @@ def mant_exp_to_double5(
     """Nearest binary64 to mant * 10**point, scaling with powers of 5.
 
     ``mant`` may be arbitrarily large; the rounding is always a single
-    round-half-to-even division.  Overflow returns +Infinity, total
-    underflow +0.0.  The sign is the caller's concern.
+    round-half-to-even division, or one IEEE multiply or divide when
+    ``mant < 2**53`` and ``|point| <= 22``.  Overflow returns +Infinity,
+    total underflow +0.0.  The sign is the caller's concern.
     """
     if mant < 0:
         raise ValueError("mant must be nonnegative")
     if mant == 0:
         return 0.0
+    if mant < _CLINGER_MANT and -22 <= point <= 22:
+        if point >= 0:
+            return mant * _CLINGER_POWS[point]
+        return mant / _CLINGER_POWS[-point]
     if point >= 0:
         num = mant * power_of_5(point)
         bex = num.bit_length() - DBL_MANT_DIG
@@ -253,51 +283,51 @@ def mant_exp_to_double10(
     return _finish(quo, bex)
 
 
-def _decimal_digits_at_most(mant: int, bound: int) -> bool:
-    # Whether mant has at most `bound` decimal digits, avoiding str() on
-    # huge integers.  Digit-count bounds come from bit length; only the
-    # ambiguous band needs one exact comparison.
-    if bound <= 0:
-        return False
-    b = mant.bit_length()
-    upper = b * 30103 // 100000 + 1
-    if upper <= bound:
-        return True
-    lower = (b - 1) * 30102 // 100000 + 1
-    if lower > bound:
-        return False
-    return mant < power_of_10(bound)
-
-
 def _signed(value: float, negative: bool) -> float:
     return -value if negative else value
 
 
-def _convert(dec: DecimalSci, stats: ConversionStats | None) -> float:
-    if dec.mant == 0:
-        return _signed(0.0, dec.negative)
-    # Clamps keep powers and intermediate sizes bounded; any
-    # value that could round to a finite nonzero double passes through
-    # (the smallest half-ulp is 2**-1075 ~= 2.47e-324).
-    if dec.point >= 309:
-        return _signed(math.inf, dec.negative)
-    if dec.point <= -324 and _decimal_digits_at_most(dec.mant, -324 - dec.point):
-        return _signed(0.0, dec.negative)
-    return _signed(mant_exp_to_double5(dec.mant, dec.point, stats), dec.negative)
+def _convert(
+    negative: bool, digits: str, point: int, stats: ConversionStats | None
+) -> float:
+    # The value is int(digits) * 10**point with 10**(top-1) <= value < 10**top.
+    if not digits:
+        return _signed(0.0, negative)
+    top = point + len(digits)
+    # value >= 10**309 overflows; value < 10**-324, under half the
+    # smallest subnormal (2**-1075 ~= 2.47e-324), underflows.
+    if top > 309:
+        return _signed(math.inf, negative)
+    if top <= -324:
+        return _signed(0.0, negative)
+    # Every binary64 halfway point has at most 768 significant digits.  A
+    # longer significand and its first 768 digits plus a sticky 1 (the
+    # stripped tail is nonzero) lie strictly inside the same gap between
+    # adjacent 768-digit decimals, which holds no halfway point, so both
+    # round alike.
+    if len(digits) > _KEPT_DIGITS + 1:
+        point = top - _KEPT_DIGITS - 1
+        digits = digits[:_KEPT_DIGITS] + "1"
+    return _signed(mant_exp_to_double5(int(digits), point, stats), negative)
 
 
 def read_double_with_stats(text: str) -> ReadOutcome:
     """read_double plus the instrumentation for the conversion performed."""
-    dec = parse_decimal(text)
+    scanned = _scan(text)
     stats = ConversionStats()
-    if isinstance(dec, float):
-        return ReadOutcome(dec, stats)
-    return ReadOutcome(_convert(dec, stats), stats)
+    if isinstance(scanned, float):
+        return ReadOutcome(scanned, stats)
+    return ReadOutcome(_convert(*scanned, stats), stats)
 
 
 def read_double(text: str) -> float:
-    """Convert text to the nearest binary64 (round half to even)."""
-    dec = parse_decimal(text)
-    if isinstance(dec, float):
-        return dec
-    return _convert(dec, None)
+    """Convert text to the nearest binary64 (round half to even).
+
+    Only the first 768 significant digits and one sticky digit standing
+    for the nonzero rest take part in the conversion, so a read costs
+    one scan of the text plus a conversion of bounded width.
+    """
+    scanned = _scan(text)
+    if isinstance(scanned, float):
+        return scanned
+    return _convert(*scanned, None)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from ezfloat import (
     mant_exp_to_double10,
     nearest_double_exact,
     parse_decimal,
+    power_of_5,
     read_double,
     read_double_with_stats,
 )
@@ -135,6 +137,19 @@ class TestParseDecimal:
             assert float_to_bits(read_double(text)) == bits
             assert float_to_bits(float(text)) == bits
             assert float_to_bits(nearest_double_exact(parse_decimal(text))) == bits
+
+    @pytest.mark.parametrize("ndigits", [800, 5000])
+    def test_long_significand_keeps_every_digit(self, ndigits):
+        # Reads bound the significand; parse_decimal must not, because it is
+        # the exact reference for halfway strings.
+        rng = random.Random(ndigits)
+        digits = "".join(rng.choices("0123456789", k=ndigits - 2))
+        digits = f"{rng.randint(1, 9)}{digits}{rng.randint(1, 9)}"
+        dec = parse_decimal(f"{digits[0]}.{digits[1:]}e-7")
+        # Each half stays under int()'s 4300-digit string limit.
+        half = ndigits // 2
+        assert divmod(dec.mant, 10**half) == (int(digits[:-half]), int(digits[-half:]))
+        assert dec.point == -7 - (ndigits - 1)
 
 
 class TestMantExpToDouble:
@@ -305,3 +320,118 @@ class TestReadDouble:
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_reads_back_python_repr(self, f):
         assert float_to_bits(read_double(repr(f))) == float_to_bits(f)
+
+
+def _sci(digits: str, top: int, negative: bool = False) -> str:
+    # int(digits) * 10**(top - len(digits)), with the point after the first digit.
+    return f"{'-' if negative else ''}{digits[0]}.{digits[1:]}e{top - 1}"
+
+
+def _assert_exact_read(text: str, want: int | None = None) -> None:
+    got = float_to_bits(read_double(text))
+    assert got == float_to_bits(nearest_double_exact(parse_decimal(text))), text[:60]
+    assert got == float_to_bits(float(text)), text[:60]
+    if want is not None:
+        assert got == want, text[:60]
+
+
+# The midpoint between the largest subnormal and the smallest normal,
+# (2**53 - 1) * 2**-1075, written out: 768 significant digits, the most
+# any binary64 halfway point has.
+_MIDPOINT_768 = str((2**53 - 1) * 5**1075)
+_MIDPOINT_TOP = len(_MIDPOINT_768) - 1075
+
+# After the clamps a read keeps at most 769 digits with 10**-324 <= value,
+# so point >= -323 - 769; the widest operand is the main division's
+# dividend, 53 bits wider than 5**1092.
+_READ_OPERAND_CEILING = power_of_5(323 + 769).bit_length() + 53
+
+
+class TestBoundedRead:
+    def test_midpoint_has_768_digits(self):
+        assert len(_MIDPOINT_768) == 768
+
+    @pytest.mark.parametrize(
+        "digits,want",
+        [
+            # Exactly halfway: the tie goes to the even smallest normal.
+            (_MIDPOINT_768, 0x0010000000000000),
+            # A far trailing 1 past digit 768; keeping 767 digits and a
+            # sticky digit misreads this one as the largest subnormal.
+            (_MIDPOINT_768 + "0" * 50 + "1", 0x0010000000000000),
+            # One unit below the midpoint in its 768th digit.
+            (str(int(_MIDPOINT_768) - 1), 0x000FFFFFFFFFFFFF),
+        ],
+        ids=["exact", "far-trailing-1", "one-below"],
+    )
+    def test_subnormal_normal_midpoint(self, digits, want):
+        _assert_exact_read(_sci(digits, _MIDPOINT_TOP), want)
+
+    @pytest.mark.parametrize("ndigits", [10**3, 10**4, 10**5, 10**6])
+    def test_operand_width_does_not_grow_with_length(self, ndigits):
+        digits = "7" * ndigits
+        widest = 0
+        # Near overflow, normal, near the smallest normal, subnormal, and
+        # the lowest decade that is not clamped to zero.
+        for top in (309, 200, 0, -200, -307, -315, -323):
+            text = _sci(digits, top)
+            outcome = read_double_with_stats(text)
+            assert float_to_bits(outcome.value) == float_to_bits(float(text))
+            assert outcome.stats.divisions <= 2
+            widest = max(widest, outcome.stats.max_intermediate_bits)
+        assert widest == _READ_OPERAND_CEILING == 2589
+
+    def test_random_long_significands(self):
+        # Random 700-5000 digit significands and halfway points of random
+        # doubles, with and without a trailing digit, cut near digit 769.
+        rng = random.Random(769)
+        for i in range(200):
+            if i % 2:
+                v = math.ldexp(rng.randrange(1, 2**53), rng.randint(-1074, -1000))
+                mid = (Fraction(v) + Fraction(math.nextafter(v, math.inf))) / 2
+                k = mid.denominator.bit_length() - 1  # denominator is 2**k
+                scaled = str(mid.numerator * 5**k)
+                digits = scaled.rstrip("0")
+                top = len(scaled) - k
+                n = rng.randint(max(len(digits) + 1, 766), 780)
+                kind = i % 3
+                if kind == 1:
+                    digits += "0" * (n - len(digits) - 1) + "1"
+                elif kind == 2:
+                    digits = str(int(digits) - 1) + "9" * (n - len(digits))
+            else:
+                n = rng.randint(700, 5000)
+                digits = "".join(rng.choices("0123456789", k=n - 2))
+                cut = rng.randint(760, 775)
+                fill = rng.choice("09")
+                digits = f"{rng.randint(1, 9)}{digits[:cut]}{fill * (n - cut - 2)}"
+                digits += str(rng.randint(1, 9))
+                top = rng.randint(-330, 315)
+            _assert_exact_read(_sci(digits, top, rng.random() < 0.5))
+
+
+class TestClingerPath:
+    @pytest.mark.parametrize("mant", [2**53 - 1, 2**53, 2**53 + 1])
+    @pytest.mark.parametrize("point", [-23, -22, 22, 23])
+    def test_boundaries(self, mant, point):
+        got = mant_exp_to_double5(mant, point)
+        assert float_to_bits(got) == float_to_bits(
+            nearest_double_exact(DecimalSci(False, mant, point))
+        )
+        assert float_to_bits(got) == float_to_bits(mant_exp_to_double10(mant, point))
+
+    @pytest.mark.parametrize("text", ["123456789e-22", "1.5", "9007199254740991e22"])
+    def test_exact_operands_make_no_division(self, text):
+        outcome = read_double_with_stats(text)
+        assert outcome.stats.divisions == 0
+        assert float_to_bits(outcome.value) == float_to_bits(float(text))
+
+    @pytest.mark.parametrize(
+        "text", [f"{2**53}e-1", "1e23", "9007199254740991e23", "12345e-23"]
+    )
+    def test_outside_the_path_divides(self, text):
+        outcome = read_double_with_stats(text)
+        assert outcome.stats.divisions >= 1
+        assert float_to_bits(outcome.value) == float_to_bits(
+            nearest_double_exact(parse_decimal(text))
+        )
