@@ -17,7 +17,6 @@ import time
 
 from ._bits import bits_to_float, float_to_bits
 from .oracle import (
-    all_ones_mantissa_values,
     intermediate_size_scan,
     minimality_check,
     nearest_double_exact,

@@ -9,6 +9,9 @@ interval reaches only a quarter ulp down; a quotient that falls short
 there gives way to its upper neighbour when that one fits.  Otherwise one
 more digit is taken.  Two divisions all but always suffice, three are the
 most any double needs, and nothing is read back.
+
+double_to_string composes the two halves, a plain (lquo, point) pair and
+format_sci, without building the ShortestDigits that shortest_digits returns.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._bits import float_to_bits
-from .bigmath import LLOG2, ConversionStats, power_of_5, round_quotient
+from .bigmath import _POWS5, LLOG2, ConversionStats, power_of_5, round_quotient
 
 __all__ = [
     "FloatKind",
@@ -65,15 +68,11 @@ class ShortestDigits:
     point: int
 
 
-def _fields(f: float) -> tuple[int, int, int]:
-    """Sign bit, biased exponent and 52-bit fraction of f's bit pattern."""
-    bits = float_to_bits(f)
-    return bits >> 63, (bits >> 52) & 0x7FF, bits & _FRAC_MASK
-
-
 def unpack_double(f: float) -> UnpackedDouble:
-    sign, ue2, frac = _fields(f)
-    negative = bool(sign)
+    bits = float_to_bits(f)
+    negative = bool(bits >> 63)
+    ue2 = (bits >> 52) & 0x7FF
+    frac = bits & _FRAC_MASK
     if ue2 == 0x7FF:
         return UnpackedDouble(negative, frac, 0, FloatKind.NAN if frac else FloatKind.INFINITE)
     # Biased exponent 0 means no implicit bit and a one-higher scale.
@@ -92,16 +91,11 @@ def estimate_point(e2: int) -> int:
     return math.ceil(e2 * LLOG2)
 
 
-def shortest_digits(f: float, stats: ConversionStats | None = None) -> ShortestDigits:
-    """Shortest (lquo, point) whose read-back equals |f| bit for bit.
-
-    Of the shortest candidates the nearest to |f| is taken, or its upper
-    neighbour where the nearest falls below a binade boundary's narrow
-    interval.
-    """
-    _, ue2, lmant = _fields(f)
-    if ue2 == 0x7FF or (ue2 == 0 and lmant == 0):
-        raise ValueError("shortest_digits requires a finite nonzero value")
+def _shortest(f: float, stats: ConversionStats | None) -> tuple[int, int]:
+    """shortest_digits' (lquo, point) for a finite nonzero f, unchecked."""
+    bits = float_to_bits(f)
+    ue2 = (bits >> 52) & 0x7FF
+    lmant = bits & _FRAC_MASK
     if ue2:
         lmant += 1 << 52
         e2 = ue2 - 1075
@@ -109,11 +103,12 @@ def shortest_digits(f: float, stats: ConversionStats | None = None) -> ShortestD
         e2 = -1074
     point = estimate_point(e2)
     # num / den == |f| / 10**point, and one ulp of f is `ulp` in num's units.
+    # estimate_point keeps 0 <= point <= 293 resp. 0 <= -point <= 323 here.
     if e2 > 0:
         ulp = 1 << (e2 - point)
-        den = power_of_5(point)
+        den = _POWS5[point]
     else:
-        ulp = power_of_5(-point)
+        ulp = _POWS5[-point]
         den = 1 << (point - e2)
     num = lmant * ulp
     # Twice a candidate's distance from |f| may reach one ulp, a tie only
@@ -144,7 +139,19 @@ def shortest_digits(f: float, stats: ConversionStats | None = None) -> ShortestD
     else:
         raise AssertionError(f"shortest-digits candidates exhausted for {f!r}")
     assert 0 < lquo < 10**17, "decimal significand out of range"
-    return ShortestDigits(lquo, point)
+    return lquo, point
+
+
+def shortest_digits(f: float, stats: ConversionStats | None = None) -> ShortestDigits:
+    """Shortest (lquo, point) whose read-back equals |f| bit for bit.
+
+    Of the shortest candidates the nearest to |f| is taken, or its upper
+    neighbour where the nearest falls below a binade boundary's narrow
+    interval.
+    """
+    if not 0.0 < abs(f) < math.inf:
+        raise ValueError("shortest_digits requires a finite nonzero value")
+    return ShortestDigits(*_shortest(f, stats))
 
 
 def format_sci(negative: bool, lquo: int, point: int, compat: bool = False) -> str:
@@ -155,16 +162,9 @@ def format_sci(negative: bool, lquo: int, point: int, compat: bool = False) -> s
     digit count minus one, printed without a plus sign.
     """
     sman = str(lquo)
-    length = len(sman)
-    lent = length
-    while sman[lent - 1] == "0":
-        lent -= 1
-    head = "-" + sman[0] if negative else sman[0]
-    if lent > 1:
-        body = sman[1:lent]
-    else:
-        body = "" if compat else "0"
-    return f"{head}.{body}E{point + length - 1}"
+    body = sman[1:].rstrip("0") or ("" if compat else "0")
+    sign = "-" if negative else ""
+    return f"{sign}{sman[0]}.{body}E{point + len(sman) - 1}"
 
 
 def double_to_string(
@@ -175,15 +175,14 @@ def double_to_string(
     ``compat`` restores two legacy behaviours: negative zero prints as
     "0.0" and single-digit significands drop the padded fractional zero.
     """
+    if 0.0 < abs(f) < math.inf:
+        return format_sci(f < 0, *_shortest(f, stats), compat)
     if f != f:
         return "NaN"
     if f == math.inf:
         return "Infinity"
     if f == -math.inf:
         return "-Infinity"
-    if f == 0.0:
-        if not compat and math.copysign(1.0, f) < 0:
-            return "-0.0"
-        return "0.0"
-    sd = shortest_digits(f, stats)
-    return format_sci(f < 0, sd.lquo, sd.point, compat)
+    if not compat and math.copysign(1.0, f) < 0:
+        return "-0.0"
+    return "0.0"

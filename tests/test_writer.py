@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ezfloat import (
     ConversionStats,
+    DecimalSci,
     FloatKind,
     ShortestDigits,
     bigmath,
@@ -17,6 +18,7 @@ from ezfloat import (
     float_to_bits,
     format_sci,
     minimality_check,
+    parse_decimal,
     read_double,
     shortest_digits,
     unpack_double,
@@ -180,6 +182,12 @@ class TestShortestDigits:
             stats = ConversionStats()
             shortest_digits(f, stats)
             assert stats.divisions == calls, hex(float_to_bits(f))
+            # The hot path reaches the kernel without shortest_digits.
+            for g in (f, -f):
+                calls = 0
+                stats = ConversionStats()
+                double_to_string(g, stats=stats)
+                assert stats.divisions == calls, hex(float_to_bits(g))
 
     def test_powers_of_two_are_minimal(self):
         # Just above a binade boundary the rounding interval reaches only a
@@ -214,6 +222,31 @@ class TestFormatSci:
         assert format_sci(False, 5, -324, compat=True) == "5.E-324"
         assert format_sci(False, 12340, 0, compat=True) == "1.234E4"
 
+    def test_exact_value_property(self):
+        rng = random.Random(47)
+        for i in range(3000):
+            lquo = rng.randrange(1, 10**17)
+            if i % 3 == 0:
+                zeros = rng.randint(1, 16)
+                lquo = max(lquo // 10**zeros, 1) * 10**zeros
+            point = rng.randint(-340, 310)
+            negative = rng.random() < 0.5
+            mant, exact_point = lquo, point
+            while mant % 10 == 0:
+                mant //= 10
+                exact_point += 1
+            for compat in (False, True):
+                text = format_sci(negative, lquo, point, compat)
+                assert parse_decimal(text) == DecimalSci(negative, mant, exact_point), text
+                head, exponent = text.lstrip("-").split("E")
+                lead, frac = head.split(".")
+                if mant < 10:
+                    assert frac == ("" if compat else "0"), text
+                else:
+                    assert frac and not frac.endswith("0"), text
+                assert lead == str(lquo)[0]
+                assert int(exponent) == point + len(str(lquo)) - 1, text
+
 
 class TestDoubleToString:
     @pytest.mark.parametrize(
@@ -238,6 +271,26 @@ class TestDoubleToString:
     )
     def test_examples(self, value, expected):
         assert double_to_string(value) == expected
+
+    def test_composes_shortest_digits_and_format_sci(self):
+        # The public halves must give exactly what the hot path writes.
+        rng = random.Random(53)
+        values = []
+        while len(values) < 2000:
+            f = bits_to_float(rng.getrandbits(64))
+            if math.isfinite(f) and f != 0.0:
+                values.append(f)
+        for f in POWERS_OF_TWO:
+            values += [f, math.nextafter(f, 0.0), math.nextafter(f, math.inf)]
+        values += [bits_to_float(b) for b in range(1, 1001)]
+        values += [bits_to_float(0x000FFFFFFFFFFFFF - i) for i in range(1000)]
+        for f in values:
+            if not math.isfinite(f) or f == 0.0:
+                continue
+            sd = shortest_digits(f)
+            for compat in (False, True):
+                expected = format_sci(f < 0, sd.lquo, sd.point, compat)
+                assert double_to_string(f, compat) == expected, hex(float_to_bits(f))
 
     def test_compat_flags(self):
         assert double_to_string(-0.0, compat=True) == "0.0"
