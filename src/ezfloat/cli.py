@@ -152,8 +152,10 @@ def _verify_bounds(seed: int) -> bool:
     widths_ok = True
     for point in range(-340, 309):
         scan = intermediate_size_scan(range(point, point + 1), range(1, 18), rng)
-        # A read divides by 5**k (10**k) with a dividend 53 bits wider:
-        # 803/1126 bits on point >= -323, wider at each point below it.
+        # A read makes at most one division, by 5**k (10**k) with a
+        # dividend 53 bits wider: 803/1126 bits on point >= -323, at most
+        # bits(5**k)+53 resp. bits(10**k)+53 below it, where the widest
+        # reached is 806/1130 at point -324.
         k = -min(point, -323)
         pow5_ceiling = power_of_5(k).bit_length() + 53
         pow10_ceiling = power_of_10(k).bit_length() + 53

@@ -1,6 +1,6 @@
 """Brute-force-exact reference conversions used to verify the fast paths.
 
-Nothing here shares scaling or retry logic with the production reader: the
+Nothing here shares scaling logic with the production reader: the
 nearest-double computation works from the exact rational value, locating
 the binade by integer comparison and rounding once with an exact remainder.
 A bug would have to be reinvented independently on both sides to hide.
@@ -171,18 +171,13 @@ def _scan_trace(report: AuditReport, f: float, trace: list[tuple[str, int, int, 
     for site, num_bits, den_bits, quo in trace:
         qb = quo.bit_length()
         if site.endswith("-main"):
-            # Power-of-5/10 divisor with num built to be 53 bits longer: a
-            # quotient of 2 + n - m bits here would demand a second retry.
-            if qb > num_bits - den_bits + 1:
-                report.violations.append(
-                    f"0x{float_to_bits(f):016X} {site} quotient {qb} bits"
-                    f" from {num_bits}/{den_bits}"
-                )
-        elif site.endswith("-retry"):
-            # After doubling the divisor the quotient must convert exactly.
+            # Power-of-5/10 divisor, the binary exponent settled before
+            # dividing: the quotient must convert exactly, a rounding carry
+            # to exactly 2**53 included.
             if qb > 53 and quo != 1 << 53:
                 report.violations.append(
                     f"0x{float_to_bits(f):016X} {site} quotient {qb} bits"
+                    f" from {num_bits}/{den_bits}"
                 )
         elif site.endswith("-shift"):
             # Power-of-two divisor, outside the near-power-of-2 argument; a
@@ -207,9 +202,9 @@ def quotient_length_audit() -> AuditReport:
     """Convert every all-ones value both ways, checking quotient lengths.
 
     These are the extremal dividends: if any power-of-10 or power-of-5
-    divisor could produce a quotient long enough to need a second retry,
-    it would happen here.  Expected outcome is zero violations with at
-    most one retry per conversion.
+    divisor could produce a quotient too long to convert exactly, it would
+    happen here.  Expected outcome is zero violations and no retry: every
+    read makes at most one division.
     """
     report = AuditReport()
     for f in all_ones_mantissa_values():

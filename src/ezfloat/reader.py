@@ -2,11 +2,12 @@
 
 The core routine scales the decimal significand by a power of two chosen so
 that a single rounding division by a power of 5 (or 10) lands exactly on the
-53-bit binary significand.  At most two rounding divisions are ever needed
-per conversion; results below the normal range are produced by one rounding
-at the subnormal bit position, never by rounding twice.  When both the
-significand and the power of ten are exact doubles (Clinger's path), the
-one rounding is an IEEE multiply or divide and no division is made.
+53-bit binary significand.  A shift and a compare settle the binary exponent
+before dividing, so a conversion makes at most one rounding division; results
+below the normal range are produced by that one rounding at the subnormal bit
+position, never by rounding twice.  When both the significand and the
+power of ten are exact doubles (Clinger's path), the one rounding is an IEEE
+multiply or divide and no division is made.
 """
 
 from __future__ import annotations
@@ -119,32 +120,29 @@ def _scan(text: str) -> tuple[bool, str, int] | float:
     # or trailing zero ("" for zero, with point 0), or a float for the
     # special tokens.
     m = _NUMBER.fullmatch(text)
-    if m is None or not (m[2] or m[3] or m[4] or m[5]):
-        pos = _VIABLE.match(text).end()
-        what = repr(text[pos]) if pos < len(text) else "end of input"
-        raise ParseError(f"unexpected {what}", pos)
-    sign, nan, inf, int_digits, frac_digits, exp_sign, exp_digits = m.groups("")
-    negative = sign == "-"
-    if nan:
-        return math.nan
-    if inf:
-        return -math.inf if negative else math.inf
-
-    exp = 0
-    if exp_digits:
-        exp_digits = exp_digits.lstrip("0")
-        if len(exp_digits) > _MAX_EXP_DIGITS:
-            exp = _HUGE_EXP  # saturates; the read clamps decide the value
-        else:
-            exp = int(exp_digits or 0)
-        if exp_sign == "-":
-            exp = -exp
-
-    digits = (int_digits + frac_digits).lstrip("0")
-    stripped = digits.rstrip("0")
-    if not stripped:
-        return negative, "", 0
-    return negative, stripped, exp - len(frac_digits) + (len(digits) - len(stripped))
+    if m is not None:
+        sign, nan, inf, int_digits, frac_digits, exp_sign, exp_digits = m.groups("")
+        if int_digits or frac_digits:
+            digits = (int_digits + frac_digits).lstrip("0")
+            stripped = digits.rstrip("0")
+            if not stripped:
+                return sign == "-", "", 0
+            point = len(digits) - len(stripped) - len(frac_digits)
+            if exp_digits:
+                exp_digits = exp_digits.lstrip("0")
+                if len(exp_digits) > _MAX_EXP_DIGITS:
+                    exp = _HUGE_EXP  # saturates; the read clamps decide the value
+                else:
+                    exp = int(exp_digits or 0)
+                point = point - exp if exp_sign == "-" else point + exp
+            return sign == "-", stripped, point
+        if nan:
+            return math.nan
+        if inf:
+            return -math.inf if sign == "-" else math.inf
+    pos = _VIABLE.match(text).end()
+    what = repr(text[pos]) if pos < len(text) else "end of input"
+    raise ParseError(f"unexpected {what}", pos)
 
 
 def parse_decimal(text: str) -> DecimalSci | float:
@@ -171,13 +169,6 @@ def parse_decimal(text: str) -> DecimalSci | float:
     return DecimalSci(negative, _digits_to_int(digits or "0"), point)
 
 
-def _finish(quo: int, e: int) -> float:
-    # quo <= 2**53, so the int -> float conversion is exact.
-    if e + quo.bit_length() - 1 > 1023:
-        return math.inf
-    return math.ldexp(quo, e)
-
-
 def _subnormal_quotient(
     mant: int, point: int, scl5: int, stats: ConversionStats | None
 ) -> float:
@@ -192,15 +183,12 @@ def _subnormal_quotient(
     return math.ldexp(quo, -1074)
 
 
-def _is_subnormal(num: int, den: int, scale: int) -> bool:
-    # Exact test for value = (num/den) * 2**scale < 2**-1022, relying on
-    # num/den lying strictly inside (2**52, 2**54).
-    if scale + 52 >= -1022:
-        return False
-    if scale + 54 <= -1022:
-        return True
-    e = -1022 - scale  # 53 or 54 here
-    return num < den << e
+def _finish(quo: int, e: int) -> float:
+    # quo <= 2**53 converts exactly, so ldexp is exact or overflows.
+    try:
+        return math.ldexp(quo, e)
+    except OverflowError:
+        return math.inf
 
 
 def mant_exp_to_double5(
@@ -229,6 +217,11 @@ def mant_exp_to_double5(
         quo = round_quotient(num, 1 << bex, stats, "read5-shift")
         return _finish(quo, bex + point)
 
+    # value = (num / den) * 2**(bex + point), with num 53 bits longer than
+    # den, so 2**52 < num/den < 2**54.  One shift and compare settle the
+    # binary exponent before the one rounding: afterwards
+    # 2**52 <= num/den < 2**53 and the quotient has 53 bits, or is 2**53
+    # after a rounding carry, which still converts exactly.
     scl = power_of_5(-point)
     bex = mant.bit_length() - scl.bit_length() - DBL_MANT_DIG
     if bex < 0:
@@ -237,12 +230,13 @@ def mant_exp_to_double5(
     else:
         num = mant
         den = scl << bex
-    quo = round_quotient(num, den, stats, "read5-main")
-    if _is_subnormal(num, den, bex + point):
-        return _subnormal_quotient(mant, point, scl, stats)
-    if quo.bit_length() > DBL_MANT_DIG:
+    if num >= den << DBL_MANT_DIG:
+        den <<= 1
         bex += 1
-        quo = round_quotient(num, den << 1, stats, "read5-retry")
+    # value < 2**(bex + point + 53) <= 2**-1022 exactly when subnormal.
+    if bex + point + 52 < -1022:
+        return _subnormal_quotient(mant, point, scl, stats)
+    quo = round_quotient(num, den, stats, "read5-main")
     return _finish(quo, bex + point)
 
 
@@ -274,60 +268,50 @@ def mant_exp_to_double10(
     else:
         num = mant
         den = scl << bex
-    quo = round_quotient(num, den, stats, "read10-main")
-    if _is_subnormal(num, den, bex):
-        return _subnormal_quotient(mant, point, power_of_5(-point), stats)
-    if quo.bit_length() > DBL_MANT_DIG:
+    if num >= den << DBL_MANT_DIG:
+        den <<= 1
         bex += 1
-        quo = round_quotient(num, den << 1, stats, "read10-retry")
+    if bex + 52 < -1022:
+        return _subnormal_quotient(mant, point, power_of_5(-point), stats)
+    quo = round_quotient(num, den, stats, "read10-main")
     return _finish(quo, bex)
 
 
-def _signed(value: float, negative: bool) -> float:
-    return -value if negative else value
-
-
-def _convert(
-    negative: bool, digits: str, point: int, stats: ConversionStats | None
-) -> float:
-    # The value is int(digits) * 10**point with 10**(top-1) <= value < 10**top.
-    if not digits:
-        return _signed(0.0, negative)
-    top = point + len(digits)
-    # value >= 10**309 overflows; value < 10**-324, under half the
-    # smallest subnormal (2**-1075 ~= 2.47e-324), underflows.
-    if top > 309:
-        return _signed(math.inf, negative)
-    if top <= -324:
-        return _signed(0.0, negative)
-    # Every binary64 halfway point has at most 768 significant digits.  A
-    # longer significand and its first 768 digits plus a sticky 1 (the
-    # stripped tail is nonzero) lie strictly inside the same gap between
-    # adjacent 768-digit decimals, which holds no halfway point, so both
-    # round alike.
-    if len(digits) > _KEPT_DIGITS + 1:
-        point = top - _KEPT_DIGITS - 1
-        digits = digits[:_KEPT_DIGITS] + "1"
-    return _signed(mant_exp_to_double5(int(digits), point, stats), negative)
-
-
-def read_double_with_stats(text: str) -> ReadOutcome:
-    """read_double plus the instrumentation for the conversion performed."""
-    scanned = _scan(text)
-    stats = ConversionStats()
-    if isinstance(scanned, float):
-        return ReadOutcome(scanned, stats)
-    return ReadOutcome(_convert(*scanned, stats), stats)
-
-
-def read_double(text: str) -> float:
+def read_double(text: str, stats: ConversionStats | None = None) -> float:
     """Convert text to the nearest binary64 (round half to even).
 
     Only the first 768 significant digits and one sticky digit standing
     for the nonzero rest take part in the conversion, so a read costs
-    one scan of the text plus a conversion of bounded width.
+    one scan of the text plus a conversion of bounded width, with at most
+    one rounding division.  When *stats* is given that division is
+    recorded there.
     """
     scanned = _scan(text)
-    if isinstance(scanned, float):
+    if scanned.__class__ is float:
         return scanned
-    return _convert(*scanned, None)
+    negative, digits, point = scanned
+    # The value is int(digits) * 10**point with 10**(top-1) <= value < 10**top.
+    top = point + len(digits)
+    # value >= 10**309 overflows; value < 10**-324, under half the
+    # smallest subnormal (2**-1075 ~= 2.47e-324), underflows.
+    if not digits or top <= -324:
+        value = 0.0
+    elif top > 309:
+        value = math.inf
+    else:
+        # Every binary64 halfway point has at most 768 significant digits.
+        # A longer significand and its first 768 digits plus a sticky 1
+        # (the stripped tail is nonzero) lie strictly inside the same gap
+        # between adjacent 768-digit decimals, which holds no halfway
+        # point, so both round alike.
+        if len(digits) > _KEPT_DIGITS + 1:
+            point = top - _KEPT_DIGITS - 1
+            digits = digits[:_KEPT_DIGITS] + "1"
+        value = mant_exp_to_double5(int(digits), point, stats)
+    return -value if negative else value
+
+
+def read_double_with_stats(text: str) -> ReadOutcome:
+    """read_double plus the instrumentation for the conversion performed."""
+    stats = ConversionStats()
+    return ReadOutcome(read_double(text, stats), stats)

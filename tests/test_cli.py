@@ -111,13 +111,13 @@ class TestVerify:
     def test_bounds_reports_measured_maxima(self, capsys):
         # Read operands stay within 803/1126 bits for decimal exponents
         # >= -323 and within bits(5**-point)+53 resp. bits(10**-point)+53
-        # below that; the full input domain reaches point -340, where the
-        # maxima are 843/1183 bits.
+        # below that; over the full input domain, down to point -340, the
+        # maxima are 806/1130 bits, attained at point -324.
         code, out, _ = run(capsys, "verify", "bounds")
         assert code == 0
-        assert "max pow5 bits: 843" in out
-        assert "max pow10 bits: 1183" in out
-        assert "max read divisions: 2" in out
+        assert "max pow5 bits: 806" in out
+        assert "max pow10 bits: 1130" in out
+        assert "max read divisions: 1" in out
         assert "max write divisions: 3" in out
         assert "bounds: ok" in out
 

@@ -155,7 +155,7 @@ class TestQuotientLengthAudit:
         assert report.ok
         assert report.violations == []
         assert report.values_tested >= 2098
-        assert report.max_retries_per_conversion == 1
+        assert report.max_retries_per_conversion == 0
 
     def test_render_format(self):
         report = quotient_length_audit()
