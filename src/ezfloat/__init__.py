@@ -11,9 +11,7 @@ from .bigmath import (
     DBL_MANT_DIG,
     LLOG2,
     MAX_POW,
-    POWER_TABLES,
     ConversionStats,
-    PowerTables,
     power_of_5,
     power_of_10,
     round_quotient,
@@ -62,9 +60,7 @@ __all__ = [
     "IntermediateSizeReport",
     "LLOG2",
     "MAX_POW",
-    "POWER_TABLES",
     "ParseError",
-    "PowerTables",
     "ReadOutcome",
     "ShortestDigits",
     "UnpackedDouble",

@@ -17,9 +17,7 @@ __all__ = [
     "DBL_MANT_DIG",
     "LLOG2",
     "MAX_POW",
-    "POWER_TABLES",
     "ConversionStats",
-    "PowerTables",
     "power_of_5",
     "power_of_10",
     "round_quotient",
@@ -32,15 +30,6 @@ LLOG2 = math.log10(2.0)      # nearest binary64 to log10(2)
 MAX_POW = 325
 
 
-@dataclass(frozen=True)
-class PowerTables:
-    """Immutable tables of 5^k and 10^k for 0 <= k <= maxpow."""
-
-    pows5: tuple[int, ...]
-    pows10: tuple[int, ...]
-    maxpow: int
-
-
 def _build(base: int) -> tuple[int, ...]:
     out = [1]
     for _ in range(MAX_POW):
@@ -48,10 +37,9 @@ def _build(base: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-POWER_TABLES = PowerTables(pows5=_build(5), pows10=_build(10), maxpow=MAX_POW)
-
-_POWS5 = POWER_TABLES.pows5
-_POWS10 = POWER_TABLES.pows10
+# 5**k and 10**k for 0 <= k <= MAX_POW.
+_POWS5 = _build(5)
+_POWS10 = _build(10)
 
 
 @dataclass

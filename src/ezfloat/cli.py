@@ -170,9 +170,10 @@ def _verify_bounds(seed: int) -> bool:
         max_read = max(max_read, scan.max_read_divisions)
     print(f"max pow5 bits: {max_pow5}, max pow10 bits: {max_pow10}")
     print(f"max read divisions: {max_read}")
-    # Random patterns all but never land on a binade boundary, where the
-    # narrow rounding interval makes a write take its third division, so
-    # every power of two is written as well.
+    # Writes make exactly 1 division (budget 4): every candidate comes
+    # from one quotient at the finest scale.  Random patterns all but
+    # never land on a binade boundary, where the rounding interval is
+    # narrow, so every power of two is written as well.
     samples = [bits_to_float(rng.getrandbits(64)) for _ in range(2000)]
     samples += [math.ldexp(1.0, k) for k in range(-1074, 1024)]
     max_write = 0

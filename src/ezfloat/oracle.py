@@ -169,42 +169,34 @@ class AuditReport:
 
 def _scan_trace(report: AuditReport, f: float, trace: list[tuple[str, int, int, int]]) -> None:
     for site, num_bits, den_bits, quo in trace:
-        qb = quo.bit_length()
-        if site.endswith("-main"):
-            # Power-of-5/10 divisor, the binary exponent settled before
-            # dividing: the quotient must convert exactly, a rounding carry
-            # to exactly 2**53 included.
-            if qb > 53 and quo != 1 << 53:
-                report.violations.append(
-                    f"0x{float_to_bits(f):016X} {site} quotient {qb} bits"
-                    f" from {num_bits}/{den_bits}"
-                )
-        elif site.endswith("-shift"):
-            # Power-of-two divisor, outside the near-power-of-2 argument; a
-            # rounding carry to exactly 2**53 converts exactly and is fine.
-            if qb > 53 and quo != 1 << 53:
-                report.violations.append(
-                    f"0x{float_to_bits(f):016X} {site} quotient {qb} bits"
-                )
+        if site.endswith(("-main", "-shift")):
+            # The binary exponent is settled before dividing: the quotient
+            # converts exactly, a rounding carry to exactly 2**53 included.
+            ceiling = 1 << 53
         elif site == "read-subnormal":
-            if qb > 52 and quo != 1 << 52:
-                report.violations.append(
-                    f"0x{float_to_bits(f):016X} {site} quotient {qb} bits"
-                )
-        elif site == "write-attempt":
-            if quo >= 10**17:
-                report.violations.append(
-                    f"0x{float_to_bits(f):016X} write significand {quo}"
-                )
+            ceiling = 1 << 52  # at most the smallest normal
+        elif site == "write":
+            # |f| / 10**(point - 2) with one ulp at most 100 units of it.
+            ceiling = 100 << 53
+        else:
+            ceiling = -1  # a division no rule checks is itself a violation
+        if quo > ceiling:
+            report.violations.append(
+                f"0x{float_to_bits(f):016X} {site} quotient {quo.bit_length()} bits"
+                f" from {num_bits}/{den_bits}"
+            )
 
 
 def quotient_length_audit() -> AuditReport:
     """Convert every all-ones value both ways, checking quotient lengths.
 
-    These are the extremal dividends: if any power-of-10 or power-of-5
-    divisor could produce a quotient too long to convert exactly, it would
-    happen here.  Expected outcome is zero violations and no retry: every
-    read makes at most one division.
+    An all-ones significand is the largest of its binade, so its write
+    quotient is the widest that binade's scale gives, and the significand
+    written must stay below 10**17.  The reads of these shortest texts
+    see only part of the reader's range: none puts num/den at or above
+    2**53, so a missing pre-compare before the read division goes unseen
+    here (the reader tests cover it).  Expected outcome is zero
+    violations and no retry: every read makes at most one division.
     """
     report = AuditReport()
     for f in all_ones_mantissa_values():
@@ -223,7 +215,8 @@ def quotient_length_audit() -> AuditReport:
                 report.max_retries_per_conversion = retries
             _scan_trace(report, f, stats.trace)
         wstats = ConversionStats(trace=[])
-        shortest_digits(f, wstats)
+        if not shortest_digits(f, wstats).lquo < 10**17:
+            report.violations.append(f"0x{float_to_bits(f):016X} write significand too long")
         _scan_trace(report, f, wstats.trace)
         report.values_tested += 1
     return report

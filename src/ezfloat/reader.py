@@ -199,7 +199,8 @@ def mant_exp_to_double5(
     ``mant`` may be arbitrarily large; the rounding is always a single
     round-half-to-even division, or one IEEE multiply or divide when
     ``mant < 2**53`` and ``|point| <= 22``.  Overflow returns +Infinity,
-    total underflow +0.0.  The sign is the caller's concern.
+    total underflow +0.0, both without building a power for a ``point``
+    beyond range.  The sign is the caller's concern.
     """
     if mant < 0:
         raise ValueError("mant must be nonnegative")
@@ -209,6 +210,10 @@ def mant_exp_to_double5(
         if point >= 0:
             return mant * _CLINGER_POWS[point]
         return mant / _CLINGER_POWS[-point]
+    if point >= 309:
+        return math.inf  # value >= 10**309, past the largest double
+    if point < -324 and point + mant.bit_length() * 30103 // 100000 < -324:
+        return 0.0  # value < 2**bits * 10**point < 10**-324
     if point >= 0:
         num = mant * power_of_5(point)
         bex = num.bit_length() - DBL_MANT_DIG
@@ -251,6 +256,10 @@ def mant_exp_to_double10(
     if mant < 0:
         raise ValueError("mant must be nonnegative")
     if mant == 0:
+        return 0.0
+    if point >= 309:
+        return math.inf
+    if point < -324 and point + mant.bit_length() * 30103 // 100000 < -324:
         return 0.0
     if point >= 0:
         num = mant * power_of_10(point)

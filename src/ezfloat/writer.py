@@ -1,14 +1,15 @@
 """binary64 to the shortest scientific-notation string that reads back exactly.
 
-|f| = lmant * 2**e2 is divided by 10**point with one rounding division,
-starting at the fewest digits the binary exponent allows.  The division's
-exact remainder decides whether the quotient reads back to f: it must lie
-in f's rounding interval, half an ulp on each side, with the endpoints
-counting only for an even significand.  Just above a binade boundary the
-interval reaches only a quarter ulp down; a quotient that falls short
-there gives way to its upper neighbour when that one fits.  Otherwise one
-more digit is taken.  Two divisions all but always suffice, three are the
-most any double needs, and nothing is read back.
+|f| = lmant * 2**e2 is divided once, rounding half-even, by 10**(point - 2),
+where 10**point is the least power of ten at or above one ulp: the finest
+scale a shortest output can need.  Writes make exactly 1 division (the
+paper's budget is 4).  The candidates with one and two digits fewer are
+that quotient's nearest multiples of 10 and 100.  A candidate reads back to
+f when it lies in f's rounding interval, half an ulp on each side, with the
+endpoints counting only for an even significand.  Just above a binade
+boundary the interval reaches only a quarter ulp down; a candidate that
+falls short there gives way to its upper neighbour when that one fits.
+The fewest digits that fit win, and nothing is read back.
 
 double_to_string composes the two halves, a plain (lquo, point) pair and
 format_sci, without building the ShortestDigits that shortest_digits returns.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._bits import float_to_bits
-from .bigmath import _POWS5, LLOG2, ConversionStats, power_of_5, round_quotient
+from .bigmath import _POWS5, LLOG2, ConversionStats, round_quotient
 
 __all__ = [
     "FloatKind",
@@ -102,44 +103,45 @@ def _shortest(f: float, stats: ConversionStats | None) -> tuple[int, int]:
     else:
         e2 = -1074
     point = estimate_point(e2)
-    # num / den == |f| / 10**point, and one ulp of f is `ulp` in num's units.
+    # num / den == |f| / 10**(point - 2), and one ulp of f is `ulp` in num's
+    # units: more than 10 and at most 100 units of 10**(point - 2).
     # estimate_point keeps 0 <= point <= 293 resp. 0 <= -point <= 323 here.
     if e2 > 0:
-        ulp = 1 << (e2 - point)
+        ulp = 100 << (e2 - point)
         den = _POWS5[point]
     else:
-        ulp = _POWS5[-point]
+        ulp = 100 * _POWS5[-point]
         den = 1 << (point - e2)
     num = lmant * ulp
+    # The one division: |q - num / den| <= 1/2.
+    q = round_quotient(num, den, stats, "write")
     # Twice a candidate's distance from |f| may reach one ulp, a tie only
     # for an even significand.  Above a power of two the next double down
     # is half as far, so the reach below halves.
     odd = lmant & 1
     narrow = 1 if lmant == 1 << 52 and e2 > -1074 else 0
-    for _ in range(3):
-        lquo = round_quotient(num, den, stats, "write-attempt")
-        dist2 = (lquo * den - num) << 1
+    # Fewest digits first.  |f| / 10**(point - less) rounded half-even is
+    # q's nearest multiple of `scale`, in units of `scale`.  q % scale
+    # decides it, but at exactly half a scale the side of num / den that q
+    # lies on does, and q == num / den is a true tie.  q itself always
+    # fits: 2 * |q * den - num| <= den < ulp / 10.
+    for less, scale, half in ((0, 100, 50), (1, 10, 5)):
+        lquo, r = divmod(q, scale)
+        if r > half or r == half and (q * den < num or q * den == num and lquo & 1):
+            lquo += 1
+        dist2 = (lquo * scale * den - num) << 1
         if dist2 >= 0:
             if dist2 <= ulp - odd:
                 break
         elif (-dist2 << narrow) <= ulp - odd:
             break
-        elif narrow and dist2 + (den << 1) <= ulp:
+        elif narrow and dist2 + (scale * den << 1) <= ulp:
             lquo += 1
             break
-        # One more digit: |f| / 10**point grows tenfold, and the ulp with it.
-        point -= 1
-        if e2 > 0:
-            num <<= 1
-            ulp <<= 1
-            den = power_of_5(point)
-        else:
-            num *= 10
-            ulp *= 10
     else:
-        raise AssertionError(f"shortest-digits candidates exhausted for {f!r}")
+        lquo, less = q, 2
     assert 0 < lquo < 10**17, "decimal significand out of range"
-    return lquo, point
+    return lquo, point - less
 
 
 def shortest_digits(f: float, stats: ConversionStats | None = None) -> ShortestDigits:

@@ -193,7 +193,7 @@ def test_criterion_4_division_count_bounds():
     for f in _curated_values():
         if f != 0.0:
             observe(abs(f))
-    ok = over_read == 0 and over_write == 0 and max_read == 1 and max_write == 3
+    ok = over_read == 0 and over_write == 0 and max_read == 1 and max_write == 1
     _report(
         4,
         "division-count bounds",
@@ -203,9 +203,9 @@ def test_criterion_4_division_count_bounds():
     )
     assert over_read == 0 and over_write == 0
     # Reads attain 1, one below their budget (the binary exponent is
-    # settled before the one division); writes attain 3 (a third division
-    # only at binade boundaries), one below theirs.
-    assert max_read == 1 and max_write == 3
+    # settled before the one division); writes attain 1, three below
+    # theirs (every candidate comes from one quotient at the finest scale).
+    assert max_read == 1 and max_write == 1
 
 
 def test_criterion_5_intermediate_size_bounds():

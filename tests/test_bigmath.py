@@ -8,12 +8,12 @@ from ezfloat import (
     DBL_MANT_DIG,
     LLOG2,
     MAX_POW,
-    POWER_TABLES,
     power_of_5,
     power_of_10,
     round_quotient,
     round_quotient_big,
 )
+from ezfloat.bigmath import _POWS5, _POWS10
 
 
 def test_constants():
@@ -128,17 +128,18 @@ class TestRoundQuotient:
 
 class TestPowerTables:
     def test_shape(self):
-        assert POWER_TABLES.maxpow == 325
-        assert len(POWER_TABLES.pows5) == 326
-        assert len(POWER_TABLES.pows10) == 326
-        assert isinstance(POWER_TABLES.pows5, tuple)
+        assert MAX_POW == 325
+        assert len(_POWS5) == 326
+        assert len(_POWS10) == 326
+        assert isinstance(_POWS5, tuple)
+        assert isinstance(_POWS10, tuple)
 
     def test_recurrences(self):
-        assert POWER_TABLES.pows5[0] == 1
-        assert POWER_TABLES.pows10[0] == 1
+        assert _POWS5[0] == 1
+        assert _POWS10[0] == 1
         for k in range(1, 326):
-            assert POWER_TABLES.pows5[k] == 5 * POWER_TABLES.pows5[k - 1]
-            assert POWER_TABLES.pows10[k] == 10 * POWER_TABLES.pows10[k - 1]
+            assert _POWS5[k] == 5 * _POWS5[k - 1]
+            assert _POWS10[k] == 10 * _POWS10[k - 1]
 
     @pytest.mark.parametrize("k,expected", [(0, 1), (3, 125), (20, 5**20)])
     def test_power_of_5_small(self, k, expected):

@@ -118,7 +118,7 @@ class TestVerify:
         assert "max pow5 bits: 806" in out
         assert "max pow10 bits: 1130" in out
         assert "max read divisions: 1" in out
-        assert "max write divisions: 3" in out
+        assert "max write divisions: 1" in out
         assert "bounds: ok" in out
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from ezfloat import (
+    AuditReport,
+    ConversionStats,
     DecimalSci,
     ExactRational,
     all_ones_mantissa_values,
@@ -14,8 +16,10 @@ from ezfloat import (
     minimality_check,
     nearest_double_exact,
     quotient_length_audit,
+    shortest_digits,
     unpack_double,
 )
+from ezfloat.oracle import _scan_trace
 from ezfloat.writer import FloatKind
 
 
@@ -156,6 +160,25 @@ class TestQuotientLengthAudit:
         assert report.violations == []
         assert report.values_tested >= 2098
         assert report.max_retries_per_conversion == 0
+
+    def test_write_check_fires(self):
+        # The write trace as the writer records it, with its quotient
+        # pushed just past the ceiling 100 * 2**53, must be flagged.
+        f = float.fromhex("0x1.fffffffffffffp+0")
+        stats = ConversionStats(trace=[])
+        shortest_digits(f, stats)
+        [(site, num_bits, den_bits, quo)] = stats.trace
+        report = AuditReport()
+        _scan_trace(report, f, [(site, num_bits, den_bits, 100 << 53)])
+        assert report.violations == []
+        _scan_trace(report, f, [(site, num_bits, den_bits, (100 << 53) + 1)])
+        assert len(report.violations) == 1
+        assert site in report.violations[0]
+
+    def test_unknown_site_is_a_violation(self):
+        report = AuditReport()
+        _scan_trace(report, 1.0, [("renamed", 60, 3, 1)])
+        assert len(report.violations) == 1
 
     def test_render_format(self):
         report = quotient_length_audit()

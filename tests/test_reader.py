@@ -2,6 +2,7 @@ import math
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -216,6 +217,30 @@ class TestMantExpToDouble:
         assert mant_exp_to_double5(mid, 0) == math.inf
         assert float_to_bits(mant_exp_to_double5(mid - 1, 0)) == 0x7FEFFFFFFFFFFFFF
         assert mant_exp_to_double10(mid, 0) == math.inf
+
+    def test_huge_points_clamp_at_once(self):
+        # Beyond range whatever the significand, so neither route builds a
+        # power with |point| digits before returning.
+        for convert in (mant_exp_to_double5, mant_exp_to_double10):
+            for point in (10**6, 3 * 10**6):
+                for mant, p, want in ((1, point, math.inf), (1, -point, 0.0)):
+                    started = time.perf_counter()
+                    assert convert(mant, p) == want
+                    assert time.perf_counter() - started < 0.05, (convert, p)
+
+    def test_clamps_agree_with_oracle_at_their_edges(self):
+        # Around the underflow clamp's edge for significands of several
+        # lengths, and around point 309: the clamps change no result.
+        for nbits in (1, 60, 500, 2600):
+            edge = -324 - nbits * 30103 // 100000
+            for mant in (1 << (nbits - 1), (1 << nbits) - 1):
+                for point in range(edge - 3, edge + 4):
+                    want = float_to_bits(nearest_double_exact(DecimalSci(False, mant, point)))
+                    assert float_to_bits(mant_exp_to_double5(mant, point)) == want
+                    assert float_to_bits(mant_exp_to_double10(mant, point)) == want
+        for point in range(305, 312):
+            want = nearest_double_exact(DecimalSci(False, 1, point))
+            assert mant_exp_to_double5(1, point) == mant_exp_to_double10(1, point) == want
 
     def test_variant_agreement_randomized(self):
         rng = random.Random(20150118)

@@ -116,8 +116,9 @@ class TestShortestDigits:
     def test_min_subnormal_needs_fallback(self):
         stats = ConversionStats()
         assert shortest_digits(MIN_SUBNORMAL, stats) == ShortestDigits(5, -324)
-        # Starved first attempt (quotient 0) rejected by its remainder, one retry.
-        assert stats.divisions == 2
+        # The coarsest candidate (0) is rejected by its distance; the next,
+        # from the same quotient, fits.  One division.
+        assert stats.divisions == 1
 
     def test_tenth(self):
         assert shortest_digits(0.1) == ShortestDigits(10**15, -16)
@@ -153,9 +154,9 @@ class TestShortestDigits:
             shortest_digits(f, stats)
             assert stats.divisions <= 4
             worst = max(worst, stats.divisions)
-        # Random patterns all but never need the third division, which only
-        # binade boundaries take (see test_powers_of_two_are_minimal).
-        assert worst == 2
+        # The budget is 4; every candidate comes from one quotient at the
+        # finest scale, so every write makes exactly 1.
+        assert worst == 1
 
     def test_stats_count_every_division(self, monkeypatch):
         # Count the kernel's calls wherever ezfloat holds it, so a division
@@ -181,13 +182,13 @@ class TestShortestDigits:
             calls = 0
             stats = ConversionStats()
             shortest_digits(f, stats)
-            assert stats.divisions == calls, hex(float_to_bits(f))
+            assert stats.divisions == calls == 1, hex(float_to_bits(f))
             # The hot path reaches the kernel without shortest_digits.
             for g in (f, -f):
                 calls = 0
                 stats = ConversionStats()
                 double_to_string(g, stats=stats)
-                assert stats.divisions == calls, hex(float_to_bits(g))
+                assert stats.divisions == calls == 1, hex(float_to_bits(g))
 
     def test_powers_of_two_are_minimal(self):
         # Just above a binade boundary the rounding interval reaches only a
@@ -291,6 +292,25 @@ class TestDoubleToString:
             for compat in (False, True):
                 expected = format_sci(f < 0, sd.lquo, sd.point, compat)
                 assert double_to_string(f, compat) == expected, hex(float_to_bits(f))
+
+    def test_exact_decimal_tie_rounds_to_even(self):
+        # 2**50 + 0.25 lies exactly halfway between the 17-digit decimals
+        # ...6242 and ...6243, both inside its rounding interval: the tie
+        # goes to the even one, as repr's does.
+        assert double_to_string(2.0**50 + 0.25) == "1.1258999068426242E15"
+
+    def test_exact_decimal_ties_match_repr(self):
+        # k + 0.25 and k + 0.125 are exact short decimals; where the
+        # shortest candidates split them evenly, only the exact remainder
+        # tells the tie, which must go to the even digit.
+        def digits(text):
+            return text.lower().split("e")[0].replace(".", "").strip("0")
+
+        rng = random.Random(59)
+        for _ in range(3000):
+            k = rng.randrange(2**46, 2**51)
+            for f in (k + 0.25, k + 0.125):
+                assert digits(double_to_string(f)) == digits(repr(f)), repr(f)
 
     def test_compat_flags(self):
         assert double_to_string(-0.0, compat=True) == "0.0"
