@@ -223,9 +223,9 @@ class TestMantExpToDouble:
         # power with |point| digits before returning.
         for convert in (mant_exp_to_double5, mant_exp_to_double10):
             for point in (10**6, 3 * 10**6):
-                for mant, p, want in ((1, point, math.inf), (1, -point, 0.0)):
+                for p, want in ((point, math.inf), (-point, 0.0)):
                     started = time.perf_counter()
-                    assert convert(mant, p) == want
+                    assert convert(1, p) == want
                     assert time.perf_counter() - started < 0.05, (convert, p)
 
     def test_clamps_agree_with_oracle_at_their_edges(self):
