@@ -90,9 +90,11 @@ def round_quotient(
 ) -> int:
     """round_quotient_big for the conversions: result fits 63 bits.
 
-    The width limit is a caller contract, checked by assertion: every
-    caller in this package produces quotients of at most 57 bits.  When
-    *stats* is given the division is recorded there under *site*.
+    The width limit is a caller contract, checked by assertion.  Read
+    quotients are at most 2**53 (54 bits); write quotients are at most
+    100 * 2**53 and reach 60 bits, e.g. for an all-ones significand at
+    biased exponent 2.  When *stats* is given the division is recorded
+    there under *site*.
     """
     quo = round_quotient_big(num, den)
     assert quo.bit_length() <= 63, "round_quotient result exceeds 63 bits"

@@ -2,14 +2,17 @@
 
 |f| = lmant * 2**e2 is divided once, rounding half-even, by 10**(point - 2),
 where 10**point is the least power of ten at or above one ulp: the finest
-scale a shortest output can need.  Writes make exactly 1 division (the
-paper's budget is 4).  The candidates with one and two digits fewer are
-that quotient's nearest multiples of 10 and 100.  A candidate reads back to
-f when it lies in f's rounding interval, half an ulp on each side, with the
-endpoints counting only for an even significand.  Just above a binade
-boundary the interval reaches only a quarter ulp down; a candidate that
-falls short there gives way to its upper neighbour when that one fits.
-The fewest digits that fit win, and nothing is read back.
+scale a shortest output can need.  That scale depends on the binary
+exponent alone, so its (point, ulp, den) is read from _SCALES, a table
+built once at import with estimate_point, one entry per biased exponent.
+Writes make exactly 1 division (the paper's budget is 4).  The candidates
+with one and two digits fewer are that quotient's nearest multiples of 10
+and 100.  A candidate reads back to f when it lies in f's rounding
+interval, half an ulp on each side, with the endpoints counting only for
+an even significand.  Just above a binade boundary the interval reaches
+only a quarter ulp down; a candidate that falls short there gives way to
+its upper neighbour when that one fits.  The fewest digits that fit win,
+and nothing is read back.
 
 double_to_string composes the two halves, a plain (lquo, point) pair and
 format_sci, without building the ShortestDigits that shortest_digits returns.
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from ._bits import float_to_bits
+from ._bits import float_to_bits, pack_f64, unpack_u64
 from .bigmath import _POWS5, LLOG2, ConversionStats, round_quotient
 
 __all__ = [
@@ -92,34 +95,45 @@ def estimate_point(e2: int) -> int:
     return math.ceil(e2 * LLOG2)
 
 
+def _build_scales() -> tuple[tuple[int, int, int], ...]:
+    out = []
+    for ue2 in range(0x7FF):
+        e2 = ue2 - 1075 if ue2 else -1074
+        point = estimate_point(e2)
+        if e2 > 0:
+            out.append((point, 100 << (e2 - point), _POWS5[point]))
+        else:
+            out.append((point, 100 * _POWS5[-point], 1 << (point - e2)))
+    return tuple(out)
+
+
+# (point, ulp, den) for each finite biased exponent 0..0x7FE, where
+# lmant * ulp / den == |f| / 10**(point - 2) and one ulp of f is `ulp` in
+# the units of num = lmant * ulp: more than 10 and at most 100 units of
+# 10**(point - 2).  estimate_point keeps 0 <= point <= 293 resp.
+# 0 <= -point <= 323.  Immutable, so shared freely across threads.
+_SCALES = _build_scales()
+
+
 def _shortest(f: float, stats: ConversionStats | None) -> tuple[int, int]:
     """shortest_digits' (lquo, point) for a finite nonzero f, unchecked."""
-    bits = float_to_bits(f)
+    bits = unpack_u64(pack_f64(f))[0]
     ue2 = (bits >> 52) & 0x7FF
     lmant = bits & _FRAC_MASK
     if ue2:
         lmant += 1 << 52
-        e2 = ue2 - 1075
-    else:
-        e2 = -1074
-    point = estimate_point(e2)
-    # num / den == |f| / 10**(point - 2), and one ulp of f is `ulp` in num's
-    # units: more than 10 and at most 100 units of 10**(point - 2).
-    # estimate_point keeps 0 <= point <= 293 resp. 0 <= -point <= 323 here.
-    if e2 > 0:
-        ulp = 100 << (e2 - point)
-        den = _POWS5[point]
-    else:
-        ulp = 100 * _POWS5[-point]
-        den = 1 << (point - e2)
+    # num / den == |f| / 10**(point - 2), at the scale _SCALES holds for
+    # this exponent: nothing about the scale is computed per write.
+    point, ulp, den = _SCALES[ue2]
     num = lmant * ulp
     # The one division: |q - num / den| <= 1/2.
     q = round_quotient(num, den, stats, "write")
     # Twice a candidate's distance from |f| may reach one ulp, a tie only
-    # for an even significand.  Above a power of two the next double down
-    # is half as far, so the reach below halves.
-    odd = lmant & 1
-    narrow = 1 if lmant == 1 << 52 and e2 > -1074 else 0
+    # for an even significand.  Above a power of two with e2 > -1074
+    # (ue2 > 1) the next double down is half as far, so the reach below
+    # halves.
+    reach = ulp - (lmant & 1)
+    narrow = lmant == 1 << 52 and ue2 > 1
     # Fewest digits first.  |f| / 10**(point - less) rounded half-even is
     # q's nearest multiple of `scale`, in units of `scale`.  q % scale
     # decides it, but at exactly half a scale the side of num / den that q
@@ -131,9 +145,9 @@ def _shortest(f: float, stats: ConversionStats | None) -> tuple[int, int]:
             lquo += 1
         dist2 = (lquo * scale * den - num) << 1
         if dist2 >= 0:
-            if dist2 <= ulp - odd:
+            if dist2 <= reach:
                 break
-        elif (-dist2 << narrow) <= ulp - odd:
+        elif (-dist2 << narrow) <= reach:
             break
         elif narrow and dist2 + (scale * den << 1) <= ulp:
             lquo += 1

@@ -118,6 +118,8 @@ class TestVerify:
         assert "max pow5 bits: 806" in out
         assert "max pow10 bits: 1130" in out
         assert "max read divisions: 1" in out
+        # An all-ones significand at e2 = -1074 times 100 * 5**323.
+        assert "max write operand bits: 810" in out
         assert "max write divisions: 1" in out
         assert "bounds: ok" in out
 

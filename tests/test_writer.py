@@ -22,10 +22,12 @@ from ezfloat import (
     read_double,
     shortest_digits,
     unpack_double,
+    writer,
 )
 
 MAX_FINITE = 1.7976931348623157e308
 MIN_SUBNORMAL = 5e-324
+ALL_ONES = (1 << 52) - 1
 # Every power of two: 52 subnormals and one per normal binade.
 POWERS_OF_TWO = [math.ldexp(1.0, k) for k in range(-1074, 1024)]
 
@@ -109,6 +111,29 @@ class TestEstimatePoint:
                 assert num * 10**-p <= den
 
 
+class TestScaleTable:
+    def test_entries_over_every_exponent(self):
+        assert len(writer._SCALES) == 0x7FF
+        for ue2, entry in enumerate(writer._SCALES):
+            e2 = ue2 - 1075 if ue2 else -1074
+            point = estimate_point(e2)
+            if e2 > 0:
+                ulp, den = 100 * 2 ** (e2 - point), 5**point
+                assert 0 <= point <= 293
+            else:
+                ulp, den = 100 * 5**-point, 2 ** (point - e2)
+                assert 0 <= -point <= 323
+            assert entry == (point, ulp, den), ue2
+            # One ulp is more than 10 and at most 100 units of 10**(point - 2).
+            assert 10 * den < ulp <= 100 * den, ue2
+
+    def test_every_exponent_round_trips(self):
+        for ue2 in range(0x7FF):
+            for frac in (0, 1, ALL_ONES):
+                bits = ue2 << 52 | frac
+                assert float_to_bits(read_double(double_to_string(bits_to_float(bits)))) == bits
+
+
 class TestShortestDigits:
     def test_one(self):
         assert shortest_digits(1.0) == ShortestDigits(10**15, -15)
@@ -143,20 +168,28 @@ class TestShortestDigits:
             sd = shortest_digits(f)
             assert 0 < sd.lquo < 10**17
 
-    def test_division_bound_is_four_and_tight(self):
+    def test_every_write_makes_one_division(self):
+        # Every candidate comes from one quotient at the finest scale.
         rng = random.Random(13)
-        worst = 0
         for _ in range(4000):
             f = bits_to_float(rng.getrandbits(64))
             if f != f or f in (math.inf, -math.inf) or f == 0.0:
                 continue
             stats = ConversionStats()
             shortest_digits(f, stats)
-            assert stats.divisions <= 4
-            worst = max(worst, stats.divisions)
-        # The budget is 4; every candidate comes from one quotient at the
-        # finest scale, so every write makes exactly 1.
-        assert worst == 1
+            assert stats.divisions == 1, hex(float_to_bits(f))
+
+    def test_widest_write_quotient_is_60_bits(self):
+        # An all-ones significand is the largest of its binade, so it
+        # gives the widest quotient of its exponent's scale.
+        stats = ConversionStats(trace=[])
+        for ue2 in range(0x7FF):
+            shortest_digits(bits_to_float(ue2 << 52 | ALL_ONES), stats)
+        assert len(stats.trace) == 0x7FF
+        assert {site for site, *_ in stats.trace} == {"write"}
+        widest = max(quo for *_, quo in stats.trace)
+        assert widest.bit_length() == 60
+        assert widest <= 100 << 53  # the ceiling oracle._scan_trace checks
 
     def test_stats_count_every_division(self, monkeypatch):
         # Count the kernel's calls wherever ezfloat holds it, so a division
