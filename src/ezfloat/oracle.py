@@ -64,9 +64,18 @@ def nearest_double_exact(dec: DecimalSci) -> float:
     Works purely on integers: the binade of num/den is found by shifted
     comparison, then the 53 significand bits (fewer at the subnormal scale)
     come from one exact rounding division.  Overflow and underflow are
-    decided by comparing against 2**1024 - 2**970 and 2**-1075 exactly.
+    decided by comparing against 2**1024 - 2**970 and 2**-1075 exactly,
+    once a bound from ``point`` has settled values far beyond them.
     """
     if dec.mant == 0:
+        return -0.0 if dec.negative else 0.0
+    # Far out of range before building 10**|point|: 2**(n-1) <= mant < 2**n
+    # and 8**k <= 10**k put the value at or above 2**(n-1+3*point) when
+    # point > 0, and below 2**(n+3*point) when point < 0.
+    n = dec.mant.bit_length()
+    if dec.point > 0 and n - 1 + 3 * dec.point >= 1024:
+        return -math.inf if dec.negative else math.inf
+    if dec.point < 0 and n + 3 * dec.point <= -1075:
         return -0.0 if dec.negative else 0.0
     r = ExactRational.from_decimal(dec)
     a, b = r.num, r.den
@@ -169,7 +178,7 @@ class AuditReport:
 
 def _scan_trace(report: AuditReport, f: float, trace: list[tuple[str, int, int, int]]) -> None:
     for site, num_bits, den_bits, quo in trace:
-        if site.endswith(("-main", "-shift")):
+        if site in ("read-main", "read-shift"):
             # The binary exponent is settled before dividing: the quotient
             # converts exactly, a rounding carry to exactly 2**53 included.
             ceiling = 1 << 53
@@ -259,7 +268,9 @@ def intermediate_size_scan(
                 v5 = mant_exp_to_double5(mant, point, s5)
                 s10 = ConversionStats()
                 v10 = mant_exp_to_double10(mant, point, s10)
+                # The scaling choice alone differs: same value, same path.
                 assert float_to_bits(v5) == float_to_bits(v10)
+                assert s5.divisions == s10.divisions
                 report.max_pow5_bits = max(report.max_pow5_bits, s5.max_intermediate_bits)
                 report.max_pow10_bits = max(report.max_pow10_bits, s10.max_intermediate_bits)
                 report.max_read_divisions = max(

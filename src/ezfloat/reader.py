@@ -8,12 +8,16 @@ below the normal range are produced by that one rounding at the subnormal bit
 position, never by rounding twice.  When both the significand and the
 power of ten are exact doubles (Clinger's path), the one rounding is an IEEE
 multiply or divide and no division is made.
+
+``mant_exp_to_double5`` and ``mant_exp_to_double10`` are that one routine
+bound to a power-of-5 or a power-of-10 divisor, Clinger's path included.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .bigmath import (
@@ -159,8 +163,11 @@ def parse_decimal(text: str) -> DecimalSci | float:
     least one mantissa digit must be present and the whole string must be
     consumed.  A rejection points just past the longest prefix that some
     accepted string starts with (``_VIABLE``).  Returns a canonical
-    DecimalSci, exact at any length, or a float for the special tokens
-    (NaN maps to the canonical quiet NaN regardless of sign).
+    DecimalSci, its significand exact at any length, or a float for the
+    special tokens (NaN maps to the canonical quiet NaN regardless of
+    sign).  An exponent of more than ten digits saturates to +/-10**12
+    (``_HUGE_EXP``), so ``point`` is then inexact but still far beyond the
+    overflow and underflow clamps that decide such a value.
     """
     scanned = _scan(text)
     if isinstance(scanned, float):
@@ -169,12 +176,11 @@ def parse_decimal(text: str) -> DecimalSci | float:
     return DecimalSci(negative, _digits_to_int(digits or "0"), point)
 
 
-def _subnormal_quotient(
-    mant: int, point: int, scl5: int, stats: ConversionStats | None
-) -> float:
+def _subnormal_quotient(mant: int, point: int, stats: ConversionStats | None) -> float:
     # One rounding at the fixed subnormal scale 2**-1074: the quotient is
     # round(value * 2**1074) and the final scaling is exact.  A quotient of
     # exactly 2**52 is the smallest normal and still scales exactly.
+    scl5 = power_of_5(-point)
     shift = 1074 + point
     if shift >= 0:
         quo = round_quotient(mant << shift, scl5, stats, "read-subnormal")
@@ -191,17 +197,11 @@ def _finish(quo: int, e: int) -> float:
         return math.inf
 
 
-def mant_exp_to_double5(
-    mant: int, point: int, stats: ConversionStats | None = None
+def _to_double(
+    mant: int, point: int, stats: ConversionStats | None, power: Callable, twos: int
 ) -> float:
-    """Nearest binary64 to mant * 10**point, scaling with powers of 5.
-
-    ``mant`` may be arbitrarily large; the rounding is always a single
-    round-half-to-even division, or one IEEE multiply or divide when
-    ``mant < 2**53`` and ``|point| <= 22``.  Overflow returns +Infinity,
-    total underflow +0.0, both without building a power for a ``point``
-    beyond range.  The sign is the caller's concern.
-    """
+    # mant * 10**point as mant * power(|point|)**(+-1) * 2**twos, with
+    # (power, twos) either (power_of_5, point) or (power_of_10, 0).
     if mant < 0:
         raise ValueError("mant must be nonnegative")
     if mant == 0:
@@ -215,19 +215,19 @@ def mant_exp_to_double5(
     if point < -324 and point + mant.bit_length() * 30103 // 100000 < -324:
         return 0.0  # value < 2**bits * 10**point < 10**-324
     if point >= 0:
-        num = mant * power_of_5(point)
+        num = mant * power(point)
         bex = num.bit_length() - DBL_MANT_DIG
         if bex <= 0:
-            return math.ldexp(num, point)  # exact: num fits the significand
-        quo = round_quotient(num, 1 << bex, stats, "read5-shift")
-        return _finish(quo, bex + point)
+            return math.ldexp(num, twos)  # exact: num fits the significand
+        quo = round_quotient(num, 1 << bex, stats, "read-shift")
+        return _finish(quo, bex + twos)
 
-    # value = (num / den) * 2**(bex + point), with num 53 bits longer than
+    # value = (num / den) * 2**(bex + twos), with num 53 bits longer than
     # den, so 2**52 < num/den < 2**54.  One shift and compare settle the
     # binary exponent before the one rounding: afterwards
     # 2**52 <= num/den < 2**53 and the quotient has 53 bits, or is 2**53
     # after a rounding carry, which still converts exactly.
-    scl = power_of_5(-point)
+    scl = power(-point)
     bex = mant.bit_length() - scl.bit_length() - DBL_MANT_DIG
     if bex < 0:
         num = mant << -bex
@@ -238,52 +238,37 @@ def mant_exp_to_double5(
     if num >= den << DBL_MANT_DIG:
         den <<= 1
         bex += 1
-    # value < 2**(bex + point + 53) <= 2**-1022 exactly when subnormal.
-    if bex + point + 52 < -1022:
-        return _subnormal_quotient(mant, point, scl, stats)
-    quo = round_quotient(num, den, stats, "read5-main")
-    return _finish(quo, bex + point)
+    # value < 2**(bex + twos + 53) <= 2**-1022 exactly when subnormal.
+    if bex + twos + 52 < -1022:
+        return _subnormal_quotient(mant, point, stats)
+    quo = round_quotient(num, den, stats, "read-main")
+    return _finish(quo, bex + twos)
+
+
+def mant_exp_to_double5(
+    mant: int, point: int, stats: ConversionStats | None = None
+) -> float:
+    """Nearest binary64 to mant * 10**point, scaling with powers of 5.
+
+    ``mant`` may be arbitrarily large; the rounding is always a single
+    round-half-to-even division, or one IEEE multiply or divide when
+    ``mant < 2**53`` and ``|point| <= 22``.  Overflow returns +Infinity,
+    total underflow +0.0, both without building a power for a ``point``
+    beyond range.  The sign is the caller's concern.
+    """
+    return _to_double(mant, point, stats, power_of_5, point)
 
 
 def mant_exp_to_double10(
     mant: int, point: int, stats: ConversionStats | None = None
 ) -> float:
-    """mant_exp_to_double5 with power-of-10 scaling, kept as a reference.
+    """mant_exp_to_double5 with ``2**point`` left inside a power of 10.
 
-    Intermediate integers run roughly 40% wider than on the power-of-5
-    route; the two must agree bit for bit on every input.
+    The same routine and the same values and division counts, with
+    operands roughly 40% wider: the contrast acceptance criterion 5
+    measures, not a separate implementation.
     """
-    if mant < 0:
-        raise ValueError("mant must be nonnegative")
-    if mant == 0:
-        return 0.0
-    if point >= 309:
-        return math.inf
-    if point < -324 and point + mant.bit_length() * 30103 // 100000 < -324:
-        return 0.0
-    if point >= 0:
-        num = mant * power_of_10(point)
-        bex = num.bit_length() - DBL_MANT_DIG
-        if bex <= 0:
-            return float(num)  # exact small integer
-        quo = round_quotient(num, 1 << bex, stats, "read10-shift")
-        return _finish(quo, bex)
-
-    scl = power_of_10(-point)
-    bex = mant.bit_length() - scl.bit_length() - DBL_MANT_DIG
-    if bex < 0:
-        num = mant << -bex
-        den = scl
-    else:
-        num = mant
-        den = scl << bex
-    if num >= den << DBL_MANT_DIG:
-        den <<= 1
-        bex += 1
-    if bex + 52 < -1022:
-        return _subnormal_quotient(mant, point, power_of_5(-point), stats)
-    quo = round_quotient(num, den, stats, "read10-main")
-    return _finish(quo, bex)
+    return _to_double(mant, point, stats, power_of_10, 0)
 
 
 def read_double(text: str, stats: ConversionStats | None = None) -> float:

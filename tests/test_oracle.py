@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,35 @@ class TestNearestDoubleExact:
         )
         assert nearest_double_exact(DecimalSci(False, 5**1075 - 1, -1075)) == 0.0
         assert float_to_bits(nearest_double_exact(DecimalSci(False, 5**1075 + 1, -1075))) == 1
+
+    def test_huge_points_clamp_at_once(self):
+        # 10**(10**12) has a trillion digits; these must never be built.
+        for point, want in ((10**12, math.inf), (-(10**12), 0.0)):
+            for negative in (False, True):
+                started = time.perf_counter()
+                got = nearest_double_exact(DecimalSci(negative, 1, point))
+                assert time.perf_counter() - started < 0.05, point
+                assert math.copysign(1.0, got) == (-1.0 if negative else 1.0)
+                assert abs(got) == want
+
+    def test_early_range_decision_at_its_edges(self):
+        # The early returns bound 10**point by 8**point.  Near their edges
+        # the value is close to 2**1024 only for small points; far below
+        # the underflow edge every value is zero anyway.
+        cases = []
+        for point in (1, 2, 3):
+            edge = 1025 - 3 * point  # the shortest significand returned early
+            for n in range(edge - 2, edge + 3):
+                cases += [(1 << (n - 1), point), ((1 << n) - 1, point)]
+        for n in (1, 2, 60):
+            edge = (-1075 - n) // 3  # the highest point returned early
+            for point in range(edge - 2, edge + 3):
+                cases += [(1 << (n - 1), point), ((1 << n) - 1, point)]
+        for mant, point in cases:
+            dec = DecimalSci(False, mant, point)
+            assert float_to_bits(nearest_double_exact(dec)) == float_to_bits(
+                _nearest_by_long_division(dec)
+            ), (mant, point)
 
     def test_agreement_with_long_division_reference(self):
         rng = random.Random(97)
@@ -176,9 +206,10 @@ class TestQuotientLengthAudit:
         assert site in report.violations[0]
 
     def test_unknown_site_is_a_violation(self):
+        # Sites match exactly: a stale route-specific name is unknown too.
         report = AuditReport()
-        _scan_trace(report, 1.0, [("renamed", 60, 3, 1)])
-        assert len(report.violations) == 1
+        _scan_trace(report, 1.0, [("renamed", 60, 3, 1), ("read5-main", 60, 3, 1)])
+        assert len(report.violations) == 2
 
     def test_render_format(self):
         report = quotient_length_audit()

@@ -482,6 +482,10 @@ class TestClingerPath:
         outcome = read_double_with_stats(text)
         assert outcome.stats.divisions == 0
         assert float_to_bits(outcome.value) == float_to_bits(float(text))
+        dec = parse_decimal(text)
+        stats = ConversionStats()
+        assert mant_exp_to_double10(dec.mant, dec.point, stats) == outcome.value
+        assert stats.divisions == 0
 
     @pytest.mark.parametrize(
         "text", [f"{2**53}e-1", "1e23", "9007199254740991e23", "12345e-23"]
