@@ -15,7 +15,6 @@ from .bigmath import (
     power_of_5,
     power_of_10,
     round_quotient,
-    round_quotient_big,
 )
 from .oracle import (
     AuditReport,
@@ -82,7 +81,6 @@ __all__ = [
     "read_double",
     "read_double_with_stats",
     "round_quotient",
-    "round_quotient_big",
     "shortest_digits",
     "unpack_double",
 ]

@@ -1,11 +1,10 @@
 """Arbitrary-precision integer support: the rounding quotient and power tables.
 
 Everything downstream (reading, writing, the exact oracle) is built on a
-single division primitive that rounds to nearest with ties to even, plus
-precomputed tables of integer powers of 5 and 10.  The reader and writer
-call ``round_quotient``, which also records each division in an optional
-``ConversionStats``; the oracle calls ``round_quotient_big``, the same
-rounding without the result-width contract.
+single division primitive, ``round_quotient``, that rounds to nearest with
+ties to even, plus precomputed tables of integer powers of 5 and 10.  The
+reader, the writer and the oracle all call it; it also records each
+division in an optional ``ConversionStats``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ __all__ = [
     "power_of_5",
     "power_of_10",
     "round_quotient",
-    "round_quotient_big",
 ]
 
 DBL_MANT_DIG = 53            # significand bits of binary64, implicit bit included
@@ -69,35 +67,28 @@ class ConversionStats:
             self.trace.append((site, nb, db, quo))
 
 
-def round_quotient_big(num: int, den: int) -> int:
-    """Nearest integer to num/den with ties to even, of any width.
+def round_quotient(
+    num: int, den: int, stats: ConversionStats | None = None, site: str = ""
+) -> int:
+    """Nearest integer to num/den with ties to even; the result fits 63 bits.
 
     Requires num >= 0 and den > 0; a zero denominator raises
     ZeroDivisionError.  If twice the remainder exceeds the denominator the
     quotient rounds up; if below, down; on a tie it takes the even one.
+
+    The width limit is a caller contract, checked by assertion.  Read
+    quotients, the oracle's included, are at most 2**53 (54 bits); write
+    quotients are at most 100 * 2**53 and reach 60 bits, e.g. for an
+    all-ones significand at biased exponent 2.  When *stats* is given the
+    division is recorded there under *site*.
     """
     if num < 0 or den < 0:
         raise ValueError("the rounding division requires num >= 0 and den > 0")
     quo, rem = divmod(num, den)
-    rem2 = rem << 1
-    if rem2 > den or (rem2 == den and quo & 1):
+    rem <<= 1
+    if rem > den or (rem == den and quo & 1):
         quo += 1
-    return quo
-
-
-def round_quotient(
-    num: int, den: int, stats: ConversionStats | None = None, site: str = ""
-) -> int:
-    """round_quotient_big for the conversions: result fits 63 bits.
-
-    The width limit is a caller contract, checked by assertion.  Read
-    quotients are at most 2**53 (54 bits); write quotients are at most
-    100 * 2**53 and reach 60 bits, e.g. for an all-ones significand at
-    biased exponent 2.  When *stats* is given the division is recorded
-    there under *site*.
-    """
-    quo = round_quotient_big(num, den)
-    assert quo.bit_length() <= 63, "round_quotient result exceeds 63 bits"
+    assert quo < 1 << 63, "round_quotient result exceeds 63 bits"
     if stats is not None:
         stats.note_division(site, num, den, quo)
     return quo

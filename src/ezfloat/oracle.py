@@ -2,8 +2,9 @@
 
 Nothing here shares scaling logic with the production reader: the
 nearest-double computation works from the exact rational value, locating
-the binade by integer comparison and rounding once with an exact remainder.
-A bug would have to be reinvented independently on both sides to hide.
+the binade by integer comparison, and rounds once with the shared kernel
+``round_quotient`` on operands it scaled itself.  A scaling bug would have
+to be reinvented independently on both sides to hide.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._bits import float_to_bits
-from .bigmath import ConversionStats, round_quotient_big
+from .bigmath import ConversionStats, round_quotient
 from .reader import DecimalSci, mant_exp_to_double5, mant_exp_to_double10, parse_decimal
 from .writer import double_to_string, shortest_digits
 
@@ -43,6 +44,10 @@ class ExactRational:
 
     @classmethod
     def from_decimal(cls, dec: DecimalSci) -> "ExactRational":
+        """dec's exact value.  |point| > bits(mant) + 2048 raises ValueError
+        rather than build a power of ten far longer than the significand."""
+        if abs(dec.point) > dec.mant.bit_length() + 2048:
+            raise ValueError("from_decimal requires |point| <= bits(mant) + 2048")
         if dec.point >= 0:
             return cls(dec.mant * 10**dec.point, 1, dec.negative)
         return cls(dec.mant, 10**-dec.point, dec.negative)
@@ -71,7 +76,8 @@ def nearest_double_exact(dec: DecimalSci) -> float:
         return -0.0 if dec.negative else 0.0
     # Far out of range before building 10**|point|: 2**(n-1) <= mant < 2**n
     # and 8**k <= 10**k put the value at or above 2**(n-1+3*point) when
-    # point > 0, and below 2**(n+3*point) when point < 0.
+    # point > 0, and below 2**(n+3*point) when point < 0.  What passes has
+    # point <= 341 or -point < (n + 1075) / 3, inside from_decimal's bound.
     n = dec.mant.bit_length()
     if dec.point > 0 and n - 1 + 3 * dec.point >= 1024:
         return -math.inf if dec.negative else math.inf
@@ -89,7 +95,7 @@ def nearest_double_exact(dec: DecimalSci) -> float:
         d += 1
     # Round at 53 bits, or at the fixed scale 2**-1074 below the normal range.
     e = max(d, -1021) - 53
-    q = round_quotient_big(a << max(-e, 0), b << max(e, 0))
+    q = round_quotient(a << max(-e, 0), b << max(e, 0))
     assert q.bit_length() <= 54  # q <= 2**53; exact as a float either way
     value = math.ldexp(q, e)
     return -value if dec.negative else value

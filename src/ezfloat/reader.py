@@ -9,8 +9,9 @@ position, never by rounding twice.  When both the significand and the
 power of ten are exact doubles (Clinger's path), the one rounding is an IEEE
 multiply or divide and no division is made.
 
-``mant_exp_to_double5`` and ``mant_exp_to_double10`` are that one routine
-bound to a power-of-5 or a power-of-10 divisor, Clinger's path included.
+``mant_exp_to_double5`` and ``mant_exp_to_double10`` are that one routine,
+``_to_double``, bound to a power-of-5 or a power-of-10 divisor, Clinger's
+path included; ``read_double`` calls it directly as the power-of-5 one.
 """
 
 from __future__ import annotations
@@ -189,14 +190,6 @@ def _subnormal_quotient(mant: int, point: int, stats: ConversionStats | None) ->
     return math.ldexp(quo, -1074)
 
 
-def _finish(quo: int, e: int) -> float:
-    # quo <= 2**53 converts exactly, so ldexp is exact or overflows.
-    try:
-        return math.ldexp(quo, e)
-    except OverflowError:
-        return math.inf
-
-
 def _to_double(
     mant: int, point: int, stats: ConversionStats | None, power: Callable, twos: int
 ) -> float:
@@ -219,30 +212,35 @@ def _to_double(
         bex = num.bit_length() - DBL_MANT_DIG
         if bex <= 0:
             return math.ldexp(num, twos)  # exact: num fits the significand
-        quo = round_quotient(num, 1 << bex, stats, "read-shift")
-        return _finish(quo, bex + twos)
-
-    # value = (num / den) * 2**(bex + twos), with num 53 bits longer than
-    # den, so 2**52 < num/den < 2**54.  One shift and compare settle the
-    # binary exponent before the one rounding: afterwards
-    # 2**52 <= num/den < 2**53 and the quotient has 53 bits, or is 2**53
-    # after a rounding carry, which still converts exactly.
-    scl = power(-point)
-    bex = mant.bit_length() - scl.bit_length() - DBL_MANT_DIG
-    if bex < 0:
-        num = mant << -bex
-        den = scl
+        den = 1 << bex
+        site = "read-shift"
     else:
-        num = mant
-        den = scl << bex
-    if num >= den << DBL_MANT_DIG:
-        den <<= 1
-        bex += 1
-    # value < 2**(bex + twos + 53) <= 2**-1022 exactly when subnormal.
-    if bex + twos + 52 < -1022:
-        return _subnormal_quotient(mant, point, stats)
-    quo = round_quotient(num, den, stats, "read-main")
-    return _finish(quo, bex + twos)
+        # value = (num / den) * 2**(bex + twos), with num 53 bits longer
+        # than den, so 2**52 < num/den < 2**54.  One shift and compare
+        # settle the binary exponent before the one rounding: afterwards
+        # 2**52 <= num/den < 2**53 and the quotient has 53 bits, or is
+        # 2**53 after a rounding carry, which still converts exactly.
+        scl = power(-point)
+        bex = mant.bit_length() - scl.bit_length() - DBL_MANT_DIG
+        if bex < 0:
+            num = mant << -bex
+            den = scl
+        else:
+            num = mant
+            den = scl << bex
+        if num >= den << DBL_MANT_DIG:
+            den <<= 1
+            bex += 1
+        # value < 2**(bex + twos + 53) <= 2**-1022 exactly when subnormal.
+        if bex + twos + 52 < -1022:
+            return _subnormal_quotient(mant, point, stats)
+        site = "read-main"
+    quo = round_quotient(num, den, stats, site)
+    # quo <= 2**53 converts exactly, so ldexp is exact or overflows.
+    try:
+        return math.ldexp(quo, bex + twos)
+    except OverflowError:
+        return math.inf
 
 
 def mant_exp_to_double5(
@@ -277,8 +275,9 @@ def read_double(text: str, stats: ConversionStats | None = None) -> float:
     Only the first 768 significant digits and one sticky digit standing
     for the nonzero rest take part in the conversion, so a read costs
     one scan of the text plus a conversion of bounded width, with at most
-    one rounding division.  When *stats* is given that division is
-    recorded there.
+    one rounding division.  The conversion is mant_exp_to_double5's,
+    called without that binding's frame.  When *stats* is given that
+    division is recorded there.
     """
     scanned = _scan(text)
     if scanned.__class__ is float:
@@ -301,7 +300,7 @@ def read_double(text: str, stats: ConversionStats | None = None) -> float:
         if len(digits) > _KEPT_DIGITS + 1:
             point = top - _KEPT_DIGITS - 1
             digits = digits[:_KEPT_DIGITS] + "1"
-        value = mant_exp_to_double5(int(digits), point, stats)
+        value = _to_double(int(digits), point, stats, power_of_5, point)
     return -value if negative else value
 
 

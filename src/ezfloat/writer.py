@@ -192,7 +192,8 @@ def double_to_string(
     "0.0" and single-digit significands drop the padded fractional zero.
     """
     if 0.0 < abs(f) < math.inf:
-        return format_sci(f < 0, *_shortest(f, stats), compat)
+        lquo, point = _shortest(f, stats)
+        return format_sci(f < 0, lquo, point, compat)
     if f != f:
         return "NaN"
     if f == math.inf:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from ezfloat import (
     power_of_5,
     power_of_10,
     round_quotient,
-    round_quotient_big,
 )
 from ezfloat.bigmath import _POWS5, _POWS10
 
@@ -54,6 +54,16 @@ def test_llog2_ceiling_property_exact():
         assert _cmp_pow10_pow2(p, e2) >= 0
 
 
+@st.composite
+def in_contract(draw):
+    """(num, den) whose rounded quotient fits round_quotient's 63 bits."""
+    den = draw(st.integers(1, 1 << 200))
+    quo = draw(st.integers(0, (1 << 62) - 1))
+    # Half the denominator is an exact tie whenever den is even.
+    rem = draw(st.one_of(st.just(den // 2), st.integers(0, den - 1)))
+    return quo * den + rem, den
+
+
 class TestRoundQuotient:
     @pytest.mark.parametrize(
         "num,den,expected",
@@ -69,60 +79,57 @@ class TestRoundQuotient:
     )
     def test_examples(self, num, den, expected):
         assert round_quotient(num, den) == expected
-        assert round_quotient_big(num, den) == expected
-
-    def test_big_variant_examples(self):
-        assert round_quotient_big(3, 2) == 2
-        assert round_quotient_big(0, 7) == 0
-        assert round_quotient_big(2**200, 2**100) == 2**100
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             round_quotient(1, 0)
-        with pytest.raises(ZeroDivisionError):
-            round_quotient_big(1, 0)
 
     def test_negative_operands_rejected(self):
         with pytest.raises(ValueError):
             round_quotient(-1, 2)
         with pytest.raises(ValueError):
             round_quotient(1, -2)
-        with pytest.raises(ValueError):
-            round_quotient_big(-1, 2)
 
     def test_width_contract_asserted(self):
+        assert round_quotient((1 << 63) - 1, 1) == (1 << 63) - 1
         with pytest.raises(AssertionError):
-            round_quotient(1 << 100, 1)
-        assert round_quotient_big(1 << 100, 1) == 1 << 100
+            round_quotient(1 << 63, 1)
+        # A tie that carries past 63 bits: (2**64 - 1) / 2 rounds to 2**63.
+        with pytest.raises(AssertionError):
+            round_quotient((1 << 64) - 1, 2)
 
-    @given(st.integers(0, 1 << 200), st.integers(1, 1 << 200))
-    def test_result_is_floor_or_floor_plus_one(self, num, den):
-        quo = round_quotient_big(num, den)
+    @given(in_contract())
+    def test_matches_fraction_rounding(self, pair):
+        # round() of a Fraction is itself round-half-to-even.
+        num, den = pair
+        assert round_quotient(num, den) == round(Fraction(num, den))
+
+    @given(in_contract())
+    def test_result_is_floor_or_floor_plus_one(self, pair):
+        num, den = pair
+        quo = round_quotient(num, den)
         assert quo in (num // den, num // den + 1)
 
-    @given(st.integers(0, 1 << 200), st.integers(1, 1 << 200))
-    def test_nearest_with_even_ties(self, num, den):
-        quo = round_quotient_big(num, den)
+    @given(in_contract())
+    def test_nearest_with_even_ties(self, pair):
+        num, den = pair
+        quo = round_quotient(num, den)
         err2 = abs(quo * den - num) * 2
         assert err2 <= den
         if err2 == den:
             assert quo % 2 == 0
 
-    @given(st.integers(0, 1 << 200), st.integers(1, 1 << 140))
-    def test_narrow_matches_big_when_in_contract(self, num, den):
-        if (num // den).bit_length() <= 62:
-            assert round_quotient(num, den) == round_quotient_big(num, den)
+    @given(in_contract(), st.integers(1, 60))
+    def test_scale_invariance(self, pair, k):
+        num, den = pair
+        assert round_quotient(num << k, den << k) == round_quotient(num, den)
 
-    @given(st.integers(0, 1 << 200), st.integers(1, 1 << 200), st.integers(1, 60))
-    def test_scale_invariance(self, num, den, k):
-        assert round_quotient_big(num << k, den << k) == round_quotient_big(num, den)
-
-    @given(st.integers(0, 1 << 80), st.integers(1, 1 << 40))
+    @given(st.integers(0, (1 << 62) - 1), st.integers(1, 1 << 40))
     def test_exact_halfway_constructed(self, quo, half):
         # num/den = quo + 1/2 exactly; the result must be the even neighbour.
         den = 2 * half
         num = quo * den + half
-        got = round_quotient_big(num, den)
+        got = round_quotient(num, den)
         assert got == (quo if quo % 2 == 0 else quo + 1)
 
 

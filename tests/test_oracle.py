@@ -123,6 +123,13 @@ class TestNearestDoubleExact:
             b = _nearest_by_long_division(dec)
             assert float_to_bits(a) == float_to_bits(b), dec
 
+    def test_million_digit_significand_far_below(self):
+        # No early return applies, so the exact rational of a 3.3-million
+        # bit significand is built: inside from_decimal's bound.
+        dec = DecimalSci(False, (10**10**6 - 1) // 9, -1000300)
+        want = float("1" * 10**6 + "e-1000300")
+        assert float_to_bits(nearest_double_exact(dec)) == float_to_bits(want)
+
     def test_monotone_over_rational_order(self):
         rng = random.Random(101)
         for _ in range(500):
@@ -139,6 +146,17 @@ class TestExactRational:
         assert (r.num, r.den, r.negative) == (15, 10, True)
         r = ExactRational.from_decimal(DecimalSci(False, 2, 3))
         assert (r.num, r.den) == (2000, 1)
+
+    def test_from_decimal_bound(self):
+        # |point| <= bits(mant) + 2048 is built; past it nothing is.
+        for point in (2049, -2049):
+            r = ExactRational.from_decimal(DecimalSci(False, 1, point))
+            assert Fraction(r.num, r.den) == Fraction(10) ** point
+        for point in (2050, -2050, 10**12, -(10**12)):
+            started = time.perf_counter()
+            with pytest.raises(ValueError):
+                ExactRational.from_decimal(DecimalSci(False, 1, point))
+            assert time.perf_counter() - started < 0.05, point
 
     def test_from_float_exact(self):
         r = ExactRational.from_float(-0.1)

@@ -584,3 +584,71 @@ class TestOneDivision:
             assert float_to_bits(value) == float_to_bits(float(text)), text
             assert read_double_with_stats(text).stats == stats, text
         assert seen == {0, 1}
+
+
+def _direct_and_bound(text: str) -> ConversionStats:
+    """Read text directly and through mant_exp_to_double5; both must agree.
+
+    A significand of more than 769 digits is compared on the decimal that
+    read_double converts, its first 768 digits and a sticky 1.
+    """
+    direct = ConversionStats(trace=[])
+    got = read_double(text, direct)
+    dec = parse_decimal(text)
+    mant, point = dec.mant, dec.point
+    digits = text.split("e")[0].replace("-", "").replace(".", "").rstrip("0")
+    if len(digits) > 769:
+        mant, point = int(digits[:768] + "1"), point + len(digits) - 769
+    bound = ConversionStats(trace=[])
+    want = mant_exp_to_double5(mant, point, bound)
+    assert float_to_bits(got) == float_to_bits(-want if dec.negative else want), text[:60]
+    assert (direct.divisions, direct.max_intermediate_bits, direct.trace) == (
+        bound.divisions,
+        bound.max_intermediate_bits,
+        bound.trace,
+    ), text[:60]
+    return direct
+
+
+class TestDirectCall:
+    """read_double calls the conversion without mant_exp_to_double5's frame."""
+
+    # (fewest and most significant digits, lowest and highest top) and the
+    # sites a draw may divide at: none on Clinger's path or a clamp.
+    _PATHS = [
+        ((1, 15, -5, 20), ()),  # Clinger's path: point within +-22
+        ((17, 17, 41, 300), ("read-shift",)),
+        ((17, 17, -280, -8), ("read-main",)),
+        ((17, 17, -323, -309), ("read-subnormal",)),
+        # The clamps, at tops where the binding's own clamps apply too
+        # (point >= 309 resp. top <= -324), so neither side divides.
+        ((1, 20, 330, 400), ()),
+        ((1, 20, -400, -324), ()),
+        # Cut to 768 digits and a sticky 1.
+        ((770, 1500, -320, 300), ("read-shift", "read-main", "read-subnormal")),
+    ]
+
+    def test_agrees_with_the_binding(self):
+        rng = random.Random(11)
+        for (lo, hi, top_lo, top_hi), sites in self._PATHS:
+            for _ in range(60):
+                n = rng.randint(lo, hi)
+                digits = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=n - 1))
+                digits = digits[:-1] + str(rng.randint(1, 9))
+                text = _sci(digits, rng.randint(top_lo, top_hi), rng.random() < 0.5)
+                trace = _direct_and_bound(text).trace
+                assert len(trace) == (1 if sites else 0), text[:60]
+                assert all(t[0] in sites for t in trace), text[:60]
+
+    @pytest.mark.parametrize(
+        "text,site",
+        [
+            ("1.7976931348623159e308", "read-shift"),
+            ("17976931348623159" + "1" * 400 + "e-108", "read-main"),
+        ],
+    )
+    def test_overflow_by_rounding(self, text, site):
+        stats = _direct_and_bound(text)
+        assert read_double(text) == math.inf
+        assert stats.divisions == 1
+        assert stats.trace[0][0] == site
