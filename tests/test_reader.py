@@ -646,6 +646,7 @@ class TestDirectCall:
             ("1.7976931348623159e308", "read-shift"),
             ("17976931348623159" + "1" * 400 + "e-108", "read-main"),
         ],
+        ids=["read-shift", "read-main"],
     )
     def test_overflow_by_rounding(self, text, site):
         stats = _direct_and_bound(text)
