@@ -10,7 +10,6 @@ division in an optional ``ConversionStats``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "DBL_MANT_DIG",
@@ -40,7 +39,6 @@ _POWS5 = _build(5)
 _POWS10 = _build(10)
 
 
-@dataclass
 class ConversionStats:
     """Per-call instrumentation for the conversion routines.
 
@@ -49,11 +47,35 @@ class ConversionStats:
     ``divisions`` counts them, ``max_intermediate_bits`` is the widest
     operand fed to one.  ``trace`` (opt-in) records every division as
     ``(site, num_bits, den_bits, quotient)`` for the quotient-length audit.
+    A mutable accumulator; two compare equal when all three fields do.
     """
 
-    divisions: int = 0
-    max_intermediate_bits: int = 0
-    trace: list[tuple[str, int, int, int]] | None = None
+    __slots__ = ("divisions", "max_intermediate_bits", "trace")
+
+    def __init__(
+        self,
+        divisions: int = 0,
+        max_intermediate_bits: int = 0,
+        trace: list[tuple[str, int, int, int]] | None = None,
+    ) -> None:
+        self.divisions = divisions
+        self.max_intermediate_bits = max_intermediate_bits
+        self.trace = trace
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.divisions, self.max_intermediate_bits, self.trace) == (
+            other.divisions,
+            other.max_intermediate_bits,
+            other.trace,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(divisions={self.divisions!r}, "
+            f"max_intermediate_bits={self.max_intermediate_bits!r}, trace={self.trace!r})"
+        )
 
     def note_division(self, site: str, num: int, den: int, quo: int) -> None:
         self.divisions += 1

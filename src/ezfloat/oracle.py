@@ -10,7 +10,7 @@ to be reinvented independently on both sides to hide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from ._bits import float_to_bits
 from .bigmath import ConversionStats, round_quotient
@@ -34,13 +34,13 @@ __all__ = [
 _OVERFLOW_BOUNDARY = (1 << 1024) - (1 << 970)
 
 
-@dataclass(frozen=True)
-class ExactRational:
-    """(-1)**negative * num / den, unreduced; compared by cross-multiplying."""
+class ExactRational(namedtuple("ExactRational", "num den negative", defaults=(False,))):
+    """(-1)**negative * num / den, unreduced.
 
-    num: int
-    den: int
-    negative: bool = False
+    Equality is field-wise, as for any tuple: 1/2 and 2/4 differ.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def from_decimal(cls, dec: DecimalSci) -> "ExactRational":
@@ -162,13 +162,18 @@ def all_ones_mantissa_values() -> list[float]:
     return sorted(out)
 
 
-@dataclass
 class AuditReport:
     """Outcome of the quotient-length audit over the all-ones enumeration."""
 
-    values_tested: int = 0
-    max_retries_per_conversion: int = 0
-    violations: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        values_tested: int = 0,
+        max_retries_per_conversion: int = 0,
+        violations: list[str] | None = None,
+    ) -> None:
+        self.values_tested = values_tested
+        self.max_retries_per_conversion = max_retries_per_conversion
+        self.violations = [] if violations is None else violations
 
     def render(self) -> str:
         lines = [f"VIOLATION {v}" for v in self.violations]
@@ -237,14 +242,20 @@ def quotient_length_audit() -> AuditReport:
     return report
 
 
-@dataclass
 class IntermediateSizeReport:
     """Peak operand widths and division counts over a reader stress grid."""
 
-    max_pow5_bits: int = 0
-    max_pow10_bits: int = 0
-    max_read_divisions: int = 0
-    cells: int = 0
+    def __init__(
+        self,
+        max_pow5_bits: int = 0,
+        max_pow10_bits: int = 0,
+        max_read_divisions: int = 0,
+        cells: int = 0,
+    ) -> None:
+        self.max_pow5_bits = max_pow5_bits
+        self.max_pow10_bits = max_pow10_bits
+        self.max_read_divisions = max_read_divisions
+        self.cells = cells
 
 
 def intermediate_size_scan(

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .bigmath import (
     DBL_MANT_DIG,
@@ -49,7 +49,6 @@ _HUGE_EXP = 10**12
 # CPython limits str<->int conversion length; convert long digit runs in
 # chunks so mantissas of any length are read exactly.
 _INT_CHUNK = 4000
-_CHUNK_SCALE = 10**_INT_CHUNK
 
 # Significant digits a read keeps: the most any binary64 halfway point
 # has, that of (2**53 - 1) * 2**-1075 between the largest subnormal and
@@ -87,36 +86,31 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class DecimalSci:
+class DecimalSci(namedtuple("DecimalSci", "negative mant point")):
     """A parsed decimal: value = (-1)**negative * mant * 10**point.
 
     Canonical form has no trailing zero digits in ``mant`` (they are folded
     into ``point``) and ``point == 0`` when ``mant == 0``.
     """
 
-    negative: bool
-    mant: int
-    point: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ReadOutcome:
-    value: float
-    stats: ConversionStats
+class ReadOutcome(namedtuple("ReadOutcome", "value stats")):
+    """A read's value and the ConversionStats of the conversion."""
+
+    __slots__ = ()
 
 
 def _digits_to_int(s: str) -> int:
+    # Divide and conquer at a chunk boundary: hi + lo reads as
+    # int(hi) * 10**len(lo) + int(lo).  Halving the chunk count keeps the
+    # products balanced, which CPython multiplies subquadratically; one
+    # growing product per chunk would be quadratic.
     if len(s) <= _INT_CHUNK:
         return int(s)
-    val = 0
-    for pos in range(0, len(s), _INT_CHUNK):
-        chunk = s[pos : pos + _INT_CHUNK]
-        if len(chunk) == _INT_CHUNK:
-            val = val * _CHUNK_SCALE + int(chunk)
-        else:
-            val = val * 10 ** len(chunk) + int(chunk)
-    return val
+    m = -(-len(s) // _INT_CHUNK) // 2 * _INT_CHUNK
+    return _digits_to_int(s[:-m]) * 10**m + _digits_to_int(s[-m:])
 
 
 def _scan(text: str) -> tuple[bool, str, int] | float:

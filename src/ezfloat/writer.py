@@ -21,7 +21,7 @@ format_sci, without building the ShortestDigits that shortest_digits returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from ._bits import float_to_bits, pack_f64, unpack_u64
@@ -49,27 +49,21 @@ class FloatKind(Enum):
     NAN = "nan"
 
 
-@dataclass(frozen=True)
-class UnpackedDouble:
+class UnpackedDouble(namedtuple("UnpackedDouble", "negative lmant e2 kind")):
     """Sign, integer significand and binary exponent: |value| = lmant * 2**e2.
 
     Normals carry the implicit bit (2**52 <= lmant < 2**53); subnormals and
     zero sit at the fixed scale e2 = -1074.  For NaN, lmant holds the raw
-    payload and e2 is 0.
+    payload and e2 is 0.  ``kind`` is a FloatKind.
     """
 
-    negative: bool
-    lmant: int
-    e2: int
-    kind: FloatKind
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ShortestDigits:
+class ShortestDigits(namedtuple("ShortestDigits", "lquo point")):
     """Decimal significand as an integer: |value| reads back from lquo * 10**point."""
 
-    lquo: int
-    point: int
+    __slots__ = ()
 
 
 def unpack_double(f: float) -> UnpackedDouble:

@@ -155,6 +155,37 @@ class TestParseDecimal:
         assert divmod(dec.mant, 10**half) == (int(digits[:-half]), int(digits[-half:]))
         assert dec.point == -7 - (ndigits - 1)
 
+    @pytest.mark.parametrize("ndigits", [4000, 4001, 8000, 8001, 12001, 40000, 40001])
+    def test_long_significand_matches_horner(self, ndigits):
+        # The divide-and-conquer conversion against a plain digit-group
+        # Horner evaluation, at and around the 4000-digit chunk boundary.
+        rng = random.Random(ndigits)
+        digits = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=ndigits - 2)) + "7"
+        want = 0
+        for pos in range(0, ndigits, 1000):
+            group = digits[pos : pos + 1000]
+            want = want * 10 ** len(group) + int(group)
+        assert parse_decimal(digits) == DecimalSci(False, want, 0)
+
+    def test_long_significand_is_subquadratic(self):
+        # 16x the digits: a quadratic conversion takes 256x the time (the
+        # chunked one measured 190-290x), one built on CPython's Karatsuba
+        # products about 16**1.585 ~= 81x (measured 65-110x).  CPU time,
+        # which other processes do not inflate, min over interleaved runs.
+        rng = random.Random(16)
+        digits = "".join(rng.choices("123456789", k=400_000))
+
+        def took(text):
+            started = time.process_time()
+            parse_decimal(text)
+            return time.process_time() - started
+
+        short = long = math.inf
+        for _ in range(3):
+            short = min(short, took(digits[:25_000]), took(digits[:25_000]))
+            long = min(long, took(digits))
+        assert long < 150 * short
+
 
 class TestMantExpToDouble:
     def test_pow5_examples(self):

@@ -1,0 +1,161 @@
+"""The package's records and accumulators, and what ``import ezfloat`` loads."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import ezfloat
+from ezfloat import (
+    AuditReport,
+    ConversionStats,
+    DecimalSci,
+    ExactRational,
+    FloatKind,
+    IntermediateSizeReport,
+    ReadOutcome,
+    ShortestDigits,
+    UnpackedDouble,
+)
+
+# Each immutable record with one value per field, in field order.
+RECORDS = [
+    (DecimalSci, {"negative": True, "mant": 15, "point": 2}),
+    (ReadOutcome, {"value": 1.5, "stats": ConversionStats(1, 54)}),
+    (ShortestDigits, {"lquo": 17976931348623157, "point": 292}),
+    (UnpackedDouble, {"negative": False, "lmant": 1 << 52, "e2": -1074, "kind": FloatKind.NORMAL}),
+    (ExactRational, {"num": 1, "den": 3, "negative": True}),
+]
+RECORD_IDS = [cls.__name__ for cls, _ in RECORDS]
+
+# Loaded by ``import dataclasses`` or ``import typing``, not by the package.
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
+_IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import ezfloat
+mods = sys.modules
+print(json.dumps({
+    "new": sorted(set(mods) - before),
+    "scales": len(mods["ezfloat.writer"]._SCALES),
+    "tables": [hasattr(mods["ezfloat.bigmath"], "_POWS5"),
+               hasattr(mods["ezfloat.bigmath"], "_POWS10"),
+               hasattr(mods["ezfloat.reader"], "_NUMBER"),
+               hasattr(mods["ezfloat.reader"], "_VIABLE")],
+}))
+"""
+
+
+def test_import_loads_no_heavy_module_and_defers_nothing():
+    # A bare interpreter (-I -S) so that site does not preload anything.
+    root = os.path.dirname(os.path.dirname(ezfloat.__file__))
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _IMPORT_PROBE, root],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    got = json.loads(done.stdout)
+    assert not set(HEAVY_MODULES) & set(got["new"])
+    # Every import-time table is built by the import itself.
+    assert "ezfloat.oracle" in got["new"]
+    assert got["scales"] == 2047
+    assert got["tables"] == [True] * 4
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls,fields", RECORDS, ids=RECORD_IDS)
+    def test_construction(self, cls, fields):
+        values = tuple(fields.values())
+        by_position = cls(*values)
+        assert by_position == cls(**fields)
+        assert cls._fields == tuple(fields)
+        for name, value in fields.items():
+            assert getattr(by_position, name) is value
+        # A named tuple: unpacks and compares equal to the plain tuple.
+        assert tuple(by_position) == values
+        assert by_position == values
+
+    @pytest.mark.parametrize("cls,fields", RECORDS, ids=RECORD_IDS)
+    def test_fieldwise_equality(self, cls, fields):
+        record = cls(**fields)
+        assert record == cls(**fields)
+        for name in fields:
+            assert record != cls(**{**fields, name: "other"}), name
+
+    @pytest.mark.parametrize("cls,fields", RECORDS, ids=RECORD_IDS)
+    def test_immutable(self, cls, fields):
+        record = cls(**fields)
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        assert not hasattr(record, "__dict__")
+
+    @pytest.mark.parametrize("cls,fields", RECORDS, ids=RECORD_IDS)
+    def test_repr(self, cls, fields):
+        shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+        assert repr(cls(**fields)) == f"{cls.__name__}({shown})"
+
+    def test_exact_rational_default_and_classmethods(self):
+        assert ExactRational(1, 2).negative is False
+        assert ExactRational.from_float(-0.5) == ExactRational(1 << 52, 1 << 53, True)
+        assert ExactRational.from_decimal(DecimalSci(False, 25, -1)) == (25, 10, False)
+        # Field-wise, not by value: 1/2 and 2/4 differ.
+        assert ExactRational(1, 2) != ExactRational(2, 4)
+
+
+class TestConversionStats:
+    def test_defaults(self):
+        stats = ConversionStats()
+        assert (stats.divisions, stats.max_intermediate_bits, stats.trace) == (0, 0, None)
+
+    def test_construction(self):
+        trace = [("write", 60, 5, 9)]
+        by_position = ConversionStats(1, 60, trace)
+        by_keyword = ConversionStats(divisions=1, max_intermediate_bits=60, trace=trace)
+        for stats in (by_position, by_keyword):
+            assert (stats.divisions, stats.max_intermediate_bits, stats.trace) == (1, 60, trace)
+
+    def test_fieldwise_equality(self):
+        assert ConversionStats(1, 54, []) == ConversionStats(1, 54, [])
+        assert ConversionStats(1, 54) != ConversionStats(2, 54)
+        assert ConversionStats(1, 54) != ConversionStats(1, 55)
+        assert ConversionStats(1, 54) != ConversionStats(1, 54, [])
+        assert ConversionStats() != (0, 0, None)
+
+    def test_mutable_and_slotted(self):
+        stats = ConversionStats(trace=[])
+        stats.note_division("read-main", 1 << 100, 1 << 46, 3)
+        assert stats == ConversionStats(1, 101, [("read-main", 101, 47, 3)])
+        stats.divisions = 5
+        assert stats.divisions == 5
+        with pytest.raises(AttributeError):
+            stats.extra = 0
+        with pytest.raises(TypeError):
+            hash(stats)
+
+    def test_repr(self):
+        assert repr(ConversionStats(1, 54)) == (
+            "ConversionStats(divisions=1, max_intermediate_bits=54, trace=None)"
+        )
+
+
+class TestReports:
+    def test_audit_report(self):
+        first, second = AuditReport(), AuditReport()
+        assert (first.values_tested, first.max_retries_per_conversion) == (0, 0)
+        assert first.violations == [] and first.violations is not second.violations
+        first.violations.append("x")
+        assert second.ok and not first.ok
+        report = AuditReport(values_tested=3, max_retries_per_conversion=1, violations=["y"])
+        assert (report.values_tested, report.max_retries_per_conversion) == (3, 1)
+        assert report.violations == ["y"]
+
+    def test_intermediate_size_report(self):
+        report = IntermediateSizeReport()
+        fields = ("max_pow5_bits", "max_pow10_bits", "max_read_divisions", "cells")
+        assert [getattr(report, name) for name in fields] == [0, 0, 0, 0]
+        report = IntermediateSizeReport(803, 1126, 1, 7)
+        assert [getattr(report, name) for name in fields] == [803, 1126, 1, 7]
