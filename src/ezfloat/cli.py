@@ -57,6 +57,13 @@ def cmd_read(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count_arg(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"count must be >= 0, got {count}")
+    return count
+
+
 def _parse_double_arg(text: str) -> float:
     if text.startswith(("0x", "0X")):
         body = text[2:]
@@ -276,13 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_write)
 
     p = sub.add_parser("roundtrip", help="write/read random bit patterns")
-    p.add_argument("--count", type=int, default=10000)
+    p.add_argument("--count", type=_count_arg, default=10000)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("verify", help="run correctness audits")
     p.add_argument("suite", choices=["oracle", "minimality", "allones", "bounds", "all"])
-    p.add_argument("--count", type=int, default=10000)
+    p.add_argument("--count", type=_count_arg, default=10000)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 

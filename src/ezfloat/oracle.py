@@ -262,12 +262,11 @@ def intermediate_size_scan(
     points: range,
     digit_counts: range,
     rng,
-    mants_per_cell: int = 2,
 ) -> IntermediateSizeReport:
     """Run both reader variants over a (digit count x point) grid.
 
     Each surviving cell (one that the read-path clamps would let through)
-    contributes the extreme mantissas of its digit count plus random
+    contributes the extreme mantissas of its digit count plus two random
     fillers.  Instrumentation records every division operand.
     """
     report = IntermediateSizeReport()
@@ -278,7 +277,7 @@ def intermediate_size_scan(
             if point >= 309 or point + nd <= -324:
                 continue  # the read path clamps these before converting
             mants = {lo, hi}
-            for _ in range(mants_per_cell):
+            for _ in range(2):
                 mants.add(rng.randint(lo, hi))
             for mant in mants:
                 s5 = ConversionStats()

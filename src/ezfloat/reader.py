@@ -1,8 +1,8 @@
 """Decimal scientific notation to the nearest binary64, with one rounding.
 
 The core routine scales the decimal significand by a power of two chosen so
-that a single rounding division by a power of 5 (or 10) lands exactly on the
-53-bit binary significand.  A shift and a compare settle the binary exponent
+that a single rounding division by a power of 5 lands exactly on the 53-bit
+binary significand.  A shift and a compare settle the binary exponent
 before dividing, so a conversion makes at most one rounding division; results
 below the normal range are produced by that one rounding at the subnormal bit
 position, never by rounding twice.  When both the significand and the
@@ -10,8 +10,8 @@ power of ten are exact doubles (Clinger's path), the one rounding is an IEEE
 multiply or divide and no division is made.
 
 ``mant_exp_to_double5`` and ``mant_exp_to_double10`` are that one routine,
-``_to_double``, bound to a power-of-5 or a power-of-10 divisor, Clinger's
-path included; ``read_double`` calls it directly as the power-of-5 one.
+``_to_double``, with ``2**point`` kept outside the operands (powers of 5)
+or shifted into them (powers of 10); ``read_double`` calls the former.
 """
 
 from __future__ import annotations
@@ -19,15 +19,8 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from collections.abc import Callable
 
-from .bigmath import (
-    DBL_MANT_DIG,
-    ConversionStats,
-    power_of_5,
-    power_of_10,
-    round_quotient,
-)
+from .bigmath import DBL_MANT_DIG, ConversionStats, power_of_5, round_quotient
 
 __all__ = [
     "DecimalSci",
@@ -171,24 +164,10 @@ def parse_decimal(text: str) -> DecimalSci | float:
     return DecimalSci(negative, _digits_to_int(digits or "0"), point)
 
 
-def _subnormal_quotient(mant: int, point: int, stats: ConversionStats | None) -> float:
-    # One rounding at the fixed subnormal scale 2**-1074: the quotient is
-    # round(value * 2**1074) and the final scaling is exact.  A quotient of
-    # exactly 2**52 is the smallest normal and still scales exactly.
-    scl5 = power_of_5(-point)
-    shift = 1074 + point
-    if shift >= 0:
-        quo = round_quotient(mant << shift, scl5, stats, "read-subnormal")
-    else:
-        quo = round_quotient(mant, scl5 << -shift, stats, "read-subnormal")
-    return math.ldexp(quo, -1074)
-
-
-def _to_double(
-    mant: int, point: int, stats: ConversionStats | None, power: Callable, twos: int
-) -> float:
-    # mant * 10**point as mant * power(|point|)**(+-1) * 2**twos, with
-    # (power, twos) either (power_of_5, point) or (power_of_10, 0).
+def _to_double(mant: int, point: int, stats: ConversionStats | None, twos: int) -> float:
+    # mant * 10**point as mant * 5**point * 2**point, with 2**twos outside
+    # the operands and 2**(point - twos) shifted into them: twos is point
+    # (powers of 5) or 0 (powers of 10); a shift by 0 would only copy.
     if mant < 0:
         raise ValueError("mant must be nonnegative")
     if mant == 0:
@@ -202,10 +181,12 @@ def _to_double(
     if point < -324 and point + mant.bit_length() * 30103 // 100000 < -324:
         return 0.0  # value < 2**bits * 10**point < 10**-324
     if point >= 0:
-        num = mant * power(point)
+        # Past Clinger's path mant >= 2**53 or point >= 23 (5**23 > 2**53),
+        # so num has at least 54 bits and bex >= 1.
+        num = mant * power_of_5(point)
+        if not twos:
+            num <<= point
         bex = num.bit_length() - DBL_MANT_DIG
-        if bex <= 0:
-            return math.ldexp(num, twos)  # exact: num fits the significand
         den = 1 << bex
         site = "read-shift"
     else:
@@ -214,7 +195,9 @@ def _to_double(
         # settle the binary exponent before the one rounding: afterwards
         # 2**52 <= num/den < 2**53 and the quotient has 53 bits, or is
         # 2**53 after a rounding carry, which still converts exactly.
-        scl = power(-point)
+        scl = pow5 = power_of_5(-point)
+        if not twos:
+            scl <<= -point
         bex = mant.bit_length() - scl.bit_length() - DBL_MANT_DIG
         if bex < 0:
             num = mant << -bex
@@ -226,9 +209,16 @@ def _to_double(
             den <<= 1
             bex += 1
         # value < 2**(bex + twos + 53) <= 2**-1022 exactly when subnormal.
+        # Then the quotient is round(value * 2**1074), by 5**-point in either
+        # binding; 2**52 is the smallest normal and still scales exactly.
         if bex + twos + 52 < -1022:
-            return _subnormal_quotient(mant, point, stats)
-        site = "read-main"
+            shift = 1074 + point
+            num = mant << max(shift, 0)
+            den = pow5 << max(-shift, 0)
+            bex = -1074 - twos
+            site = "read-subnormal"
+        else:
+            site = "read-main"
     quo = round_quotient(num, den, stats, site)
     # quo <= 2**53 converts exactly, so ldexp is exact or overflows.
     try:
@@ -248,7 +238,7 @@ def mant_exp_to_double5(
     total underflow +0.0, both without building a power for a ``point``
     beyond range.  The sign is the caller's concern.
     """
-    return _to_double(mant, point, stats, power_of_5, point)
+    return _to_double(mant, point, stats, point)
 
 
 def mant_exp_to_double10(
@@ -260,7 +250,7 @@ def mant_exp_to_double10(
     operands roughly 40% wider: the contrast acceptance criterion 5
     measures, not a separate implementation.
     """
-    return _to_double(mant, point, stats, power_of_10, 0)
+    return _to_double(mant, point, stats, 0)
 
 
 def read_double(text: str, stats: ConversionStats | None = None) -> float:
@@ -294,7 +284,7 @@ def read_double(text: str, stats: ConversionStats | None = None) -> float:
         if len(digits) > _KEPT_DIGITS + 1:
             point = top - _KEPT_DIGITS - 1
             digits = digits[:_KEPT_DIGITS] + "1"
-        value = _to_double(int(digits), point, stats, power_of_5, point)
+        value = _to_double(int(digits), point, stats, point)
     return -value if negative else value
 
 

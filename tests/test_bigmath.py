@@ -13,7 +13,7 @@ from ezfloat import (
     power_of_10,
     round_quotient,
 )
-from ezfloat.bigmath import _POWS5, _POWS10
+from ezfloat.bigmath import _POWS5
 
 
 def test_constants():
@@ -137,16 +137,14 @@ class TestPowerTables:
     def test_shape(self):
         assert MAX_POW == 325
         assert len(_POWS5) == 326
-        assert len(_POWS10) == 326
         assert isinstance(_POWS5, tuple)
-        assert isinstance(_POWS10, tuple)
 
     def test_recurrences(self):
         assert _POWS5[0] == 1
-        assert _POWS10[0] == 1
+        assert power_of_10(0) == 1
         for k in range(1, 326):
             assert _POWS5[k] == 5 * _POWS5[k - 1]
-            assert _POWS10[k] == 10 * _POWS10[k - 1]
+            assert power_of_10(k) == 10 * power_of_10(k - 1)
 
     @pytest.mark.parametrize("k,expected", [(0, 1), (3, 125), (20, 5**20)])
     def test_power_of_5_small(self, k, expected):

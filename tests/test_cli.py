@@ -81,6 +81,12 @@ class TestRoundtrip:
         assert code == 0
         assert "0 values" in out
 
+    def test_negative_count_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["roundtrip", "--count", "-2"])
+        assert exc.value.code == 2
+        assert "count must be >= 0" in capsys.readouterr().err
+
     def test_deterministic_given_seed(self, capsys):
         _, out1, _ = run(capsys, "roundtrip", "--count", "500", "--seed", "9")
         _, out2, _ = run(capsys, "roundtrip", "--count", "500", "--seed", "9")
@@ -107,6 +113,14 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
+
+    def test_negative_count_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "oracle", "--count", "-3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "count must be >= 0" in captured.err
+        assert "oracle:" not in captured.out
 
     def test_bounds_reports_measured_maxima(self, capsys):
         # Read operands stay within 803/1126 bits for decimal exponents

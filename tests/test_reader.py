@@ -684,3 +684,53 @@ class TestDirectCall:
         assert read_double(text) == math.inf
         assert stats.divisions == 1
         assert stats.trace[0][0] == site
+
+
+class TestSharedTail:
+    """Every read division is the one kernel call at the end of the
+    conversion, whichever the site and the binding."""
+
+    @pytest.mark.parametrize(
+        "binding", [mant_exp_to_double5, mant_exp_to_double10], ids=["pow5", "pow10"]
+    )
+    def test_nonnegative_point_divides_once(self, binding):
+        # Past Clinger's path mant >= 2**53 or point >= 23, and 5**23 > 2**53,
+        # so mant * 10**point has at least 54 bits and is never exact as is.
+        cases = [(m, p) for m in range(2**53 - 1, 2**53 + 2) for p in range(31)]
+        cases += [(m, p) for m in range(1, 10) for p in range(23, 31)]
+        for mant, point in cases:
+            stats = ConversionStats(trace=[])
+            value = binding(mant, point, stats)
+            want = nearest_double_exact(DecimalSci(False, mant, point))
+            assert float_to_bits(value) == float_to_bits(want), (mant, point)
+            if mant < 2**53 and point <= 22:
+                assert stats.trace == [], (mant, point)  # Clinger's path
+            else:
+                assert [t[0] for t in stats.trace] == ["read-shift"], (mant, point)
+
+    def test_subnormal_site_divides_by_a_power_of_5_in_both_bindings(self):
+        # The subnormal rounding is at 2**-1074 by 5**-point whichever the
+        # binding, so both record the same operand widths and quotient.
+        rng = random.Random(1074)
+        points = range(-340, -307)
+        seen = set()
+        for nd in range(1, 18):
+            lo = 10 ** (nd - 1)
+            for point in points:
+                for mant in {lo, 10 * lo - 1, rng.randint(lo, 10 * lo - 1)}:
+                    s5 = ConversionStats(trace=[])
+                    s10 = ConversionStats(trace=[])
+                    v5 = mant_exp_to_double5(mant, point, s5)
+                    v10 = mant_exp_to_double10(mant, point, s10)
+                    want = nearest_double_exact(DecimalSci(False, mant, point))
+                    assert float_to_bits(v5) == float_to_bits(v10) == float_to_bits(want)
+                    if mant * Fraction(10) ** point >= Fraction(1, 2**1022):
+                        assert all(t[0] != "read-subnormal" for t in s5.trace + s10.trace)
+                        continue
+                    if not s5.trace:
+                        assert v5 == 0.0 and s10.trace == []  # clamped
+                        continue
+                    assert s5.trace[0][0] == "read-subnormal", (mant, point)
+                    assert s5.trace == s10.trace, (mant, point)
+                    seen.add(point)
+        assert seen == set(points)
