@@ -41,7 +41,6 @@ from .writer import (
     ShortestDigits,
     UnpackedDouble,
     double_to_string,
-    estimate_point,
     format_sci,
     shortest_digits,
     unpack_double,
@@ -66,7 +65,6 @@ __all__ = [
     "all_ones_mantissa_values",
     "bits_to_float",
     "double_to_string",
-    "estimate_point",
     "float_to_bits",
     "format_sci",
     "intermediate_size_scan",

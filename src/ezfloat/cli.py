@@ -17,6 +17,7 @@ import time
 
 from ._bits import bits_to_float, float_to_bits
 from .oracle import (
+    all_ones_mantissa_values,
     intermediate_size_scan,
     minimality_check,
     nearest_double_exact,
@@ -24,7 +25,7 @@ from .oracle import (
 )
 from .reader import DecimalSci, ParseError, mant_exp_to_double5, mant_exp_to_double10, read_double, read_double_with_stats
 from .writer import double_to_string, shortest_digits
-from .bigmath import ConversionStats, power_of_5, power_of_10
+from .bigmath import ConversionStats
 
 __all__ = ["main"]
 
@@ -154,29 +155,14 @@ def _verify_allones() -> bool:
 
 
 def _verify_bounds(seed: int) -> bool:
+    # One scan of the whole read domain checks every read bound; see
+    # intermediate_size_scan for the bounds and the cells it skips.
     rng = random.Random(seed)
-    max_pow5 = max_pow10 = max_read = 0
-    widths_ok = True
-    for point in range(-340, 309):
-        scan = intermediate_size_scan(range(point, point + 1), range(1, 18), rng)
-        # A read makes at most one division, by 5**k (10**k) with a
-        # dividend 53 bits wider: 803/1126 bits on point >= -323, at most
-        # bits(5**k)+53 resp. bits(10**k)+53 below it, where the widest
-        # reached is 806/1130 at point -324.
-        k = -min(point, -323)
-        pow5_ceiling = power_of_5(k).bit_length() + 53
-        pow10_ceiling = power_of_10(k).bit_length() + 53
-        if scan.max_pow5_bits > pow5_ceiling or scan.max_pow10_bits > pow10_ceiling:
-            print(
-                f"point {point}: pow5 bits {scan.max_pow5_bits} (ceiling {pow5_ceiling}),"
-                f" pow10 bits {scan.max_pow10_bits} (ceiling {pow10_ceiling})"
-            )
-            widths_ok = False
-        max_pow5 = max(max_pow5, scan.max_pow5_bits)
-        max_pow10 = max(max_pow10, scan.max_pow10_bits)
-        max_read = max(max_read, scan.max_read_divisions)
-    print(f"max pow5 bits: {max_pow5}, max pow10 bits: {max_pow10}")
-    print(f"max read divisions: {max_read}")
+    scan = intermediate_size_scan(range(-340, 309), range(1, 18), rng)
+    for violation in scan.violations:
+        print(f"VIOLATION {violation}")
+    print(f"max pow5 bits: {scan.max_pow5_bits}, max pow10 bits: {scan.max_pow10_bits}")
+    print(f"max read divisions: {scan.max_read_divisions}")
     # Writes make exactly 1 division (the paper's budget is 4): every
     # candidate comes from one quotient at the finest scale.  Random
     # patterns all but never land on a binade boundary, where the rounding
@@ -184,10 +170,10 @@ def _verify_bounds(seed: int) -> bool:
     # every all-ones significand, the widest dividend of its exponent.
     samples = [bits_to_float(rng.getrandbits(64)) for _ in range(2000)]
     samples += [math.ldexp(1.0, k) for k in range(-1074, 1024)]
-    samples += [bits_to_float(ue2 << 52 | (1 << 52) - 1) for ue2 in range(0x7FF)]
+    samples += all_ones_mantissa_values()
     max_write = max_write_bits = 0
     for f in samples:
-        if f != f or f in (float("inf"), float("-inf")) or f == 0.0:
+        if not 0.0 < abs(f) < math.inf:
             continue
         stats = ConversionStats()
         shortest_digits(f, stats)
@@ -196,7 +182,7 @@ def _verify_bounds(seed: int) -> bool:
     print(f"max write operand bits: {max_write_bits}")
     print(f"max write divisions: {max_write}")
     # The design's bounds, not the paper's budgets of 2 and 4.
-    ok = widths_ok and max_read <= 1 and max_write == 1
+    ok = scan.ok and max_write == 1
     print(f"bounds: {'ok' if ok else 'exceeded'}")
     return ok
 

@@ -127,6 +127,8 @@ def minimality_check(f: float, produced_digits: int) -> bool:
     decimal exponent, so a shortest form that is not the correctly rounded
     prefix is still caught) and pushed through nearest_double_exact.
     """
+    if not 0.0 < abs(f) < math.inf:
+        raise ValueError("minimality_check requires a finite nonzero value")
     if produced_digits <= 1:
         return True
     r = ExactRational.from_float(f)
@@ -187,7 +189,9 @@ class AuditReport:
         return not self.violations
 
 
-def _scan_trace(report: AuditReport, f: float, trace: list[tuple[str, int, int, int]]) -> None:
+def _scan_trace(
+    report: AuditReport | IntermediateSizeReport, label: str, trace: list[tuple[str, int, int, int]]
+) -> None:
     for site, num_bits, den_bits, quo in trace:
         if site in ("read-main", "read-shift"):
             # The binary exponent is settled before dividing: the quotient
@@ -202,8 +206,7 @@ def _scan_trace(report: AuditReport, f: float, trace: list[tuple[str, int, int, 
             ceiling = -1  # a division no rule checks is itself a violation
         if quo > ceiling:
             report.violations.append(
-                f"0x{float_to_bits(f):016X} {site} quotient {quo.bit_length()} bits"
-                f" from {num_bits}/{den_bits}"
+                f"{label} {site} quotient {quo.bit_length()} bits from {num_bits}/{den_bits}"
             )
 
 
@@ -215,11 +218,13 @@ def quotient_length_audit() -> AuditReport:
     written must stay below 10**17.  The reads of these shortest texts
     see only part of the reader's range: none puts num/den at or above
     2**53, so a missing pre-compare before the read division goes unseen
-    here (the reader tests cover it).  Expected outcome is zero
-    violations and no retry: every read makes at most one division.
+    here (the grid audit ``intermediate_size_scan`` catches it).  Expected
+    outcome is zero violations and no retry: every read makes at most one
+    division.
     """
     report = AuditReport()
     for f in all_ones_mantissa_values():
+        label = f"0x{float_to_bits(f):016X}"
         text = double_to_string(f)
         dec = parse_decimal(text)
         assert isinstance(dec, DecimalSci)
@@ -227,35 +232,37 @@ def quotient_length_audit() -> AuditReport:
             stats = ConversionStats(trace=[])
             value = reader(dec.mant, dec.point, stats)
             if value != f:
-                report.violations.append(
-                    f"0x{float_to_bits(f):016X} reread mismatch via {reader.__name__}"
-                )
+                report.violations.append(f"{label} reread mismatch via {reader.__name__}")
             retries = stats.divisions - 1
             if retries > report.max_retries_per_conversion:
                 report.max_retries_per_conversion = retries
-            _scan_trace(report, f, stats.trace)
+            _scan_trace(report, label, stats.trace)
         wstats = ConversionStats(trace=[])
         if not shortest_digits(f, wstats).lquo < 10**17:
-            report.violations.append(f"0x{float_to_bits(f):016X} write significand too long")
-        _scan_trace(report, f, wstats.trace)
+            report.violations.append(f"{label} write significand too long")
+        _scan_trace(report, label, wstats.trace)
         report.values_tested += 1
     return report
 
 
 class IntermediateSizeReport:
-    """Peak operand widths and division counts over a reader stress grid."""
+    """Peak operand widths, division counts and broken bounds over a read grid."""
 
     def __init__(
         self,
         max_pow5_bits: int = 0,
         max_pow10_bits: int = 0,
         max_read_divisions: int = 0,
-        cells: int = 0,
+        violations: list[str] | None = None,
     ) -> None:
         self.max_pow5_bits = max_pow5_bits
         self.max_pow10_bits = max_pow10_bits
         self.max_read_divisions = max_read_divisions
-        self.cells = cells
+        self.violations = [] if violations is None else violations
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def intermediate_size_scan(
@@ -263,34 +270,46 @@ def intermediate_size_scan(
     digit_counts: range,
     rng,
 ) -> IntermediateSizeReport:
-    """Run both reader variants over a (digit count x point) grid.
+    """Audit every read bound over a (digit count x point) grid.
 
-    Each surviving cell (one that the read-path clamps would let through)
-    contributes the extreme mantissas of its digit count plus two random
-    fillers.  Instrumentation records every division operand.
+    A cell is skipped exactly when ``read_double`` clamps it to infinity
+    or zero without dividing: ``point + nd > 309`` or
+    ``point + nd <= -324``.  Each other cell converts the extreme
+    mantissas of its digit count plus two random fillers with both
+    bindings, tracing every division.  A conversion is a violation when
+    it makes more than one division, when a traced quotient exceeds its
+    site's ceiling (as in ``quotient_length_audit``), when its widest
+    operand exceeds ``bits(5**k) + 53`` resp. ``bits(10**k) + 53`` with
+    ``k = max(-point, 323)``, or when the two bindings differ in value or
+    division count.  Violations are collected, never asserted.
     """
     report = IntermediateSizeReport()
     for nd in digit_counts:
         lo = 10 ** (nd - 1)
         hi = 10**nd - 1
         for point in points:
-            if point >= 309 or point + nd <= -324:
-                continue  # the read path clamps these before converting
-            mants = {lo, hi}
-            for _ in range(2):
-                mants.add(rng.randint(lo, hi))
-            for mant in mants:
-                s5 = ConversionStats()
+            if point + nd > 309 or point + nd <= -324:
+                continue
+            ceilings = tuple((b ** max(-point, 323)).bit_length() + 53 for b in (5, 10))
+            for mant in {lo, hi, rng.randint(lo, hi), rng.randint(lo, hi)}:
+                label = f"{mant}E{point}"
+                s5 = ConversionStats(trace=[])
                 v5 = mant_exp_to_double5(mant, point, s5)
-                s10 = ConversionStats()
+                s10 = ConversionStats(trace=[])
                 v10 = mant_exp_to_double10(mant, point, s10)
+                _scan_trace(report, f"{label} pow5", s5.trace)
+                _scan_trace(report, f"{label} pow10", s10.trace)
+                widths = (s5.max_intermediate_bits, s10.max_intermediate_bits)
+                if widths[0] > ceilings[0] or widths[1] > ceilings[1]:
+                    report.violations.append(f"{label} operand bits {widths} over {ceilings}")
+                if s5.divisions > 1:
+                    report.violations.append(f"{label} {s5.divisions} divisions")
                 # The scaling choice alone differs: same value, same path.
-                assert float_to_bits(v5) == float_to_bits(v10)
-                assert s5.divisions == s10.divisions
+                if float_to_bits(v5) != float_to_bits(v10) or s5.divisions != s10.divisions:
+                    report.violations.append(f"{label} bindings differ")
                 report.max_pow5_bits = max(report.max_pow5_bits, s5.max_intermediate_bits)
                 report.max_pow10_bits = max(report.max_pow10_bits, s10.max_intermediate_bits)
                 report.max_read_divisions = max(
                     report.max_read_divisions, s5.divisions, s10.divisions
                 )
-            report.cells += 1
     return report

@@ -75,8 +75,12 @@ class ParseError(ValueError):
     or equals the text's length when the input ends early."""
 
     def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at position {position}")
+        # Both arguments kept in args, so pickle and copy can rebuild it.
+        super().__init__(message, position)
         self.position = position
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} at position {self.position}"
 
 
 class DecimalSci(namedtuple("DecimalSci", "negative mant point")):

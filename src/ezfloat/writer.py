@@ -4,7 +4,7 @@
 where 10**point is the least power of ten at or above one ulp: the finest
 scale a shortest output can need.  That scale depends on the binary
 exponent alone, so its (point, ulp, den) is read from _SCALES, a table
-built once at import with estimate_point, one entry per biased exponent.
+built once at import, one entry per biased exponent.
 Writes make exactly 1 division (the paper's budget is 4).  The candidates
 with one and two digits fewer are that quotient's nearest multiples of 10
 and 100.  A candidate reads back to f when it lies in f's rounding
@@ -32,7 +32,6 @@ __all__ = [
     "ShortestDigits",
     "UnpackedDouble",
     "double_to_string",
-    "estimate_point",
     "format_sci",
     "shortest_digits",
     "unpack_double",
@@ -80,20 +79,13 @@ def unpack_double(f: float) -> UnpackedDouble:
     return UnpackedDouble(negative, frac + (1 << 52), ue2 - 1075, FloatKind.NORMAL)
 
 
-def estimate_point(e2: int) -> int:
-    """ceil(e2 * log10(2)): the unique p with 10**(p-1) < 2**e2 <= 10**p.
-
-    Exact for every binary64 exponent (verified by integer comparison over
-    [-1100, 1100] in the test suite).
-    """
-    return math.ceil(e2 * LLOG2)
-
-
 def _build_scales() -> tuple[tuple[int, int, int], ...]:
     out = []
     for ue2 in range(0x7FF):
         e2 = ue2 - 1075 if ue2 else -1074
-        point = estimate_point(e2)
+        # The unique point with 10**(point-1) < 2**e2 <= 10**point; exact for
+        # every binary64 exponent (checked over [-1100, 1100] by the tests).
+        point = math.ceil(e2 * LLOG2)
         if e2 > 0:
             out.append((point, 100 << (e2 - point), _POWS5[point]))
         else:
@@ -104,7 +96,7 @@ def _build_scales() -> tuple[tuple[int, int, int], ...]:
 # (point, ulp, den) for each finite biased exponent 0..0x7FE, where
 # lmant * ulp / den == |f| / 10**(point - 2) and one ulp of f is `ulp` in
 # the units of num = lmant * ulp: more than 10 and at most 100 units of
-# 10**(point - 2).  estimate_point keeps 0 <= point <= 293 resp.
+# 10**(point - 2).  Then 0 <= point <= 293 resp.
 # 0 <= -point <= 323.  Immutable, so shared freely across threads.
 _SCALES = _build_scales()
 

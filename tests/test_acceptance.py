@@ -241,7 +241,7 @@ def test_criterion_5_intermediate_size_bounds():
         pow5_ceiling(-324),
         pow10_ceiling(-324),
     )
-    ok = band_ok and full_ok and not over and full.max_read_divisions <= 2
+    ok = band_ok and full_ok and not over and full.ok and full.max_read_divisions <= 2
     _report(
         5,
         "intermediate-size bounds",
@@ -250,8 +250,9 @@ def test_criterion_5_intermediate_size_bounds():
         f" (ceilings 803/1126); point >= -340: pow5 {full.max_pow5_bits},"
         f" pow10 {full.max_pow10_bits} (ceilings bits(5**-point)+53 resp."
         f" bits(10**-point)+53, {pow5_ceiling(-340)}/{pow10_ceiling(-340)} at -340);"
-        f" max read divisions {full.max_read_divisions}",
+        f" max read divisions {full.max_read_divisions}, {len(full.violations)} violations",
     )
+    assert full.violations == []
     assert full.max_read_divisions <= 2
     assert band_ok, (band, pow5_ceiling(-323), pow10_ceiling(-323))
     assert not over, f"(point, pow5 bits, pow10 bits) over their ceilings: {over}"

@@ -1,8 +1,27 @@
 import csv
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ezfloat
 from ezfloat.cli import main
+
+# Runs `ezfloat verify bounds` with the power-of-10 binding wrong in sign
+# on one mantissa, 10**16, which the grid converts at every point.
+_BROKEN_BINDING = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from ezfloat import oracle
+from ezfloat.cli import main
+real = oracle.mant_exp_to_double10
+def wrong_on_one(mant, point, stats=None):
+    value = real(mant, point, stats)
+    return -value if mant == 10**16 else value
+oracle.mant_exp_to_double10 = wrong_on_one
+sys.exit(main(["verify", "bounds"]))
+"""
 
 
 def run(capsys, *argv):
@@ -136,6 +155,30 @@ class TestVerify:
         assert "max write operand bits: 810" in out
         assert "max write divisions: 1" in out
         assert "bounds: ok" in out
+        assert "VIOLATION" not in out
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+    def test_bounds_fails_on_a_broken_binding(self, flags):
+        # The scan reports violations rather than asserting, so the
+        # failure stands when assertions are compiled out.
+        root = os.path.dirname(os.path.dirname(ezfloat.__file__))
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", _BROKEN_BINDING, root],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[-1] == "bounds: exceeded"
+        assert "VIOLATION 10000000000000000E-100 bindings differ" in lines
+
+    def test_all_runs_every_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--count", "50")
+        assert code == 0
+        lines = out.splitlines()
+        assert "oracle: 50 cases, 0 mismatches" in lines
+        assert "minimality: 54 values, 0 failures" in lines
+        assert "violations: 0" in lines
+        assert lines[-1] == "bounds: ok"
 
 
 class TestBench:

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -14,12 +17,15 @@ from ezfloat import (
     bits_to_float,
     double_to_string,
     float_to_bits,
+    intermediate_size_scan,
     minimality_check,
     nearest_double_exact,
     quotient_length_audit,
+    read_double,
     shortest_digits,
     unpack_double,
 )
+from ezfloat import oracle
 from ezfloat.oracle import _scan_trace
 from ezfloat.writer import FloatKind
 
@@ -182,6 +188,30 @@ class TestMinimalityCheck:
         assert minimality_check(f, 17)
         assert not minimality_check(f, 18)
 
+    def test_zero_raises_promptly(self):
+        # Zero has no decimal exponent to search from; a subprocess with a
+        # timeout turns a search that never ends into a failure.
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from ezfloat import minimality_check\n"
+            "for f in (0.0, -0.0):\n"
+            "    try:\n"
+            "        minimality_check(f, 2)\n"
+            "    except ValueError:\n"
+            "        print('ValueError')\n"
+        )
+        root = os.path.dirname(os.path.dirname(oracle.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", probe, root],
+            capture_output=True, text=True, check=True, timeout=30,
+        )
+        assert done.stdout.split() == ["ValueError", "ValueError"]
+
+    @pytest.mark.parametrize("f", [math.inf, -math.inf, math.nan])
+    def test_non_finite_raises(self, f):
+        with pytest.raises(ValueError, match="finite nonzero"):
+            minimality_check(f, 2)
+
 
 class TestAllOnes:
     def test_enumeration(self):
@@ -234,6 +264,52 @@ class TestQuotientLengthAudit:
         lines = report.render().splitlines()
         assert lines[-1] == "violations: 0"
         assert any(line.startswith("values tested:") for line in lines)
+
+
+class TestIntermediateSizeScan:
+    def test_binding_mismatch_is_a_violation(self, monkeypatch):
+        real = oracle.mant_exp_to_double10
+
+        def wrong_on_one(mant, point, stats=None):
+            value = real(mant, point, stats)
+            return -value if mant == 10**16 else value
+
+        monkeypatch.setattr(oracle, "mant_exp_to_double10", wrong_on_one)
+        scan = intermediate_size_scan(range(-30, 30), range(17, 18), random.Random(1))
+        assert not scan.ok
+        assert len(scan.violations) == 60
+        assert all(v.startswith("10000000000000000E") for v in scan.violations)
+        assert all(v.endswith("bindings differ") for v in scan.violations)
+
+    def test_quotient_over_its_ceiling_is_a_violation(self, monkeypatch):
+        real = oracle.mant_exp_to_double5
+
+        def traced(mant, point, stats=None):
+            value = real(mant, point, stats)
+            stats.trace.append(("read-main", 60, 3, (1 << 53) + 1))
+            return value
+
+        monkeypatch.setattr(oracle, "mant_exp_to_double5", traced)
+        scan = intermediate_size_scan(range(-5, 5), range(17, 18), random.Random(1))
+        assert len(scan.violations) == 40
+        assert all(v.endswith(" pow5 read-main quotient 54 bits from 60/3") for v in scan.violations)
+
+    def test_skips_exactly_the_cells_read_double_clamps(self):
+        # A cell makes no division exactly when the scan skips it, near
+        # both clamps and for every digit count: read_double sends such a
+        # value to infinity or zero without converting it.
+        rng = random.Random(4)
+        for nd in range(1, 18):
+            lo, hi = 10 ** (nd - 1), 10**nd - 1
+            for edge in (309 - nd, -324 - nd):
+                for point in range(edge - 20, edge + 21):
+                    scan = intermediate_size_scan(range(point, point + 1), range(nd, nd + 1), rng)
+                    assert scan.ok
+                    skipped = scan.max_read_divisions == 0
+                    for mant in (lo, hi):
+                        stats = ConversionStats()
+                        read_double(f"{mant}E{point}", stats)
+                        assert (stats.divisions == 0) == skipped, (mant, point)
 
 
 def test_oracle_agrees_with_writer_on_curated_values():

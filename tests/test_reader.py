@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 import sys
@@ -97,6 +99,14 @@ class TestParseDecimal:
         assert exc.value.position == position
         what = repr(text[position]) if position < len(text) else "end of input"
         assert str(exc.value) == f"unexpected {what} at position {position}"
+
+    def test_error_survives_pickle_and_copy(self):
+        # A read error raised in a worker process reaches the caller whole.
+        exc = ParseError("unexpected 'x'", 3)
+        for clone in (pickle.loads(pickle.dumps(exc)), copy.copy(exc), copy.deepcopy(exc)):
+            assert type(clone) is ParseError
+            assert str(clone) == str(exc) == "unexpected 'x' at position 3"
+            assert clone.position == 3
 
     def test_special_tokens(self):
         assert math.isnan(parse_decimal("NaN"))

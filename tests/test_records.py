@@ -154,7 +154,12 @@ class TestReports:
 
     def test_intermediate_size_report(self):
         report = IntermediateSizeReport()
-        fields = ("max_pow5_bits", "max_pow10_bits", "max_read_divisions", "cells")
-        assert [getattr(report, name) for name in fields] == [0, 0, 0, 0]
-        report = IntermediateSizeReport(803, 1126, 1, 7)
-        assert [getattr(report, name) for name in fields] == [803, 1126, 1, 7]
+        fields = ("max_pow5_bits", "max_pow10_bits", "max_read_divisions")
+        assert [getattr(report, name) for name in fields] == [0, 0, 0]
+        other = IntermediateSizeReport()
+        assert report.violations == [] and report.violations is not other.violations
+        report.violations.append("x")
+        assert other.ok and not report.ok
+        report = IntermediateSizeReport(803, 1126, 1, violations=["y"])
+        assert [getattr(report, name) for name in fields] == [803, 1126, 1]
+        assert report.violations == ["y"]

@@ -14,7 +14,6 @@ from ezfloat import (
     bigmath,
     bits_to_float,
     double_to_string,
-    estimate_point,
     float_to_bits,
     format_sci,
     minimality_check,
@@ -88,35 +87,15 @@ class TestUnpackDouble:
         assert u.kind == FloatKind.SUBNORMAL and u.lmant == 2**52 - 1 and u.e2 == -1074
 
 
-class TestEstimatePoint:
-    @pytest.mark.parametrize("e2,expected", [(0, 0), (-52, -15), (-1074, -323)])
-    def test_examples(self, e2, expected):
-        assert estimate_point(e2) == expected
-
-    def test_exact_characterization_over_double_range(self):
-        # p = estimate_point(e2) must satisfy 10**(p-1) < 2**e2 <= 10**p.
-        for e2 in range(-1074, 972):
-            p = estimate_point(e2)
-            if e2 >= 0:
-                num, den = 1 << e2, 1
-            else:
-                num, den = 1, 1 << -e2
-            if p - 1 >= 0:
-                assert 10 ** (p - 1) * den < num
-            else:
-                assert den < num * 10 ** (1 - p)
-            if p >= 0:
-                assert num <= 10**p * den
-            else:
-                assert num * 10**-p <= den
-
-
 class TestScaleTable:
     def test_entries_over_every_exponent(self):
         assert len(writer._SCALES) == 0x7FF
         for ue2, entry in enumerate(writer._SCALES):
             e2 = ue2 - 1075 if ue2 else -1074
-            point = estimate_point(e2)
+            # The unique point with 10**(point-1) < 2**e2 <= 10**point, by
+            # counting digits: 10**(point-1) <= 2**e2 - 1 for e2 > 0, and
+            # 10**-point <= 2**-e2 < 10**(1-point) otherwise.
+            point = len(str((1 << e2) - 1)) if e2 > 0 else 1 - len(str(1 << -e2))
             if e2 > 0:
                 ulp, den = 100 * 2 ** (e2 - point), 5**point
                 assert 0 <= point <= 293
