@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import random
 import sys
@@ -17,7 +16,6 @@ import time
 
 from ._bits import bits_to_float, float_to_bits
 from .oracle import (
-    all_ones_mantissa_values,
     intermediate_size_scan,
     minimality_check,
     nearest_double_exact,
@@ -25,7 +23,6 @@ from .oracle import (
 )
 from .reader import DecimalSci, ParseError, mant_exp_to_double5, mant_exp_to_double10, read_double, read_double_with_stats
 from .writer import double_to_string, shortest_digits
-from .bigmath import ConversionStats
 
 __all__ = ["main"]
 
@@ -155,34 +152,21 @@ def _verify_allones() -> bool:
 
 
 def _verify_bounds(seed: int) -> bool:
-    # One scan of the whole read domain checks every read bound; see
-    # intermediate_size_scan for the bounds and the cells it skips.
-    rng = random.Random(seed)
-    scan = intermediate_size_scan(range(-340, 309), range(1, 18), rng)
+    # Two oracle audits check every bound: one scan of the whole read
+    # domain (intermediate_size_scan) and one traced write of every
+    # all-ones value (quotient_length_audit); see each for its bounds.
+    scan = intermediate_size_scan(range(-340, 309), range(1, 18), random.Random(seed))
     for violation in scan.violations:
         print(f"VIOLATION {violation}")
     print(f"max pow5 bits: {scan.max_pow5_bits}, max pow10 bits: {scan.max_pow10_bits}")
     print(f"max read divisions: {scan.max_read_divisions}")
-    # Writes make exactly 1 division (the paper's budget is 4): every
-    # candidate comes from one quotient at the finest scale.  Random
-    # patterns all but never land on a binade boundary, where the rounding
-    # interval is narrow, so every power of two is written as well, and
-    # every all-ones significand, the widest dividend of its exponent.
-    samples = [bits_to_float(rng.getrandbits(64)) for _ in range(2000)]
-    samples += [math.ldexp(1.0, k) for k in range(-1074, 1024)]
-    samples += all_ones_mantissa_values()
-    max_write = max_write_bits = 0
-    for f in samples:
-        if not 0.0 < abs(f) < math.inf:
-            continue
-        stats = ConversionStats()
-        shortest_digits(f, stats)
-        max_write = max(max_write, stats.divisions)
-        max_write_bits = max(max_write_bits, stats.max_intermediate_bits)
-    print(f"max write operand bits: {max_write_bits}")
-    print(f"max write divisions: {max_write}")
+    audit = quotient_length_audit()
+    for violation in audit.violations:
+        print(f"VIOLATION {violation}")
+    print(f"max write operand bits: {audit.max_write_bits}")
+    print(f"max write divisions: {audit.max_write_divisions}")
     # The design's bounds, not the paper's budgets of 2 and 4.
-    ok = scan.ok and max_write == 1
+    ok = scan.ok and audit.ok
     print(f"bounds: {'ok' if ok else 'exceeded'}")
     return ok
 
@@ -192,7 +176,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite in ("oracle", "all"):
         ok = _verify_oracle(args.count, args.seed) and ok
     if args.suite in ("minimality", "all"):
-        ok = _verify_minimality(min(args.count, 2000), args.seed) and ok
+        ok = _verify_minimality(args.count, args.seed) and ok
     if args.suite in ("allones", "all"):
         ok = _verify_allones() and ok
     if args.suite in ("bounds", "all"):
@@ -225,6 +209,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.exp_low > args.exp_high or args.count < 1:
         print("error: need exp-low <= exp-high and count >= 1", file=sys.stderr)
         return 2
+    # Opened before any timing, so an unwritable path fails at once.
+    try:
+        handle = open(args.csv, "w", newline="")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     compat = _compat_enabled()
     rng = random.Random(args.seed)
     base = [10.0 ** rng.gauss(0.0, 1.0) for _ in range(args.count)]
@@ -232,18 +222,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     write_ours = lambda v: double_to_string(v, compat)
     rows_ours: list[list] = []
     rows_native: list[list] = []
-    for n in range(args.exp_low, args.exp_high + 1):
-        if args.scale_float:
-            scale = read_double(f"1E{n}")
-            vec = [v * scale for v in base]
-        else:
-            # Exact scaling: shift the decimal exponent, convert once.
-            vec = [mant_exp_to_double5(sd.lquo, sd.point + n) for sd in decs]
-        if not _bench_engine_rows("ezfloat", vec, write_ours, read_double, n, rows_ours):
-            return 1
-        if not _bench_engine_rows("native", vec, repr, float, n, rows_native):
-            return 1
-    with open(args.csv, "w", newline="") as handle:
+    with handle:
+        for n in range(args.exp_low, args.exp_high + 1):
+            if args.scale_float:
+                scale = read_double(f"1E{n}")
+                vec = [v * scale for v in base]
+            else:
+                # Exact scaling: shift the decimal exponent, convert once.
+                vec = [mant_exp_to_double5(sd.lquo, sd.point + n) for sd in decs]
+            if not _bench_engine_rows("ezfloat", vec, write_ours, read_double, n, rows_ours):
+                return 1
+            if not _bench_engine_rows("native", vec, repr, float, n, rows_native):
+                return 1
         writer = csv.writer(handle)
         writer.writerow(_CSV_HEADER)
         writer.writerows(rows_ours)

@@ -15,7 +15,7 @@ from collections import namedtuple
 from ._bits import float_to_bits
 from .bigmath import ConversionStats, round_quotient
 from .reader import DecimalSci, mant_exp_to_double5, mant_exp_to_double10, parse_decimal
-from .writer import double_to_string, shortest_digits
+from .writer import format_sci, shortest_digits
 
 __all__ = [
     "AuditReport",
@@ -171,10 +171,14 @@ class AuditReport:
         self,
         values_tested: int = 0,
         max_retries_per_conversion: int = 0,
+        max_write_bits: int = 0,
+        max_write_divisions: int = 0,
         violations: list[str] | None = None,
     ) -> None:
         self.values_tested = values_tested
         self.max_retries_per_conversion = max_retries_per_conversion
+        self.max_write_bits = max_write_bits
+        self.max_write_divisions = max_write_divisions
         self.violations = [] if violations is None else violations
 
     def render(self) -> str:
@@ -211,22 +215,36 @@ def _scan_trace(
 
 
 def quotient_length_audit() -> AuditReport:
-    """Convert every all-ones value both ways, checking quotient lengths.
+    """Write every all-ones value once, traced, and read its text back.
 
-    An all-ones significand is the largest of its binade, so its write
-    quotient is the widest that binade's scale gives, and the significand
-    written must stay below 10**17.  The reads of these shortest texts
-    see only part of the reader's range: none puts num/den at or above
-    2**53, so a missing pre-compare before the read division goes unseen
-    here (the grid audit ``intermediate_size_scan`` catches it).  Expected
-    outcome is zero violations and no retry: every read makes at most one
-    division.
+    An all-ones significand is the largest of its binade, so these values
+    reach every write maximum.  A write violates a bound when it makes
+    other than 1 division, when its quotient exceeds 100 * 2**53, when its
+    significand reaches 10**17, or when its widest operand exceeds
+    bits(100 * 5**323) + 53 = 810: at the finest scale, 10**-325, one ulp
+    is 100 * 5**323 units and the significand is below 2**53.  The reads
+    of these shortest texts see only part of the reader's range: none
+    puts num/den at or above 2**53, so a missing pre-compare before the
+    read division goes unseen here (``intermediate_size_scan`` catches
+    it).  Violations are collected, never asserted.  Expected: none.
     """
     report = AuditReport()
+    width_ceiling = (100 * 5**323).bit_length() + 53
     for f in all_ones_mantissa_values():
         label = f"0x{float_to_bits(f):016X}"
-        text = double_to_string(f)
-        dec = parse_decimal(text)
+        wstats = ConversionStats(trace=[])
+        sd = shortest_digits(f, wstats)
+        if wstats.divisions != 1:
+            report.violations.append(f"{label} write made {wstats.divisions} divisions")
+        if not sd.lquo < 10**17:
+            report.violations.append(f"{label} write significand too long")
+        bits = wstats.max_intermediate_bits
+        if bits > width_ceiling:
+            report.violations.append(f"{label} write operand bits {bits} over {width_ceiling}")
+        _scan_trace(report, label, wstats.trace)
+        report.max_write_bits = max(report.max_write_bits, bits)
+        report.max_write_divisions = max(report.max_write_divisions, wstats.divisions)
+        dec = parse_decimal(format_sci(False, *sd))
         assert isinstance(dec, DecimalSci)
         for reader in (mant_exp_to_double5, mant_exp_to_double10):
             stats = ConversionStats(trace=[])
@@ -237,10 +255,6 @@ def quotient_length_audit() -> AuditReport:
             if retries > report.max_retries_per_conversion:
                 report.max_retries_per_conversion = retries
             _scan_trace(report, label, stats.trace)
-        wstats = ConversionStats(trace=[])
-        if not shortest_digits(f, wstats).lquo < 10**17:
-            report.violations.append(f"{label} write significand too long")
-        _scan_trace(report, label, wstats.trace)
         report.values_tested += 1
     return report
 

@@ -24,6 +24,21 @@ sys.exit(main(["verify", "bounds"]))
 """
 
 
+# Runs `ezfloat verify bounds` with every write division made on operands
+# shifted left by 2: same quotients and outputs, 2 bits wider.
+_SHIFTED_WRITE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from ezfloat import writer
+from ezfloat.cli import main
+real = writer.round_quotient
+def shifted(num, den, stats=None, site=""):
+    return real(num << 2, den << 2, stats, site)
+writer.round_quotient = shifted
+sys.exit(main(["verify", "bounds"]))
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -128,6 +143,11 @@ class TestVerify:
         assert code == 0
         assert "0 failures" in out
 
+    def test_minimality_count_is_not_capped(self, capsys):
+        code, out, _ = run(capsys, "verify", "minimality", "--count", "2001")
+        assert code == 0
+        assert "minimality: 2005 values, 0 failures" in out.splitlines()
+
     def test_bad_suite_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
@@ -170,6 +190,24 @@ class TestVerify:
         lines = done.stdout.splitlines()
         assert lines[-1] == "bounds: exceeded"
         assert "VIOLATION 10000000000000000E-100 bindings differ" in lines
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+    def test_bounds_fails_on_a_wider_write_operand(self, flags):
+        root = os.path.dirname(os.path.dirname(ezfloat.__file__))
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", _SHIFTED_WRITE, root],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[-1] == "bounds: exceeded"
+        assert "max write operand bits: 812" in lines
+        # The three all-ones values whose operands reach 809 and 810 bits.
+        assert [line for line in lines if line.startswith("VIOLATION")] == [
+            "VIOLATION 0x000FFFFFFFFFFFFF write operand bits 811 over 810",
+            "VIOLATION 0x001FFFFFFFFFFFFF write operand bits 812 over 810",
+            "VIOLATION 0x002FFFFFFFFFFFFF write operand bits 812 over 810",
+        ]
 
     def test_all_runs_every_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "--count", "50")
@@ -233,6 +271,18 @@ class TestBench:
                     for row in csv.reader(handle)
                 ]
         assert stable(paths[0]) == stable(paths[1])
+
+    def test_unwritable_csv_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "bench.csv"
+        code, out, err = run(
+            capsys,
+            "bench", "--count", "5", "--exp-low", "0", "--exp-high", "0",
+            "--csv", str(path),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "bench.csv" in err
+        assert out == ""
+        assert not path.parent.exists()
 
     def test_bad_range_usage_error(self, capsys, tmp_path):
         code, _, err = run(

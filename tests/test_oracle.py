@@ -253,6 +253,40 @@ class TestQuotientLengthAudit:
         assert len(report.violations) == 1
         assert site in report.violations[0]
 
+    def test_extra_write_division_is_a_violation(self, monkeypatch):
+        real = oracle.shortest_digits
+
+        def twice(f, stats=None):
+            sd = real(f, stats)
+            stats.note_division("write", 1, 1, 1)
+            return sd
+
+        monkeypatch.setattr(oracle, "shortest_digits", twice)
+        report = quotient_length_audit()
+        assert not report.ok
+        assert report.max_write_divisions == 2
+        assert report.violations == [
+            f"0x{float_to_bits(f):016X} write made 2 divisions" for f in all_ones_mantissa_values()
+        ]
+
+    def test_wide_write_operand_is_a_violation(self, monkeypatch):
+        # The widest write operand has 810 bits; one more breaks the bound.
+        real = oracle.shortest_digits
+
+        def wide(f, stats=None):
+            sd = real(f, stats)
+            stats.max_intermediate_bits = 811
+            return sd
+
+        monkeypatch.setattr(oracle, "shortest_digits", wide)
+        report = quotient_length_audit()
+        assert not report.ok
+        assert report.max_write_bits == 811
+        assert report.violations == [
+            f"0x{float_to_bits(f):016X} write operand bits 811 over 810"
+            for f in all_ones_mantissa_values()
+        ]
+
     def test_unknown_site_is_a_violation(self):
         # Sites match exactly: a stale route-specific name is unknown too.
         report = AuditReport()
