@@ -7,15 +7,7 @@ harness round out the package.
 """
 
 from ._bits import bits_to_float, float_to_bits
-from .bigmath import (
-    DBL_MANT_DIG,
-    LLOG2,
-    MAX_POW,
-    ConversionStats,
-    power_of_5,
-    power_of_10,
-    round_quotient,
-)
+from .bigmath import DBL_MANT_DIG, LLOG2, MAX_POW, ConversionStats, power_of_5, round_quotient
 from .oracle import (
     AuditReport,
     ExactRational,
@@ -74,7 +66,6 @@ __all__ = [
     "nearest_double_exact",
     "parse_decimal",
     "power_of_5",
-    "power_of_10",
     "quotient_length_audit",
     "read_double",
     "read_double_with_stats",

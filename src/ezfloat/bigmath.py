@@ -17,7 +17,6 @@ __all__ = [
     "MAX_POW",
     "ConversionStats",
     "power_of_5",
-    "power_of_10",
     "round_quotient",
 ]
 
@@ -121,9 +120,3 @@ def power_of_5(k: int) -> int:
         raise ValueError("power_of_5 requires k >= 0")
     return _POWS5[k] if k <= MAX_POW else 5**k
 
-
-def power_of_10(k: int) -> int:
-    """10**k as power_of_5(k) shifted left by k bits."""
-    if k < 0:
-        raise ValueError("power_of_10 requires k >= 0")
-    return power_of_5(k) << k

@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from ._bits import float_to_bits
 from .bigmath import ConversionStats, round_quotient
-from .reader import DecimalSci, mant_exp_to_double5, mant_exp_to_double10, parse_decimal
+from .reader import DecimalSci, _record_repr, mant_exp_to_double5, mant_exp_to_double10, parse_decimal
 from .writer import format_sci, shortest_digits
 
 __all__ = [
@@ -41,6 +41,7 @@ class ExactRational(namedtuple("ExactRational", "num den negative", defaults=(Fa
     """
 
     __slots__ = ()
+    __repr__ = _record_repr
 
     @classmethod
     def from_decimal(cls, dec: DecimalSci) -> "ExactRational":
@@ -167,24 +168,15 @@ def all_ones_mantissa_values() -> list[float]:
 class AuditReport:
     """Outcome of the quotient-length audit over the all-ones enumeration."""
 
-    def __init__(
-        self,
-        values_tested: int = 0,
-        max_retries_per_conversion: int = 0,
-        max_write_bits: int = 0,
-        max_write_divisions: int = 0,
-        violations: list[str] | None = None,
-    ) -> None:
-        self.values_tested = values_tested
-        self.max_retries_per_conversion = max_retries_per_conversion
-        self.max_write_bits = max_write_bits
-        self.max_write_divisions = max_write_divisions
-        self.violations = [] if violations is None else violations
+    def __init__(self) -> None:
+        self.values_tested = self.max_write_bits = self.max_write_divisions = 0
+        self.violations: list[str] = []
 
     def render(self) -> str:
         lines = [f"VIOLATION {v}" for v in self.violations]
         lines.append(f"values tested: {self.values_tested}")
-        lines.append(f"max retries per conversion: {self.max_retries_per_conversion}")
+        lines.append(f"max write operand bits: {self.max_write_bits}")
+        lines.append(f"max write divisions: {self.max_write_divisions}")
         lines.append(f"violations: {len(self.violations)}")
         return "\n".join(lines)
 
@@ -222,11 +214,12 @@ def quotient_length_audit() -> AuditReport:
     other than 1 division, when its quotient exceeds 100 * 2**53, when its
     significand reaches 10**17, or when its widest operand exceeds
     bits(100 * 5**323) + 53 = 810: at the finest scale, 10**-325, one ulp
-    is 100 * 5**323 units and the significand is below 2**53.  The reads
-    of these shortest texts see only part of the reader's range: none
-    puts num/den at or above 2**53, so a missing pre-compare before the
-    read division goes unseen here (``intermediate_size_scan`` catches
-    it).  Violations are collected, never asserted.  Expected: none.
+    is 100 * 5**323 units and the significand is below 2**53.  A reread
+    through either binding violates one when it returns another value or
+    makes more than 1 division.  These reads never put num/den at or
+    above 2**53, so a missing pre-compare before the read division goes
+    unseen here (``intermediate_size_scan`` catches it).  Violations are
+    collected, never asserted.  Expected: none.
     """
     report = AuditReport()
     width_ceiling = (100 * 5**323).bit_length() + 53
@@ -248,12 +241,11 @@ def quotient_length_audit() -> AuditReport:
         assert isinstance(dec, DecimalSci)
         for reader in (mant_exp_to_double5, mant_exp_to_double10):
             stats = ConversionStats(trace=[])
-            value = reader(dec.mant, dec.point, stats)
-            if value != f:
-                report.violations.append(f"{label} reread mismatch via {reader.__name__}")
-            retries = stats.divisions - 1
-            if retries > report.max_retries_per_conversion:
-                report.max_retries_per_conversion = retries
+            via = f"via {reader.__name__}"
+            if reader(dec.mant, dec.point, stats) != f:
+                report.violations.append(f"{label} reread mismatch {via}")
+            if stats.divisions > 1:
+                report.violations.append(f"{label} reread made {stats.divisions} divisions {via}")
             _scan_trace(report, label, stats.trace)
         report.values_tested += 1
     return report
@@ -262,17 +254,9 @@ def quotient_length_audit() -> AuditReport:
 class IntermediateSizeReport:
     """Peak operand widths, division counts and broken bounds over a read grid."""
 
-    def __init__(
-        self,
-        max_pow5_bits: int = 0,
-        max_pow10_bits: int = 0,
-        max_read_divisions: int = 0,
-        violations: list[str] | None = None,
-    ) -> None:
-        self.max_pow5_bits = max_pow5_bits
-        self.max_pow10_bits = max_pow10_bits
-        self.max_read_divisions = max_read_divisions
-        self.violations = [] if violations is None else violations
+    def __init__(self) -> None:
+        self.max_pow5_bits = self.max_pow10_bits = self.max_read_divisions = 0
+        self.violations: list[str] = []
 
     @property
     def ok(self) -> bool:

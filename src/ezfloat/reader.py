@@ -83,6 +83,19 @@ class ParseError(ValueError):
         return f"{self.args[0]} at position {self.position}"
 
 
+def _record_repr(record) -> str:
+    """A named tuple's repr, with an int field past CPython's int-to-str
+    limit (4300 digits by default) shown as ``<N digits>``."""
+    fields = []
+    for name, value in zip(record._fields, record):
+        try:
+            fields.append(f"{name}={value!r}")
+        except ValueError:  # floor(log10 |value|) is k or k - 1
+            k = round(math.log10(abs(value)))
+            fields.append(f"{name}=<{k + (abs(value) >= 10**k)} digits>")
+    return f"{type(record).__name__}({', '.join(fields)})"
+
+
 class DecimalSci(namedtuple("DecimalSci", "negative mant point")):
     """A parsed decimal: value = (-1)**negative * mant * 10**point.
 
@@ -91,6 +104,7 @@ class DecimalSci(namedtuple("DecimalSci", "negative mant point")):
     """
 
     __slots__ = ()
+    __repr__ = _record_repr
 
 
 class ReadOutcome(namedtuple("ReadOutcome", "value stats")):

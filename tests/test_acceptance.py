@@ -23,8 +23,6 @@ from ezfloat import (
     mant_exp_to_double10,
     minimality_check,
     nearest_double_exact,
-    power_of_5,
-    power_of_10,
     quotient_length_audit,
     read_double,
     shortest_digits,
@@ -219,12 +217,12 @@ def test_criterion_5_intermediate_size_bounds():
     # the full scan checks for every conversion (see its violations).  Below
     # -324 every such read is subnormal and divides at the 2**-1074
     # scale with narrower operands, so the grid's widest are those of
-    # point -324.
+    # point -324.  The ceilings use plain powers, not the library's table.
     def pow5_ceiling(point):
-        return power_of_5(-point).bit_length() + 53
+        return (5**-point).bit_length() + 53
 
     def pow10_ceiling(point):
-        return power_of_10(-point).bit_length() + 53
+        return (10**-point).bit_length() + 53
 
     rng = random.Random(5)
     full = intermediate_size_scan(range(-340, 309), range(1, 18), rng)
@@ -257,22 +255,16 @@ def test_criterion_5_intermediate_size_bounds():
 def test_criterion_6_all_ones_quotient_audit():
     values = all_ones_mantissa_values()
     report = quotient_length_audit()
-    ok = (
-        report.ok
-        and 2098 <= len(values) <= 2100
-        and report.values_tested == len(values)
-        and report.max_retries_per_conversion == 0
-    )
+    # A reread making more than 1 division is one of the violations.
+    ok = report.ok and 2098 <= len(values) <= 2100 and report.values_tested == len(values)
     _report(
         6,
         "all-ones quotient audit",
         ok,
-        f"{report.values_tested} values, {len(report.violations)} violations,"
-        f" max retries {report.max_retries_per_conversion}",
+        f"{report.values_tested} values, {len(report.violations)} violations",
     )
     assert report.violations == []
     assert 2098 <= len(values) <= 2100
-    assert report.max_retries_per_conversion == 0
 
 
 def test_criterion_7_benchmark_harness(tmp_path):

@@ -10,7 +10,6 @@ from ezfloat import (
     LLOG2,
     MAX_POW,
     power_of_5,
-    power_of_10,
     round_quotient,
 )
 from ezfloat.bigmath import _POWS5
@@ -141,18 +140,12 @@ class TestPowerTables:
 
     def test_recurrences(self):
         assert _POWS5[0] == 1
-        assert power_of_10(0) == 1
         for k in range(1, 326):
             assert _POWS5[k] == 5 * _POWS5[k - 1]
-            assert power_of_10(k) == 10 * power_of_10(k - 1)
 
     @pytest.mark.parametrize("k,expected", [(0, 1), (3, 125), (20, 5**20)])
     def test_power_of_5_small(self, k, expected):
         assert power_of_5(k) == expected
-
-    @pytest.mark.parametrize("k,expected", [(0, 1), (5, 100000)])
-    def test_power_of_10_small(self, k, expected):
-        assert power_of_10(k) == expected
 
     def test_chaining_beyond_table(self):
         # Independent oracle: repeated multiplication.
@@ -160,19 +153,12 @@ class TestPowerTables:
         for _ in range(650):
             acc *= 5
         assert power_of_5(650) == acc
-        acc = 1
-        for _ in range(400):
-            acc *= 10
-        assert power_of_10(400) == acc
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             power_of_5(-1)
-        with pytest.raises(ValueError):
-            power_of_10(-1)
 
     @settings(max_examples=40)
     @given(st.integers(0, 700), st.integers(0, 700))
     def test_power_product_law(self, a, b):
         assert power_of_5(a + b) == power_of_5(a) * power_of_5(b)
-        assert power_of_10(a + b) == power_of_10(a) * power_of_10(b)

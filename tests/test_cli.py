@@ -39,6 +39,24 @@ sys.exit(main(["verify", "bounds"]))
 """
 
 
+# Runs `ezfloat verify allones` with every read through the power-of-10
+# binding noting one division more than it made.
+_EXTRA_REREAD_DIVISION = """
+import functools, sys
+sys.path.insert(0, sys.argv[1])
+from ezfloat import oracle
+from ezfloat.cli import main
+real = oracle.mant_exp_to_double10
+@functools.wraps(real)
+def extra(mant, point, stats=None):
+    value = real(mant, point, stats)
+    stats.note_division("read-main", 1, 1, 1)
+    return value
+oracle.mant_exp_to_double10 = extra
+sys.exit(main(["verify", "allones"]))
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -209,6 +227,21 @@ class TestVerify:
             "VIOLATION 0x002FFFFFFFFFFFFF write operand bits 812 over 810",
         ]
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+    def test_allones_fails_on_an_extra_reread_division(self, flags):
+        root = os.path.dirname(os.path.dirname(ezfloat.__file__))
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", _EXTRA_REREAD_DIVISION, root],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        lines = done.stdout.splitlines()
+        violations = [line for line in lines if line.startswith("VIOLATION")]
+        assert violations
+        suffix = " reread made 2 divisions via mant_exp_to_double10"
+        assert all(line.endswith(suffix) for line in violations)
+        assert lines[-1] == f"violations: {len(violations)}"
+
     def test_all_runs_every_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "--count", "50")
         assert code == 0
@@ -217,6 +250,8 @@ class TestVerify:
         assert "minimality: 54 values, 0 failures" in lines
         assert "violations: 0" in lines
         assert lines[-1] == "bounds: ok"
+        # The all-ones audit runs once, inside bounds.
+        assert sum(line.startswith("values tested:") for line in lines) == 1
 
 
 class TestBench:

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import random
@@ -17,9 +18,11 @@ from ezfloat import (
     bits_to_float,
     double_to_string,
     float_to_bits,
+    format_sci,
     intermediate_size_scan,
     minimality_check,
     nearest_double_exact,
+    parse_decimal,
     quotient_length_audit,
     read_double,
     shortest_digits,
@@ -237,7 +240,6 @@ class TestQuotientLengthAudit:
         assert report.ok
         assert report.violations == []
         assert report.values_tested >= 2098
-        assert report.max_retries_per_conversion == 0
 
     def test_write_check_fires(self):
         # The write trace as the writer records it, with its quotient
@@ -269,6 +271,30 @@ class TestQuotientLengthAudit:
             f"0x{float_to_bits(f):016X} write made 2 divisions" for f in all_ones_mantissa_values()
         ]
 
+    def test_extra_reread_division_is_a_violation(self, monkeypatch):
+        real = oracle.mant_exp_to_double10
+
+        @functools.wraps(real)
+        def extra(mant, point, stats=None):
+            value = real(mant, point, stats)
+            stats.note_division("read-main", 1, 1, 1)
+            return value
+
+        expected = []
+        for f in all_ones_mantissa_values():
+            dec = parse_decimal(format_sci(False, *shortest_digits(f)))
+            stats = ConversionStats()
+            real(dec.mant, dec.point, stats)
+            if stats.divisions:
+                label = f"0x{float_to_bits(f):016X}"
+                expected.append(f"{label} reread made 2 divisions via mant_exp_to_double10")
+        # Clinger's path reads some of these texts without a division.
+        assert 0 < len(expected) < len(all_ones_mantissa_values())
+        monkeypatch.setattr(oracle, "mant_exp_to_double10", extra)
+        report = quotient_length_audit()
+        assert not report.ok
+        assert report.violations == expected
+
     def test_wide_write_operand_is_a_violation(self, monkeypatch):
         # The widest write operand has 810 bits; one more breaks the bound.
         real = oracle.shortest_digits
@@ -296,8 +322,12 @@ class TestQuotientLengthAudit:
     def test_render_format(self):
         report = quotient_length_audit()
         lines = report.render().splitlines()
-        assert lines[-1] == "violations: 0"
-        assert any(line.startswith("values tested:") for line in lines)
+        assert lines == [
+            "values tested: 2098",
+            "max write operand bits: 810",
+            "max write divisions: 1",
+            "violations: 0",
+        ]
 
 
 class TestIntermediateSizeScan:
