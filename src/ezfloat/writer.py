@@ -3,16 +3,19 @@
 |f| = lmant * 2**e2 is divided once, rounding half-even, by 10**(point - 2),
 where 10**point is the least power of ten at or above one ulp: the finest
 scale a shortest output can need.  That scale depends on the binary
-exponent alone, so its (point, ulp, den) is read from _SCALES, a table
-built once at import, one entry per biased exponent.
+exponent alone, so its (point, ulp, den, cut) is read from _SCALES, a
+table built once at import, one entry per biased exponent.
 Writes make exactly 1 division (the paper's budget is 4).  The candidates
 with one and two digits fewer are that quotient's nearest multiples of 10
 and 100.  A candidate reads back to f when it lies in f's rounding
 interval, half an ulp on each side, with the endpoints counting only for
-an even significand.  Just above a binade boundary the interval reaches
-only a quarter ulp down; a candidate that falls short there gives way to
-its upper neighbour when that one fits.  The fewest digits that fit win,
-and nothing is read back.
+an even significand.  Its distance from the quotient, against cut (half
+an ulp rounded down, in quotient units), decides that for all but about
+5% of writes; the rest measure the exact distance.  Just above a binade
+boundary the interval reaches only a quarter ulp down, and the distance
+is always exact; a candidate that falls short there gives way to its
+upper neighbour when that one fits.  The fewest digits that fit win, and
+nothing is read back.
 
 double_to_string composes the two halves, a plain (lquo, point) pair and
 format_sci, without building the ShortestDigits that shortest_digits returns.
@@ -79,7 +82,7 @@ def unpack_double(f: float) -> UnpackedDouble:
     return UnpackedDouble(negative, frac + (1 << 52), ue2 - 1075, FloatKind.NORMAL)
 
 
-def _build_scales() -> tuple[tuple[int, int, int], ...]:
+def _build_scales() -> tuple[tuple[int, int, int, int], ...]:
     out = []
     for ue2 in range(0x7FF):
         e2 = ue2 - 1075 if ue2 else -1074
@@ -87,16 +90,20 @@ def _build_scales() -> tuple[tuple[int, int, int], ...]:
         # every binary64 exponent (checked over [-1100, 1100] by the tests).
         point = math.ceil(e2 * LLOG2)
         if e2 > 0:
-            out.append((point, 100 << (e2 - point), _POWS5[point]))
+            ulp, den = 100 << (e2 - point), _POWS5[point]
+            cut = ulp // den >> 1
         else:
-            out.append((point, 100 * _POWS5[-point], 1 << (point - e2)))
+            ulp, den = 100 * _POWS5[-point], 1 << (point - e2)
+            cut = ulp >> (point - e2 + 1)
+        out.append((point, ulp, den, cut))
     return tuple(out)
 
 
-# (point, ulp, den) for each finite biased exponent 0..0x7FE, where
+# (point, ulp, den, cut) for each finite biased exponent 0..0x7FE, where
 # lmant * ulp / den == |f| / 10**(point - 2) and one ulp of f is `ulp` in
 # the units of num = lmant * ulp: more than 10 and at most 100 units of
-# 10**(point - 2).  Then 0 <= point <= 293 resp.
+# 10**(point - 2).  cut == ulp // (2 * den), half an ulp rounded down in
+# those units, so 5 <= cut <= 50.  Then 0 <= point <= 293 resp.
 # 0 <= -point <= 323.  Immutable, so shared freely across threads.
 _SCALES = _build_scales()
 
@@ -110,7 +117,7 @@ def _shortest(f: float, stats: ConversionStats | None) -> tuple[int, int]:
         lmant += 1 << 52
     # num / den == |f| / 10**(point - 2), at the scale _SCALES holds for
     # this exponent: nothing about the scale is computed per write.
-    point, ulp, den = _SCALES[ue2]
+    point, ulp, den, cut = _SCALES[ue2]
     num = lmant * ulp
     # The one division: |q - num / den| <= 1/2.
     q = round_quotient(num, den, stats, "write")
@@ -126,9 +133,18 @@ def _shortest(f: float, stats: ConversionStats | None) -> tuple[int, int]:
     # lies on does, and q == num / den is a true tie.  q itself always
     # fits: 2 * |q * den - num| <= den < ulp / 10.
     for less, scale, half in ((0, 100, 50), (1, 10, 5)):
-        lquo, r = divmod(q, scale)
-        if r > half or r == half and (q * den < num or q * den == num and lquo & 1):
+        lquo, d = divmod(q, scale)
+        if d > half or d == half and (q * den < num or q * den == num and lquo & 1):
             lquo += 1
+            d = scale - d
+        # d is the candidate's distance from q, so its distance from |f|
+        # lies within d +- 1/2 units, against half an ulp in [cut, cut + 1):
+        # d < cut fits and d > cut + 1 does not.  Only d == cut, d == cut + 1
+        # and the narrow case need the exact distance.
+        if d < cut and not narrow:
+            break
+        if d > cut + 1 and not narrow:
+            continue
         dist2 = (lquo * scale * den - num) << 1
         if dist2 >= 0:
             if dist2 <= reach:

@@ -1,0 +1,172 @@
+"""Hostile text at 64 KiB and 1 MiB: every entry point keeps its result and
+stays subquadratic.
+
+The entry points are read_double, parse_decimal, the CLI ``read`` and, on
+the parsed form, nearest_double_exact, ExactRational.from_decimal and
+minimality_check.  16x the input may take at most 150x the CPU time, the
+rule of test_reader's test_long_significand_is_subquadratic: a quadratic
+step takes 256x, CPython's Karatsuba products about 16**1.585 ~= 81x.
+"""
+
+import contextlib
+import io
+import math
+import random
+import time
+
+import pytest
+
+from ezfloat import (
+    DecimalSci,
+    ExactRational,
+    ParseError,
+    double_to_string,
+    float_to_bits,
+    minimality_check,
+    nearest_double_exact,
+    parse_decimal,
+    read_double,
+)
+from ezfloat.cli import main
+
+SMALL, LARGE = 64 * 1024, 1024 * 1024
+DIGITS = "".join(random.Random(64).choices("123456789", k=LARGE))
+
+
+def _text(kind: str, n: int) -> str:
+    """The hostile input `kind`, n characters long."""
+    if kind == "digits":
+        return "0." + DIGITS[: n - 2]
+    if kind == "zeros-before-a-digit":
+        return "0." + "0" * (n - 3) + "1"
+    if kind == "ten-digit-exponent":
+        return "1" + "0" * (n - 12) + "e1234567890"
+    if kind == "long-exponent":
+        return "1e-" + "7" * (n - 3)
+    assert kind == "invalid-tail"
+    return DIGITS[: n - 1] + "x"
+
+
+def _outcome(call, *args):
+    """call's result, its ParseError position or its ValueError's type."""
+    try:
+        return call(*args)
+    except ParseError as exc:
+        return ("ParseError", exc.position)
+    except ValueError:
+        return ValueError
+
+
+def _cli_read(text: str):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["read", text])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _text_calls(text: str) -> dict:
+    """Entry point name -> zero-argument call on the text."""
+    return {
+        "read_double": lambda: _outcome(read_double, text),
+        "parse_decimal": lambda: _outcome(parse_decimal, text),
+        "cli read": lambda: _cli_read(text),
+    }
+
+
+def _parsed_calls(dec: DecimalSci, value: float, n: int) -> dict:
+    """Entry point name -> zero-argument call on the parsed text or its value."""
+    return {
+        "nearest_double_exact": lambda: _outcome(nearest_double_exact, dec),
+        "ExactRational.from_decimal": lambda: _outcome(ExactRational.from_decimal, dec),
+        "minimality_check": lambda: _outcome(minimality_check, value, n),
+    }
+
+
+def _check_budget(calls: dict, outcomes: dict) -> None:
+    """Time calls[SMALL] against calls[LARGE] per entry point, and keep
+    each call's outcome in outcomes[size]."""
+    for name in calls[LARGE]:
+        short = math.inf
+        for _ in range(3):
+            took, outcomes[SMALL][name] = _took(calls[SMALL][name])
+            short = min(short, took)
+        # A second long run only when the first is over: the 1 MiB calls
+        # on digits take most of a second.
+        long, outcomes[LARGE][name] = _took(calls[LARGE][name])
+        if long >= 150 * short:
+            long = min(long, _took(calls[LARGE][name])[0])
+        assert long < 150 * short, (name, long, short)
+
+
+def _took(call) -> tuple[float, object]:
+    """CPU seconds per call, repeated until a millisecond has passed, and
+    the call's last outcome."""
+    calls, started = 0, time.process_time()
+    while True:
+        result = call()
+        calls += 1
+        spent = time.process_time() - started
+        if spent >= 1e-3:
+            return spent / calls, result
+
+
+def _expected(kind: str, n: int, name: str, got: dict):
+    # Every result follows from the input's construction, except the value
+    # of "digits", which the oracle's stands in for, and its power of ten,
+    # as long to build again as the call it checks.
+    zero, inf = (0, "0.0"), (0x7FF0000000000000, "Infinity")
+    if kind == "invalid-tail":
+        return {
+            "read_double": ("ParseError", n - 1),
+            "parse_decimal": ("ParseError", n - 1),
+            "cli read": (2, "", f"error: unexpected 'x' at position {n - 1}\n"),
+        }[name]
+    if kind == "digits":
+        dec = got["parse_decimal"]
+        assert dec.point == -(n - 2) and dec.mant % 10 and not dec.negative
+        value = got["nearest_double_exact"]
+        den = got["ExactRational.from_decimal"].den
+        assert 0.1 < value < 1.0
+        return {
+            "read_double": value,
+            "parse_decimal": dec,
+            "nearest_double_exact": value,
+            "ExactRational.from_decimal": ExactRational(dec.mant, den),
+            "minimality_check": False,
+            "cli read": (0, f"0x{float_to_bits(value):016X} {double_to_string(value)}\n", ""),
+        }[name]
+    bits, rendered = inf if kind == "ten-digit-exponent" else zero
+    point = {
+        "zeros-before-a-digit": -(n - 2),
+        "ten-digit-exponent": 1234567890 + n - 12,
+        "long-exponent": -(10**12),  # more than ten digits saturate
+    }[kind]
+    return {
+        "read_double": math.inf if bits else 0.0,
+        "parse_decimal": DecimalSci(False, 1, point),
+        "nearest_double_exact": math.inf if bits else 0.0,
+        "ExactRational.from_decimal": ValueError,  # |point| far past bits(mant)
+        "minimality_check": ValueError,  # not a finite nonzero value
+        "cli read": (0, f"0x{bits:016X} {rendered}\n", ""),
+    }[name]
+
+
+KINDS = ["digits", "zeros-before-a-digit", "ten-digit-exponent", "long-exponent", "invalid-tail"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_hostile_input_is_subquadratic_and_unchanged(kind, monkeypatch):
+    monkeypatch.delenv("EZFLOAT_COMPAT", raising=False)
+    sizes = (SMALL, LARGE)
+    outcomes = {n: {} for n in sizes}
+    _check_budget({n: _text_calls(_text(kind, n)) for n in sizes}, outcomes)
+    if kind != "invalid-tail":
+        parsed = {n: (got["parse_decimal"], got["read_double"], n) for n, got in outcomes.items()}
+        _check_budget({n: _parsed_calls(*parsed[n]) for n in sizes}, outcomes)
+    for n, got in outcomes.items():
+        for name, outcome in got.items():
+            expected = _expected(kind, n, name, got)
+            if isinstance(expected, float):
+                assert float_to_bits(outcome) == float_to_bits(expected), (n, name)
+            else:
+                assert outcome == expected, (n, name)

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -102,15 +103,107 @@ class TestScaleTable:
             else:
                 ulp, den = 100 * 5**-point, 2 ** (point - e2)
                 assert 0 <= -point <= 323
-            assert entry == (point, ulp, den), ue2
+            # Half an ulp rounded down, in units of 10**(point - 2).
+            cut = ulp // (2 * den)
+            assert entry == (point, ulp, den, cut), ue2
             # One ulp is more than 10 and at most 100 units of 10**(point - 2).
             assert 10 * den < ulp <= 100 * den, ue2
+            assert 5 <= cut <= 50, ue2
 
     def test_every_exponent_round_trips(self):
         for ue2 in range(0x7FF):
             for frac in (0, 1, ALL_ONES):
                 bits = ue2 << 52 | frac
                 assert float_to_bits(read_double(double_to_string(bits_to_float(bits)))) == bits
+
+
+def _trimmed(lquo: int, point: int) -> tuple[int, int]:
+    while lquo % 10 == 0:
+        lquo //= 10
+        point += 1
+    return lquo, point
+
+
+def _repr_digits(f: float) -> tuple[int, int]:
+    """repr(|f|) as (lquo, point), trailing zeros dropped."""
+    mant, _, exp = repr(abs(f)).partition("e")
+    whole, _, frac = mant.partition(".")
+    return _trimmed(int(whole + frac), int(exp or 0) - len(frac))
+
+
+def _tried(f: float) -> list[tuple[int, int | str, bool]]:
+    """(less, d - cut, fits) for each candidate the writer tries on |f|.
+
+    Computed from exact fractions: the candidate at point - less is |f|
+    rounded half-even to a multiple of 10**(point - less), d its distance
+    from q = |f| / 10**(point - 2) rounded half-even, and cut half an ulp
+    rounded down, both in units of 10**(point - 2).  Above a binade
+    boundary d - cut reads "narrow", where the writer always measures
+    exactly.
+    """
+    bits = float_to_bits(abs(f))
+    ue2, frac = bits >> 52, bits & ALL_ONES
+    e2 = ue2 - 1075 if ue2 else -1074
+    point = len(str((1 << e2) - 1)) if e2 > 0 else 1 - len(str(1 << -e2))
+    unit = Fraction(10) ** (point - 2)
+    exact, ulp = Fraction(abs(f)) / unit, Fraction(2) ** e2 / unit
+    q, cut = round(exact), math.floor(ulp / 2)
+    narrow = frac == 0 and ue2 > 1
+
+    def fits(c):
+        # Half an ulp each side, a quarter below a binade boundary; the
+        # endpoints count for an even significand only.
+        reach = ulp / 4 if narrow and c < exact else ulp / 2
+        return abs(c - exact) < reach or abs(c - exact) == reach and frac % 2 == 0
+
+    out = []
+    for less, scale in ((0, 100), (1, 10)):
+        c = round(exact / scale) * scale
+        ok = fits(c) or narrow and c < exact and fits(c + scale)
+        out.append((less, "narrow" if narrow else abs(c - q) - cut, ok))
+        if ok:
+            break
+    return out
+
+
+# Bit patterns whose writes reach each branch of the candidate test, with
+# the (less, d - cut, fits) of the candidate that reaches it.  d < cut fits
+# without the exact distance, d > cut + 1 is rejected without it.  At
+# point - 1 (scale 10) d <= 5 <= cut, and d == 5 is a tie in q % 10 that
+# rounds towards |f|, so d == cut there always fits and d > cut never occurs.
+CANDIDATE_BANDS = {
+    "point-fast-accept": (0x1775EE82643E2EC8, (0, -1, True)),
+    "point-exact-cut-fits": (0x757069601C339464, (0, 0, True)),
+    "point-exact-cut-rejected": (0x4B0F31695CCAF1AD, (0, 0, False)),
+    "point-exact-cut+1-fits": (0x3DEEA1A80EA5804E, (0, 1, True)),
+    "point-exact-cut+1-rejected": (0x6DEAFB69F09529AF, (0, 1, False)),
+    "point-fast-reject": (0x26D694C3CE834960, (0, 2, False)),
+    "point-1-fast-accept": (0x579B8EC3D8A8F065, (1, -1, True)),
+    "point-1-exact-cut-fits": (0x4651D9C58947E38B, (1, 0, True)),
+    "narrow-point-fits": (0x0020000000000000, (0, "narrow", True)),
+    "narrow-point-1-fits": (0x0030000000000000, (1, "narrow", True)),
+    "narrow-point-1-upper-neighbour": (0x0060000000000000, (1, "narrow", True)),
+    "narrow-q-itself": (0x00C0000000000000, (1, "narrow", False)),
+}
+
+
+class TestCandidateBands:
+    @pytest.mark.parametrize("name", CANDIDATE_BANDS)
+    def test_named_input_reaches_its_band(self, name):
+        bits, band = CANDIDATE_BANDS[name]
+        f = bits_to_float(bits)
+        assert band in _tried(f)
+        assert _trimmed(*shortest_digits(f)) == _repr_digits(f)
+
+    def test_every_exponent_and_random_patterns_match_repr(self):
+        rng = random.Random(17)
+        fracs = (0, 1, ALL_ONES - 1, ALL_ONES)
+        patterns = [ue2 << 52 | frac for ue2 in range(0x7FF) for frac in fracs]
+        patterns += [rng.getrandbits(63) for _ in range(20_000)]
+        for bits in patterns:
+            f = bits_to_float(bits)
+            if 0.0 < f < math.inf:
+                assert _trimmed(*shortest_digits(f)) == _repr_digits(f), hex(bits)
 
 
 class TestShortestDigits:
