@@ -55,13 +55,17 @@ class ExactRational(namedtuple("ExactRational", "num den negative", defaults=(Fa
 
     @classmethod
     def from_float(cls, f: float) -> "ExactRational":
+        """f's exact value, the sign of -0.0 kept; f must be finite."""
+        if not math.isfinite(f):
+            raise ValueError("from_float requires a finite value")
+        negative = math.copysign(1.0, f) < 0
         # frexp is exact for subnormals too: |f| = m * 2**e with 0.5 <= m < 1.
         m, e = math.frexp(abs(f))
         lmant = int(m * (1 << 53))
         e2 = e - 53
         if e2 >= 0:
-            return cls(lmant << e2, 1, f < 0)
-        return cls(lmant, 1 << -e2, f < 0)
+            return cls(lmant << e2, 1, negative)
+        return cls(lmant, 1 << -e2, negative)
 
 
 def nearest_double_exact(dec: DecimalSci) -> float:

@@ -55,17 +55,12 @@ _KEPT_DIGITS = 768
 _CLINGER_POWS = tuple(float(10**k) for k in range(23))
 _CLINGER_MANT = 1 << DBL_MANT_DIG
 
-# The accepted grammar, groups: sign, NaN, Infinity, integer digits,
-# fraction digits, exponent sign, exponent digits.  A match with no
-# mantissa digit and no special word is rejected.
-_NUMBER = re.compile(
-    r"([+-]?)(?:(NaN)|(Infinity)|(\d*)(?:\.(\d*))?(?:[eE]([+-]?)(\d+))?)",
-    re.ASCII,
-)
 # The longest prefix of some accepted string: an exponent is viable only
-# after a digit, the special words only whole.
-_VIABLE = re.compile(
-    r"[+-]?(?:NaN|Infinity|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d*)?|\.?)",
+# after a digit, the special words only whole.  Groups: sign, integer
+# digits, fraction digits, exponent mark, exponent sign, exponent digits,
+# NaN, Infinity.
+_NUMBER = re.compile(
+    r"([+-]?)(?:(?:(\d+)|(?=\.\d))(?:\.(\d*))?(?:([eE])([+-]?)(\d*))?|(NaN)|(Infinity)|\.?)",
     re.ASCII,
 )
 
@@ -128,11 +123,12 @@ def _scan(text: str) -> tuple[bool, str, int] | float:
     # The one scanner: (negative, digits, point) with the value
     # (-1)**negative * int(digits) * 10**point, where digits has no leading
     # or trailing zero ("" for zero, with point 0), or a float for the
-    # special tokens.
-    m = _NUMBER.fullmatch(text)
-    if m is not None:
-        sign, nan, inf, int_digits, frac_digits, exp_sign, exp_digits = m.groups("")
-        if int_digits or frac_digits:
+    # special tokens.  A match short of the text, or not itself accepted
+    # ("+", "1e"), is rejected where it ends.
+    m = _NUMBER.match(text)
+    if (pos := m.end()) == len(text):
+        sign, int_digits, frac_digits, mark, exp_sign, exp_digits, nan, inf = m.groups("")
+        if (int_digits or frac_digits) and (exp_digits or not mark):
             digits = (int_digits + frac_digits).lstrip("0")
             stripped = digits.rstrip("0")
             if not stripped:
@@ -150,7 +146,6 @@ def _scan(text: str) -> tuple[bool, str, int] | float:
             return math.nan
         if inf:
             return -math.inf if sign == "-" else math.inf
-    pos = _VIABLE.match(text).end()
     what = repr(text[pos]) if pos < len(text) else "end of input"
     raise ParseError(f"unexpected {what}", pos)
 
@@ -158,7 +153,7 @@ def _scan(text: str) -> tuple[bool, str, int] | float:
 def parse_decimal(text: str) -> DecimalSci | float:
     """Parse scientific-notation text, keeping every significand digit.
 
-    The grammar is ``_NUMBER``::
+    The grammar, which ``_NUMBER`` states::
 
         input    = sign? ("NaN" | "Infinity" | number)
         number   = digits ["." digits?] exponent?
@@ -168,7 +163,7 @@ def parse_decimal(text: str) -> DecimalSci | float:
     Digits are ASCII only and the special words are case sensitive.  At
     least one mantissa digit must be present and the whole string must be
     consumed.  A rejection points just past the longest prefix that some
-    accepted string starts with (``_VIABLE``).  Returns a canonical
+    accepted string starts with, where the match ends.  Returns a canonical
     DecimalSci, its significand exact at any length, or a float for the
     special tokens (NaN maps to the canonical quiet NaN regardless of
     sign).  An exponent of more than ten digits saturates to +/-10**12

@@ -11,7 +11,7 @@ and 100.  A candidate reads back to f when it lies in f's rounding
 interval, half an ulp on each side, with the endpoints counting only for
 an even significand.  Its distance from the quotient, against cut (half
 an ulp rounded down, in quotient units), decides that for all but about
-5% of writes; the rest measure the exact distance.  Just above a binade
+4% of writes; the rest measure the exact distance.  Just above a binade
 boundary the interval reaches only a quarter ulp down, and the distance
 is always exact; a candidate that falls short there gives way to its
 upper neighbour when that one fits.  The fewest digits that fit win, and
@@ -139,9 +139,9 @@ def _shortest(f: float, stats: ConversionStats | None) -> tuple[int, int]:
             d = scale - d
         # d is the candidate's distance from q, so its distance from |f|
         # lies within d +- 1/2 units, against half an ulp in [cut, cut + 1):
-        # d < cut fits and d > cut + 1 does not.  Only d == cut, d == cut + 1
-        # and the narrow case need the exact distance.
-        if d < cut and not narrow:
+        # d < cut fits and d > cut + 1 does not.  At point - 1, d <= 5 <= cut
+        # fits too: a tie at 5 rounds toward |f| or is exact (10 * den < ulp).
+        if not narrow and (less or d < cut):
             break
         if d > cut + 1 and not narrow:
             continue
@@ -155,7 +155,7 @@ def _shortest(f: float, stats: ConversionStats | None) -> tuple[int, int]:
             lquo += 1
             break
     else:
-        lquo, less = q, 2
+        lquo, less = q, 2  # only a power of two gets here
     assert 0 < lquo < 10**17, "decimal significand out of range"
     return lquo, point - less
 

@@ -43,6 +43,10 @@ def _text(kind: str, n: int) -> str:
         return "1" + "0" * (n - 12) + "e1234567890"
     if kind == "long-exponent":
         return "1e-" + "7" * (n - 3)
+    if kind == "invalid-fraction-tail":
+        return "." + DIGITS[: n - 2] + "x"
+    if kind == "invalid-exponent-tail":
+        return "1e" + DIGITS[: n - 3] + "x"
     assert kind == "invalid-tail"
     return DIGITS[: n - 1] + "x"
 
@@ -115,7 +119,7 @@ def _expected(kind: str, n: int, name: str, got: dict):
     # of "digits", which the oracle's stands in for, and its power of ten,
     # as long to build again as the call it checks.
     zero, inf = (0, "0.0"), (0x7FF0000000000000, "Infinity")
-    if kind == "invalid-tail":
+    if kind in INVALID_KINDS:
         return {
             "read_double": ("ParseError", n - 1),
             "parse_decimal": ("ParseError", n - 1),
@@ -151,7 +155,8 @@ def _expected(kind: str, n: int, name: str, got: dict):
     }[name]
 
 
-KINDS = ["digits", "zeros-before-a-digit", "ten-digit-exponent", "long-exponent", "invalid-tail"]
+INVALID_KINDS = ["invalid-tail", "invalid-fraction-tail", "invalid-exponent-tail"]
+KINDS = ["digits", "zeros-before-a-digit", "ten-digit-exponent", "long-exponent", *INVALID_KINDS]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -160,7 +165,7 @@ def test_hostile_input_is_subquadratic_and_unchanged(kind, monkeypatch):
     sizes = (SMALL, LARGE)
     outcomes = {n: {} for n in sizes}
     _check_budget({n: _text_calls(_text(kind, n)) for n in sizes}, outcomes)
-    if kind != "invalid-tail":
+    if kind not in INVALID_KINDS:
         parsed = {n: (got["parse_decimal"], got["read_double"], n) for n, got in outcomes.items()}
         _check_budget({n: _parsed_calls(*parsed[n]) for n in sizes}, outcomes)
     for n, got in outcomes.items():
@@ -170,3 +175,18 @@ def test_hostile_input_is_subquadratic_and_unchanged(kind, monkeypatch):
                 assert float_to_bits(outcome) == float_to_bits(expected), (n, name)
             else:
                 assert outcome == expected, (n, name)
+
+
+@pytest.mark.parametrize("kind", INVALID_KINDS)
+def test_rejection_costs_no_more_than_acceptance(kind):
+    # One match both accepts a text and locates its rejection, so the
+    # rejection scans no more than the acceptance of the same text with
+    # its last character a digit.  4x leaves room for noise; a scanner
+    # that backtracks through every digit on a failed match takes 20-40x.
+    invalid = _text(kind, LARGE)
+    valid = invalid[:-1] + "7"
+    rejected = accepted = math.inf
+    for _ in range(3):
+        rejected = min(rejected, _took(lambda: _outcome(read_double, invalid))[0])
+        accepted = min(accepted, _took(lambda: _outcome(read_double, valid))[0])
+    assert rejected <= 4 * accepted, (rejected, accepted)

@@ -174,6 +174,16 @@ class TestExactRational:
         r = ExactRational.from_float(5e-324)
         assert Fraction(r.num, r.den) == Fraction(5e-324)
 
+    def test_from_float_zero_and_non_finite(self):
+        # The sign of zero is kept, as from_decimal keeps it.
+        for negative, zero in ((False, 0.0), (True, -0.0)):
+            r = ExactRational.from_float(zero)
+            assert (r.num, r.negative) == (0, negative)
+            assert ExactRational.from_decimal(DecimalSci(negative, 0, 0)).negative == negative
+        for f in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="from_float requires a finite value"):
+                ExactRational.from_float(f)
+
 
 class TestMinimalityCheck:
     def test_trivial_one_digit(self):

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -25,6 +26,43 @@ from ezfloat import (
     read_double,
     read_double_with_stats,
 )
+
+
+# README's input grammar as a state machine, written apart from reader.py:
+# state -> character class -> next state.
+_MOVES = {
+    "start": {"sign": "sign", "digit": "int", ".": "dot"},
+    "sign": {"digit": "int", ".": "dot"},
+    "int": {"digit": "int", ".": "frac", "e": "exp"},
+    "dot": {"digit": "frac"},
+    "frac": {"digit": "frac", "e": "exp"},
+    "exp": {"sign": "exp-sign", "digit": "exp-digits"},
+    "exp-sign": {"digit": "exp-digits"},
+    "exp-digits": {"digit": "exp-digits"},
+}
+_ACCEPTING = {"int", "frac", "exp-digits"}
+_WORDS = ("NaN", "Infinity")
+
+
+def _grammar_reference(text: str) -> tuple[bool, int]:
+    """(accepted, rejection position): the position is the length of the
+    longest prefix that some accepted text starts with, where a special
+    word counts only when whole."""
+    state, word, viable = "start", "", 0
+    for i, c in enumerate(text):
+        if state in ("start", "sign", "word") and any(w.startswith(word + c) for w in _WORDS):
+            state, word = "word", word + c
+        else:
+            kind = "digit" if "0" <= c <= "9" else "sign" if c in "+-" else "e" if c in "eE" else c
+            state = _MOVES.get(state, {}).get(kind)
+            if state is None:
+                break
+        if state != "word" or word in _WORDS:
+            viable = i + 1
+    else:
+        if state in _ACCEPTING or word in _WORDS:
+            return True, len(text)
+    return False, viable
 
 
 class TestParseDecimal:
@@ -99,6 +137,20 @@ class TestParseDecimal:
         assert exc.value.position == position
         what = repr(text[position]) if position < len(text) else "end of input"
         assert str(exc.value) == f"unexpected {what} at position {position}"
+
+    def test_matches_grammar_reference(self):
+        # Every text of up to five characters over an alphabet that spells
+        # each rule and NaN in part: 111,111 texts.
+        for n in range(6):
+            for chars in itertools.product("01.eE+-Nax", repeat=n):
+                text = "".join(chars)
+                accepted, position = _grammar_reference(text)
+                try:
+                    parse_decimal(text)
+                except ParseError as exc:
+                    assert (accepted, exc.position) == (False, position), text
+                else:
+                    assert accepted, text
 
     def test_error_survives_pickle_and_copy(self):
         # A read error raised in a worker process reaches the caller whole.
