@@ -13,11 +13,16 @@ from ezfloat import (
     round_quotient,
 )
 from ezfloat.bigmath import _POWS5
+from ezfloat.reader import _KEPT_DIGITS
+
+# The most negative point a read reaches: a value at or above 10**-324
+# (top >= -323) with the kept digits and the sticky digit.
+READ_POW_REACH = 323 + _KEPT_DIGITS + 1
 
 
 def test_constants():
     assert DBL_MANT_DIG == 53
-    assert MAX_POW == 325
+    assert MAX_POW == READ_POW_REACH
     assert LLOG2 == math.log10(2.0)
 
 
@@ -134,13 +139,13 @@ class TestRoundQuotient:
 
 class TestPowerTables:
     def test_shape(self):
-        assert MAX_POW == 325
-        assert len(_POWS5) == 326
+        assert MAX_POW == READ_POW_REACH
+        assert len(_POWS5) == MAX_POW + 1
         assert isinstance(_POWS5, tuple)
 
     def test_recurrences(self):
         assert _POWS5[0] == 1
-        for k in range(1, 326):
+        for k in range(1, MAX_POW + 1):
             assert _POWS5[k] == 5 * _POWS5[k - 1]
 
     @pytest.mark.parametrize("k,expected", [(0, 1), (3, 125), (20, 5**20)])
@@ -149,16 +154,17 @@ class TestPowerTables:
 
     def test_chaining_beyond_table(self):
         # Independent oracle: repeated multiplication.
+        k = MAX_POW + 325
         acc = 1
-        for _ in range(650):
+        for _ in range(k):
             acc *= 5
-        assert power_of_5(650) == acc
+        assert power_of_5(k) == acc
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             power_of_5(-1)
 
     @settings(max_examples=40)
-    @given(st.integers(0, 700), st.integers(0, 700))
+    @given(st.integers(0, MAX_POW), st.integers(0, MAX_POW))
     def test_power_product_law(self, a, b):
         assert power_of_5(a + b) == power_of_5(a) * power_of_5(b)

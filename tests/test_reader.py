@@ -560,6 +560,59 @@ class TestBoundedRead:
             _assert_exact_read(_sci(digits, top, rng.random() < 0.5))
 
 
+def _halfway_digits(odd: int, e2: int) -> tuple[str, int]:
+    # odd * 2**e2 written out: its significant digits and its top.
+    if e2 >= 0:
+        digits = str(odd << e2)
+        return digits, len(digits)
+    scaled = str(odd * 5**-e2)
+    return scaled, len(scaled) + e2
+
+
+# Halfway points in the lowest and the highest decade a read does not
+# clamp: 3 * 2**-1075 between the two smallest subnormals, and
+# (2**54 - 3) * 2**970 between the two largest doubles.
+_LOW_HALFWAY = _halfway_digits(3, -1075)
+_HIGH_HALFWAY = _halfway_digits(2**54 - 3, 970)
+
+
+class TestTableReach:
+    """Reads of 800 or more digits at the table's two ends.
+
+    A long significand keeps 769 digits, so at top -323 a read divides by
+    5**1092, the table's last entry, and at top 309 by 5**460.
+    """
+
+    @pytest.mark.parametrize(
+        "halfway,power,below,above",
+        [
+            (_LOW_HALFWAY, 1092, 0x1, 0x2),
+            (_HIGH_HALFWAY, 460, 0x7FEFFFFFFFFFFFFE, 0x7FEFFFFFFFFFFFFF),
+        ],
+        ids=["top-323", "top309"],
+    )
+    def test_long_reads_at_either_end(self, halfway, power, below, above):
+        digits, top = halfway
+        assert 769 - top == power <= bigmath.MAX_POW
+        cases = [
+            # A far trailing 1 puts the value just above the halfway point.
+            (digits + "0" * (850 - len(digits)) + "1", above),
+            # One unit below it in its last digit, then nines.
+            (str(int(digits) - 1) + "9" * (850 - len(digits)), below),
+            ("7" * 900, None),
+            ("1" + "0" * 850 + "1", None),
+        ]
+        for long_digits, want in cases:
+            text = _sci(long_digits, top)
+            stats = ConversionStats()
+            got = float_to_bits(read_double(text, stats))
+            assert got == float_to_bits(nearest_double_exact(parse_decimal(text))), text[:60]
+            if want is not None:
+                assert got == want, text[:60]
+            assert stats.divisions == 1
+            assert stats.max_intermediate_bits <= _READ_OPERAND_CEILING == 2555
+
+
 class TestClingerPath:
     @pytest.mark.parametrize("mant", [2**53 - 1, 2**53, 2**53 + 1])
     @pytest.mark.parametrize("point", [-23, -22, 22, 23])

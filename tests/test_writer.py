@@ -139,7 +139,8 @@ def _tried(f: float) -> list[tuple[int, int | str, bool]]:
     from q = |f| / 10**(point - 2) rounded half-even, and cut half an ulp
     rounded down, both in units of 10**(point - 2).  Above a binade
     boundary d - cut reads "narrow", where the writer always measures
-    exactly.
+    exactly.  Outside it the writer accepts every candidate at point - 1
+    without the exact product, whatever d - cut reads.
     """
     bits = float_to_bits(abs(f))
     ue2, frac = bits >> 52, bits & ALL_ONES
@@ -179,7 +180,7 @@ CANDIDATE_BANDS = {
     "point-exact-cut+1-rejected": (0x6DEAFB69F09529AF, (0, 1, False)),
     "point-fast-reject": (0x26D694C3CE834960, (0, 2, False)),
     "point-1-fast-accept": (0x579B8EC3D8A8F065, (1, -1, True)),
-    "point-1-exact-cut-fits": (0x4651D9C58947E38B, (1, 0, True)),
+    "point-1-fast-accept-at-cut": (0x4651D9C58947E38B, (1, 0, True)),
     "narrow-point-fits": (0x0020000000000000, (0, "narrow", True)),
     "narrow-point-1-fits": (0x0030000000000000, (1, "narrow", True)),
     "narrow-point-1-upper-neighbour": (0x0060000000000000, (1, "narrow", True)),
