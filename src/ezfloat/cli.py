@@ -65,8 +65,11 @@ def _count_arg(text: str) -> int:
 def _parse_double_arg(text: str) -> float:
     if text.startswith(("0x", "0X")):
         body = text[2:]
-        if len(body) != 16 or any(c not in "0123456789abcdefABCDEF" for c in body):
-            raise ParseError("expected 16 hex digits after 0x", 2)
+        # The first non-hex character, else the end of the text.
+        bad = next((i for i, c in enumerate(body) if c not in "0123456789abcdefABCDEF"), len(body))
+        if bad != 16 or len(body) != 16:
+            # Past 16 digits the 17th is the offending character.
+            raise ParseError("expected 16 hex digits after 0x", 2 + min(bad, 16))
         return bits_to_float(int(body, 16))
     return read_double(text)
 

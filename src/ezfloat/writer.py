@@ -9,13 +9,17 @@ Writes make exactly 1 division (the paper's budget is 4).  The candidates
 with one and two digits fewer are that quotient's nearest multiples of 10
 and 100.  A candidate reads back to f when it lies in f's rounding
 interval, half an ulp on each side, with the endpoints counting only for
-an even significand.  Its distance from the quotient, against cut (half
-an ulp rounded down, in quotient units), decides that for all but about
-4% of writes; the rest measure the exact distance.  Just above a binade
-boundary the interval reaches only a quarter ulp down, and the distance
-is always exact; a candidate that falls short there gives way to its
-upper neighbour when that one fits.  The fewest digits that fit win, and
-nothing is read back.
+an even significand.  Every write but a power of two's is decided in
+straight-line code: the multiple of 100 when it fits, else the multiple
+of 10, which always does.  The multiple of 100's distance from the
+quotient, against cut (half an ulp rounded down, in quotient units),
+decides its fit for all but about 4% of writes; the rest measure the
+exact distance.  Just above a binade boundary (significand 2**52, above
+the smallest normal) the interval reaches only a quarter ulp down.
+Those 2045 powers of two go round a loop of their own, which measures
+each candidate exactly: one that falls short below gives way to its
+upper neighbour when that one fits, and the quotient itself is the last
+resort.  The fewest digits that fit win, and nothing is read back.
 
 double_to_string composes the two halves, a plain (lquo, point) pair and
 format_sci, without building the ShortestDigits that shortest_digits returns.
@@ -121,41 +125,50 @@ def _shortest(f: float, stats: ConversionStats | None) -> tuple[int, int]:
     num = lmant * ulp
     # The one division: |q - num / den| <= 1/2.
     q = round_quotient(num, den, stats, "write")
-    # Twice a candidate's distance from |f| may reach one ulp, a tie only
-    # for an even significand.  Above a power of two with e2 > -1074
-    # (ue2 > 1) the next double down is half as far, so the reach below
-    # halves.
-    reach = ulp - (lmant & 1)
-    narrow = lmant == 1 << 52 and ue2 > 1
-    # Fewest digits first.  |f| / 10**(point - less) rounded half-even is
-    # q's nearest multiple of `scale`, in units of `scale`.  q % scale
-    # decides it, but at exactly half a scale the side of num / den that q
-    # lies on does, and q == num / den is a true tie.  q itself always
-    # fits: 2 * |q * den - num| <= den < ulp / 10.
-    for less, scale, half in ((0, 100, 50), (1, 10, 5)):
-        lquo, d = divmod(q, scale)
-        if d > half or d == half and (q * den < num or q * den == num and lquo & 1):
+    # |f| / 10**(point - less) rounded half-even is q's nearest multiple of
+    # `scale`, in units of `scale`.  q % scale decides it, but at exactly
+    # half a scale the side of num / den that q lies on does, and
+    # q == num / den is a true tie.  q itself always fits:
+    # 2 * |q * den - num| <= den < ulp / 10.
+    if lmant == 1 << 52 and ue2 > 1:
+        # Above a power of two with e2 > -1074 the next double down is half
+        # as far, so the interval reaches a quarter ulp below and half an
+        # ulp above (lmant is even: the endpoints count).  Every candidate
+        # is measured exactly; one that falls short below gives way to its
+        # upper neighbour when that one fits.
+        for less, scale, half in ((0, 100, 50), (1, 10, 5)):
+            lquo, d = divmod(q, scale)
+            if d > half or d == half and (q * den < num or q * den == num and lquo & 1):
+                lquo += 1
+            dist2 = (lquo * scale * den - num) << 1
+            if dist2 >= 0:
+                if dist2 <= ulp:
+                    break
+            elif -dist2 << 1 <= ulp:
+                break
+            elif dist2 + (scale * den << 1) <= ulp:
+                lquo += 1
+                break
+        else:
+            lquo, less = q, 2
+    else:
+        lquo, d = divmod(q, 100)
+        if d > 50 or d == 50 and (q * den < num or q * den == num and lquo & 1):
             lquo += 1
-            d = scale - d
+            d = 100 - d
         # d is the candidate's distance from q, so its distance from |f|
         # lies within d +- 1/2 units, against half an ulp in [cut, cut + 1):
-        # d < cut fits and d > cut + 1 does not.  At point - 1, d <= 5 <= cut
-        # fits too: a tie at 5 rounds toward |f| or is exact (10 * den < ulp).
-        if not narrow and (less or d < cut):
-            break
-        if d > cut + 1 and not narrow:
-            continue
-        dist2 = (lquo * scale * den - num) << 1
-        if dist2 >= 0:
-            if dist2 <= reach:
-                break
-        elif (-dist2 << narrow) <= reach:
-            break
-        elif narrow and dist2 + (scale * den << 1) <= ulp:
-            lquo += 1
-            break
-    else:
-        lquo, less = q, 2  # only a power of two gets here
+        # d < cut fits and d > cut + 1 does not.  Twice the exact distance
+        # may reach one ulp, a tie only for an even significand.
+        if d < cut or d <= cut + 1 and abs(lquo * 100 * den - num) << 1 <= ulp - (lmant & 1):
+            less = 0
+        else:
+            # At point - 1, d <= 5 <= cut always fits: a tie at 5 rounds
+            # toward |f| or is exact (10 * den < ulp).
+            lquo, d = divmod(q, 10)
+            if d > 5 or d == 5 and (q * den < num or q * den == num and lquo & 1):
+                lquo += 1
+            less = 1
     assert 0 < lquo < 10**17, "decimal significand out of range"
     return lquo, point - less
 

@@ -114,6 +114,19 @@ class TestWrite:
         assert code == 2
         assert "hex" in err
 
+    @pytest.mark.parametrize(
+        "arg,position",
+        [
+            ("0x123", 5),  # ends early: the text's length
+            ("0x12G4000000000000", 4),  # the first non-hex character
+            ("0x" + "1" * 17, 18),  # the 17th digit
+        ],
+    )
+    def test_bad_hex_position(self, capsys, arg, position):
+        code, _, err = run(capsys, "write", arg)
+        assert code == 2
+        assert err.strip() == f"error: expected 16 hex digits after 0x at position {position}"
+
     def test_compat_env(self, capsys, monkeypatch):
         monkeypatch.setenv("EZFLOAT_COMPAT", "1")
         code, out, _ = run(capsys, "write", "0x8000000000000000")

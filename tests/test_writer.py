@@ -131,16 +131,22 @@ def _repr_digits(f: float) -> tuple[int, int]:
     return _trimmed(int(whole + frac), int(exp or 0) - len(frac))
 
 
-def _tried(f: float) -> list[tuple[int, int | str, bool]]:
-    """(less, d - cut, fits) for each candidate the writer tries on |f|.
+def _model(f: float) -> tuple[list[tuple[int, int | str, bool, str]], tuple[int, int]]:
+    """The candidates the writer tries on |f|, and the (lquo, point) it returns.
 
     Computed from exact fractions: the candidate at point - less is |f|
     rounded half-even to a multiple of 10**(point - less), d its distance
     from q = |f| / 10**(point - 2) rounded half-even, and cut half an ulp
-    rounded down, both in units of 10**(point - 2).  Above a binade
-    boundary d - cut reads "narrow", where the writer always measures
-    exactly.  Outside it the writer accepts every candidate at point - 1
-    without the exact product, whatever d - cut reads.
+    rounded down, both in units of 10**(point - 2).  Each tried candidate
+    is (less, d - cut, fits, tie).  Above a binade boundary d - cut reads
+    "narrow", where the writer always measures exactly.  Outside it the
+    writer accepts every candidate at point - 1 without the exact product,
+    whatever d - cut reads.  ``tie`` names the rule that picks between two
+    multiples when q lies halfway between them: "q<f" and "q>f" round
+    towards |f|, "exact-odd" and "exact-even" (q == |f|) to the even one;
+    it is "" when q is not halfway.  The first candidate that fits, or its
+    upper neighbour below a binade boundary, is returned untrimmed; when
+    none fits the writer returns q itself at point - 2.
     """
     bits = float_to_bits(abs(f))
     ue2, frac = bits >> 52, bits & ALL_ONES
@@ -157,34 +163,57 @@ def _tried(f: float) -> list[tuple[int, int | str, bool]]:
         reach = ulp / 4 if narrow and c < exact else ulp / 2
         return abs(c - exact) < reach or abs(c - exact) == reach and frac % 2 == 0
 
-    out = []
+    tried = []
     for less, scale in ((0, 100), (1, 10)):
         c = round(exact / scale) * scale
-        ok = fits(c) or narrow and c < exact and fits(c + scale)
-        out.append((less, "narrow" if narrow else abs(c - q) - cut, ok))
+        tie = ""
+        if q % scale == scale // 2:
+            if q != exact:
+                tie = "q<f" if q < exact else "q>f"
+            else:
+                tie = "exact-odd" if q // scale % 2 else "exact-even"
+        upper = narrow and c < exact and not fits(c) and fits(c + scale)
+        ok = fits(c) or upper
+        tried.append((less, "narrow" if narrow else abs(c - q) - cut, ok, tie))
         if ok:
-            break
-    return out
+            return tried, (c // scale + upper, point - less)
+    return tried, (q, point - 2)
 
 
 # Bit patterns whose writes reach each branch of the candidate test, with
-# the (less, d - cut, fits) of the candidate that reaches it.  d < cut fits
-# without the exact distance, d > cut + 1 is rejected without it.  At
+# the (less, d - cut, fits, tie) of the candidate that reaches it.  d < cut
+# fits without the exact distance, d > cut + 1 is rejected without it.  At
 # point - 1 (scale 10) d <= 5 <= cut, and d == 5 is a tie in q % 10 that
-# rounds towards |f|, so d == cut there always fits and d > cut never occurs.
+# rounds towards |f|, so d == cut there always fits and d > cut never
+# occurs.  The "tie" rows reach each arm of the tie rule at each scale,
+# in the straight-line code and in the narrow case's loop.  No double
+# reaches an exact tie in the narrow case's loop.  At point an exact tie
+# lies half of 10**point from |f|, more than half an ulp, so it never fits.
+# In the narrow case's loop no tie at point fits either.
 CANDIDATE_BANDS = {
-    "point-fast-accept": (0x1775EE82643E2EC8, (0, -1, True)),
-    "point-exact-cut-fits": (0x757069601C339464, (0, 0, True)),
-    "point-exact-cut-rejected": (0x4B0F31695CCAF1AD, (0, 0, False)),
-    "point-exact-cut+1-fits": (0x3DEEA1A80EA5804E, (0, 1, True)),
-    "point-exact-cut+1-rejected": (0x6DEAFB69F09529AF, (0, 1, False)),
-    "point-fast-reject": (0x26D694C3CE834960, (0, 2, False)),
-    "point-1-fast-accept": (0x579B8EC3D8A8F065, (1, -1, True)),
-    "point-1-fast-accept-at-cut": (0x4651D9C58947E38B, (1, 0, True)),
-    "narrow-point-fits": (0x0020000000000000, (0, "narrow", True)),
-    "narrow-point-1-fits": (0x0030000000000000, (1, "narrow", True)),
-    "narrow-point-1-upper-neighbour": (0x0060000000000000, (1, "narrow", True)),
-    "narrow-q-itself": (0x00C0000000000000, (1, "narrow", False)),
+    "point-fast-accept": (0x1775EE82643E2EC8, (0, -1, True, "")),
+    "point-exact-cut-fits": (0x757069601C339464, (0, 0, True, "")),
+    "point-exact-cut-rejected": (0x4B0F31695CCAF1AD, (0, 0, False, "")),
+    "point-exact-cut+1-fits": (0x3DEEA1A80EA5804E, (0, 1, True, "")),
+    "point-exact-cut+1-rejected": (0x6DEAFB69F09529AF, (0, 1, False, "")),
+    "point-fast-reject": (0x26D694C3CE834960, (0, 2, False, "")),
+    "point-1-fast-accept": (0x579B8EC3D8A8F065, (1, -1, True, "q>f")),
+    "point-1-fast-accept-at-cut": (0x4651D9C58947E38B, (1, 0, True, "q<f")),
+    "narrow-point-fits": (0x0020000000000000, (0, "narrow", True, "")),
+    "narrow-point-1-fits": (0x0030000000000000, (1, "narrow", True, "q<f")),
+    "narrow-point-1-upper-neighbour": (0x0060000000000000, (1, "narrow", True, "")),
+    "narrow-q-itself": (0x00C0000000000000, (1, "narrow", False, "")),
+    "point-tie-q<f": (0x7FD9171ACACAB87B, (0, 1, True, "q<f")),
+    "point-tie-q>f": (0x618DD682F6767BA0, (0, 1, True, "q>f")),
+    "point-tie-exact-odd-rejected": (0x432BB68DDDB4ACD3, (0, 25, False, "exact-odd")),
+    "point-1-tie-q<f": (0x48DBAC252265B1F5, (1, -1, True, "q<f")),
+    "point-1-tie-q>f": (0x4BAAEA603A902931, (1, -16, True, "q>f")),
+    "point-1-tie-exact-odd": (0x430D9AED1AFFCF86, (1, -1, True, "exact-odd")),
+    "point-1-tie-exact-even": (0x4311E52F96E3BB71, (1, -7, True, "exact-even")),
+    "narrow-point-tie-q<f": (0x2360000000000000, (0, "narrow", False, "q<f")),
+    "narrow-point-tie-q>f": (0x0110000000000000, (0, "narrow", False, "q>f")),
+    "narrow-point-1-tie-q>f": (0x0100000000000000, (1, "narrow", True, "q>f")),
+    "narrow-point-1-tie-exact-even": (0x3E60000000000000, (1, "narrow", True, "exact-even")),
 }
 
 
@@ -193,8 +222,10 @@ class TestCandidateBands:
     def test_named_input_reaches_its_band(self, name):
         bits, band = CANDIDATE_BANDS[name]
         f = bits_to_float(bits)
-        assert band in _tried(f)
-        assert _trimmed(*shortest_digits(f)) == _repr_digits(f)
+        tried, expected = _model(f)
+        assert band in tried
+        assert shortest_digits(f) == expected
+        assert _trimmed(*expected) == _repr_digits(f)
 
     def test_every_exponent_and_random_patterns_match_repr(self):
         rng = random.Random(17)
@@ -204,7 +235,9 @@ class TestCandidateBands:
         for bits in patterns:
             f = bits_to_float(bits)
             if 0.0 < f < math.inf:
-                assert _trimmed(*shortest_digits(f)) == _repr_digits(f), hex(bits)
+                expected = _model(f)[1]
+                assert shortest_digits(f) == expected, hex(bits)
+                assert _trimmed(*expected) == _repr_digits(f), hex(bits)
 
 
 class TestShortestDigits:
