@@ -7,17 +7,15 @@ harness round out the package.
 """
 
 from ._bits import bits_to_float, float_to_bits
-from .bigmath import DBL_MANT_DIG, LLOG2, MAX_POW, ConversionStats, power_of_5, round_quotient
-from .oracle import (
+from .audit import (
     AuditReport,
-    ExactRational,
     IntermediateSizeReport,
     all_ones_mantissa_values,
     intermediate_size_scan,
-    minimality_check,
-    nearest_double_exact,
     quotient_length_audit,
 )
+from .bigmath import DBL_MANT_DIG, LLOG2, MAX_POW, ConversionStats, power_of_5, round_quotient
+from .oracle import ExactRational, minimality_check, nearest_double_exact
 from .reader import (
     DecimalSci,
     ParseError,

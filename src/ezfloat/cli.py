@@ -15,13 +15,10 @@ import sys
 import time
 
 from ._bits import bits_to_float, float_to_bits
-from .oracle import (
-    intermediate_size_scan,
-    minimality_check,
-    nearest_double_exact,
-    quotient_length_audit,
-)
-from .reader import DecimalSci, ParseError, mant_exp_to_double5, mant_exp_to_double10, read_double, read_double_with_stats
+from .audit import intermediate_size_scan, quotient_length_audit
+from .bigmath import ConversionStats
+from .oracle import minimality_check, nearest_double_exact
+from .reader import DecimalSci, ParseError, mant_exp_to_double5, mant_exp_to_double10, read_double
 from .writer import double_to_string, shortest_digits
 
 __all__ = ["main"]
@@ -41,17 +38,16 @@ def _emitted_digits(text: str) -> int:
 
 
 def cmd_read(args: argparse.Namespace) -> int:
+    stats = ConversionStats()
     try:
-        outcome = read_double_with_stats(args.text)
+        value = read_double(args.text, stats)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    value = outcome.value
     rendered = double_to_string(value, compat=_compat_enabled())
     print(f"0x{float_to_bits(value):016X} {rendered}")
     if args.stats:
-        s = outcome.stats
-        print(f"divisions={s.divisions} max_intermediate_bits={s.max_intermediate_bits}")
+        print(f"divisions={stats.divisions} max_intermediate_bits={stats.max_intermediate_bits}")
     return 0
 
 
@@ -155,14 +151,11 @@ def _verify_allones() -> bool:
 
 
 def _verify_bounds(seed: int) -> bool:
-    # Two oracle audits check every bound: one scan of the whole read
-    # domain (intermediate_size_scan) and one traced write of every
-    # all-ones value (quotient_length_audit); see each for its bounds.
+    # Two audits check every bound: one scan of the whole read domain
+    # (intermediate_size_scan) and one traced write of every all-ones
+    # value (quotient_length_audit); see each for its bounds.
     scan = intermediate_size_scan(range(-340, 309), range(1, 18), random.Random(seed))
-    for violation in scan.violations:
-        print(f"VIOLATION {violation}")
-    print(f"max pow5 bits: {scan.max_pow5_bits}, max pow10 bits: {scan.max_pow10_bits}")
-    print(f"max read divisions: {scan.max_read_divisions}")
+    print(scan.render())
     # The design's bounds, not the paper's budgets of 2 and 4.
     ok = _verify_allones() and scan.ok
     print(f"bounds: {'ok' if ok else 'exceeded'}")

@@ -138,7 +138,8 @@ def _shortest(f: float, stats: ConversionStats | None) -> tuple[int, int]:
         # upper neighbour when that one fits.
         for less, scale, half in ((0, 100, 50), (1, 10, 5)):
             lquo, d = divmod(q, scale)
-            if d > half or d == half and (q * den < num or q * den == num and lquo & 1):
+            # No power of two reaches an odd exact tie, so ties need no parity.
+            if d > half or d == half and q * den < num:
                 lquo += 1
             dist2 = (lquo * scale * den - num) << 1
             if dist2 >= 0:
@@ -153,7 +154,8 @@ def _shortest(f: float, stats: ConversionStats | None) -> tuple[int, int]:
             lquo, less = q, 2
     else:
         lquo, d = divmod(q, 100)
-        if d > 50 or d == 50 and (q * den < num or q * den == num and lquo & 1):
+        # An exact tie (50 units off) fits only if ulp == 100 * den: e2 == point == 0, q % 100 == 0.
+        if d > 50 or d == 50 and q * den < num:
             lquo += 1
             d = 100 - d
         # d is the candidate's distance from q, so its distance from |f|

@@ -13,13 +13,13 @@ from ezfloat.cli import main
 _BROKEN_BINDING = """
 import sys
 sys.path.insert(0, sys.argv[1])
-from ezfloat import oracle
+from ezfloat import audit
 from ezfloat.cli import main
-real = oracle.mant_exp_to_double10
+real = audit.mant_exp_to_double10
 def wrong_on_one(mant, point, stats=None):
     value = real(mant, point, stats)
     return -value if mant == 10**16 else value
-oracle.mant_exp_to_double10 = wrong_on_one
+audit.mant_exp_to_double10 = wrong_on_one
 sys.exit(main(["verify", "bounds"]))
 """
 
@@ -44,15 +44,15 @@ sys.exit(main(["verify", "bounds"]))
 _EXTRA_REREAD_DIVISION = """
 import functools, sys
 sys.path.insert(0, sys.argv[1])
-from ezfloat import oracle
+from ezfloat import audit
 from ezfloat.cli import main
-real = oracle.mant_exp_to_double10
+real = audit.mant_exp_to_double10
 @functools.wraps(real)
 def extra(mant, point, stats=None):
     value = real(mant, point, stats)
     stats.note_division("read-main", 1, 1, 1)
     return value
-oracle.mant_exp_to_double10 = extra
+audit.mant_exp_to_double10 = extra
 sys.exit(main(["verify", "allones"]))
 """
 

@@ -1,3 +1,4 @@
+import ast
 import functools
 import math
 import os
@@ -14,6 +15,7 @@ from ezfloat import (
     ConversionStats,
     DecimalSci,
     ExactRational,
+    IntermediateSizeReport,
     all_ones_mantissa_values,
     bits_to_float,
     double_to_string,
@@ -28,8 +30,8 @@ from ezfloat import (
     shortest_digits,
     unpack_double,
 )
-from ezfloat import oracle
-from ezfloat.oracle import _scan_trace
+from ezfloat import audit, oracle
+from ezfloat.audit import _scan_trace
 from ezfloat.writer import FloatKind
 
 
@@ -266,14 +268,14 @@ class TestQuotientLengthAudit:
         assert site in report.violations[0]
 
     def test_extra_write_division_is_a_violation(self, monkeypatch):
-        real = oracle.shortest_digits
+        real = audit.shortest_digits
 
         def twice(f, stats=None):
             sd = real(f, stats)
             stats.note_division("write", 1, 1, 1)
             return sd
 
-        monkeypatch.setattr(oracle, "shortest_digits", twice)
+        monkeypatch.setattr(audit, "shortest_digits", twice)
         report = quotient_length_audit()
         assert not report.ok
         assert report.max_write_divisions == 2
@@ -282,7 +284,7 @@ class TestQuotientLengthAudit:
         ]
 
     def test_extra_reread_division_is_a_violation(self, monkeypatch):
-        real = oracle.mant_exp_to_double10
+        real = audit.mant_exp_to_double10
 
         @functools.wraps(real)
         def extra(mant, point, stats=None):
@@ -300,21 +302,21 @@ class TestQuotientLengthAudit:
                 expected.append(f"{label} reread made 2 divisions via mant_exp_to_double10")
         # Clinger's path reads some of these texts without a division.
         assert 0 < len(expected) < len(all_ones_mantissa_values())
-        monkeypatch.setattr(oracle, "mant_exp_to_double10", extra)
+        monkeypatch.setattr(audit, "mant_exp_to_double10", extra)
         report = quotient_length_audit()
         assert not report.ok
         assert report.violations == expected
 
     def test_wide_write_operand_is_a_violation(self, monkeypatch):
         # The widest write operand has 810 bits; one more breaks the bound.
-        real = oracle.shortest_digits
+        real = audit.shortest_digits
 
         def wide(f, stats=None):
             sd = real(f, stats)
             stats.max_intermediate_bits = 811
             return sd
 
-        monkeypatch.setattr(oracle, "shortest_digits", wide)
+        monkeypatch.setattr(audit, "shortest_digits", wide)
         report = quotient_length_audit()
         assert not report.ok
         assert report.max_write_bits == 811
@@ -342,13 +344,13 @@ class TestQuotientLengthAudit:
 
 class TestIntermediateSizeScan:
     def test_binding_mismatch_is_a_violation(self, monkeypatch):
-        real = oracle.mant_exp_to_double10
+        real = audit.mant_exp_to_double10
 
         def wrong_on_one(mant, point, stats=None):
             value = real(mant, point, stats)
             return -value if mant == 10**16 else value
 
-        monkeypatch.setattr(oracle, "mant_exp_to_double10", wrong_on_one)
+        monkeypatch.setattr(audit, "mant_exp_to_double10", wrong_on_one)
         scan = intermediate_size_scan(range(-30, 30), range(17, 18), random.Random(1))
         assert not scan.ok
         assert len(scan.violations) == 60
@@ -356,14 +358,14 @@ class TestIntermediateSizeScan:
         assert all(v.endswith("bindings differ") for v in scan.violations)
 
     def test_quotient_over_its_ceiling_is_a_violation(self, monkeypatch):
-        real = oracle.mant_exp_to_double5
+        real = audit.mant_exp_to_double5
 
         def traced(mant, point, stats=None):
             value = real(mant, point, stats)
             stats.trace.append(("read-main", 60, 3, (1 << 53) + 1))
             return value
 
-        monkeypatch.setattr(oracle, "mant_exp_to_double5", traced)
+        monkeypatch.setattr(audit, "mant_exp_to_double5", traced)
         scan = intermediate_size_scan(range(-5, 5), range(17, 18), random.Random(1))
         assert len(scan.violations) == 40
         assert all(v.endswith(" pow5 read-main quotient 54 bits from 60/3") for v in scan.violations)
@@ -384,6 +386,41 @@ class TestIntermediateSizeScan:
                         stats = ConversionStats()
                         read_double(f"{mant}E{point}", stats)
                         assert (stats.divisions == 0) == skipped, (mant, point)
+
+    def test_render_format(self):
+        report = IntermediateSizeReport()
+        report.max_pow5_bits, report.max_pow10_bits, report.max_read_divisions = 810, 1072, 1
+        report.violations += ["1E0 bindings differ", "2E0 2 divisions"]
+        assert report.render().splitlines() == [
+            "VIOLATION 1E0 bindings differ",
+            "VIOLATION 2E0 2 divisions",
+            "max pow5 bits: 810, max pow10 bits: 1072",
+            "max read divisions: 1",
+        ]
+
+
+# (module, level, name) of every import the oracle may make: the kernel and
+# the records, nothing of the reader's or the writer's conversions.
+_ORACLE_IMPORTS = {
+    ("math", 0, None),
+    ("collections", 0, "namedtuple"),
+    ("bigmath", 1, "round_quotient"),
+    ("reader", 1, "DecimalSci"),
+    ("reader", 1, "_record_repr"),
+}
+
+
+def test_oracle_imports_nothing_it_checks():
+    with open(oracle.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {(alias.name, 0, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found |= {(node.module, node.level, alias.name) for alias in node.names}
+    assert found
+    assert found <= _ORACLE_IMPORTS, found - _ORACLE_IMPORTS
 
 
 def test_oracle_agrees_with_writer_on_curated_values():

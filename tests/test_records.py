@@ -60,6 +60,7 @@ def test_import_loads_no_heavy_module_and_defers_nothing():
     assert not set(HEAVY_MODULES) & set(got["new"])
     # Every import-time table is built by the import itself.
     assert "ezfloat.oracle" in got["new"]
+    assert "ezfloat.audit" in got["new"]
     assert got["scales"] == 2047
     assert got["tables"] == [True] * 2
 

@@ -187,7 +187,7 @@ def _model(f: float) -> tuple[list[tuple[int, int | str, bool, str]], tuple[int,
 # rounds towards |f|, so d == cut there always fits and d > cut never
 # occurs.  The "tie" rows reach each arm of the tie rule at each scale,
 # in the straight-line code and in the narrow case's loop.  No double
-# reaches an exact tie in the narrow case's loop.  At point an exact tie
+# reaches an odd exact tie in the narrow case's loop.  At point an exact tie
 # lies half of 10**point from |f|, more than half an ulp, so it never fits.
 # In the narrow case's loop no tie at point fits either.
 CANDIDATE_BANDS = {
