@@ -1,15 +1,12 @@
 """Command line front end: convert, verify, fuzz and benchmark.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
-Set EZFLOAT_COMPAT=1 to render with the legacy quirks (negative zero as
-"0.0", no padded fractional zero on single-digit significands).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import random
 import sys
 import time
@@ -26,10 +23,6 @@ __all__ = ["main"]
 _CSV_HEADER = ["n", "engine", "write_ns", "read_ns", "values", "verified"]
 
 
-def _compat_enabled() -> bool:
-    return os.environ.get("EZFLOAT_COMPAT", "") not in ("", "0", "false", "no")
-
-
 def _emitted_digits(text: str) -> int:
     mant = text.split("E")[0].lstrip("-").replace(".", "")
     if mant.endswith("0") and len(mant) > 1:
@@ -39,13 +32,8 @@ def _emitted_digits(text: str) -> int:
 
 def cmd_read(args: argparse.Namespace) -> int:
     stats = ConversionStats()
-    try:
-        value = read_double(args.text, stats)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rendered = double_to_string(value, compat=_compat_enabled())
-    print(f"0x{float_to_bits(value):016X} {rendered}")
+    value = read_double(args.text, stats)
+    print(f"0x{float_to_bits(value):016X} {double_to_string(value)}")
     if args.stats:
         print(f"divisions={stats.divisions} max_intermediate_bits={stats.max_intermediate_bits}")
     return 0
@@ -71,12 +59,7 @@ def _parse_double_arg(text: str) -> float:
 
 
 def cmd_write(args: argparse.Namespace) -> int:
-    try:
-        value = _parse_double_arg(args.value)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(double_to_string(value, compat=_compat_enabled()))
+    print(double_to_string(_parse_double_arg(args.value)))
     return 0
 
 
@@ -206,22 +189,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    compat = _compat_enabled()
     rng = random.Random(args.seed)
     base = [10.0 ** rng.gauss(0.0, 1.0) for _ in range(args.count)]
     decs = [shortest_digits(v) for v in base]
-    write_ours = lambda v: double_to_string(v, compat)
     rows_ours: list[list] = []
     rows_native: list[list] = []
     with handle:
         for n in range(args.exp_low, args.exp_high + 1):
-            if args.scale_float:
-                scale = read_double(f"1E{n}")
-                vec = [v * scale for v in base]
-            else:
-                # Exact scaling: shift the decimal exponent, convert once.
-                vec = [mant_exp_to_double5(sd.lquo, sd.point + n) for sd in decs]
-            if not _bench_engine_rows("ezfloat", vec, write_ours, read_double, n, rows_ours):
+            # Exact scaling: shift the decimal exponent, convert once.
+            vec = [mant_exp_to_double5(sd.lquo, sd.point + n) for sd in decs]
+            if not _bench_engine_rows("ezfloat", vec, double_to_string, read_double, n, rows_ours):
                 return 1
             if not _bench_engine_rows("native", vec, repr, float, n, rows_native):
                 return 1
@@ -266,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exp-high", type=int, default=307)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--csv", default="bench.csv", help="output CSV path")
-    p.add_argument("--scale-float", action="store_true",
-                   help="scale by floating multiplication instead of exponent shifts")
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -276,7 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -187,36 +187,34 @@ def shortest_digits(f: float, stats: ConversionStats | None = None) -> ShortestD
     return ShortestDigits(*_shortest(f, stats))
 
 
-def format_sci(negative: bool, lquo: int, point: int, compat: bool = False) -> str:
+def format_sci(negative: bool, lquo: int, point: int) -> str:
     """Render lquo * 10**point as d.dddEn with trailing zeros trimmed.
 
-    A single-digit significand is padded to "d.0" unless ``compat`` asks
-    for the bare "d." form.  The exponent is point plus the untrimmed
-    digit count minus one, printed without a plus sign.
+    A single-digit significand is padded to "d.0".  The exponent is point
+    plus the untrimmed digit count minus one, printed without a plus sign.
     """
     sman = str(lquo)
-    body = sman[1:].rstrip("0") or ("" if compat else "0")
+    body = sman[1:].rstrip("0") or "0"
     sign = "-" if negative else ""
     return f"{sign}{sman[0]}.{body}E{point + len(sman) - 1}"
 
 
-def double_to_string(
-    f: float, compat: bool = False, stats: ConversionStats | None = None
-) -> str:
+def double_to_string(f: float, stats: ConversionStats | None = None) -> str:
     """Shortest scientific notation whose read-back is bit-identical to f.
 
-    ``compat`` restores two legacy behaviours: negative zero prints as
-    "0.0" and single-digit significands drop the padded fractional zero.
+    Finite nonzero values render as format_sci does; the rest as "NaN",
+    "Infinity", "-Infinity", "0.0" and "-0.0", so negative zero keeps
+    its sign.
     """
     if 0.0 < abs(f) < math.inf:
         lquo, point = _shortest(f, stats)
-        return format_sci(f < 0, lquo, point, compat)
+        return format_sci(f < 0, lquo, point)
     if f != f:
         return "NaN"
     if f == math.inf:
         return "Infinity"
     if f == -math.inf:
         return "-Infinity"
-    if not compat and math.copysign(1.0, f) < 0:
+    if math.copysign(1.0, f) < 0:
         return "-0.0"
     return "0.0"

@@ -1,11 +1,13 @@
 import csv
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import ezfloat
+from ezfloat import bits_to_float, cli, double_to_string, float_to_bits, nearest_double_exact
 from ezfloat.cli import main
 
 # Runs `ezfloat verify bounds` with the power-of-10 binding wrong in sign
@@ -61,6 +63,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _negated(fn):
+    # Wrong in the sign bit alone, on every value, zeros and infinities too.
+    return lambda *args: -fn(*args)
 
 
 class TestRead:
@@ -127,12 +134,12 @@ class TestWrite:
         assert code == 2
         assert err.strip() == f"error: expected 16 hex digits after 0x at position {position}"
 
-    def test_compat_env(self, capsys, monkeypatch):
+    def test_environment_does_not_change_the_rendering(self, capsys, monkeypatch):
         monkeypatch.setenv("EZFLOAT_COMPAT", "1")
         code, out, _ = run(capsys, "write", "0x8000000000000000")
-        assert code == 0 and out.strip() == "0.0"
+        assert code == 0 and out.strip() == "-0.0"
         code, out, _ = run(capsys, "write", "0x0000000000000001")
-        assert code == 0 and out.strip() == "5.E-324"
+        assert code == 0 and out.strip() == "5.0E-324"
 
 
 class TestRoundtrip:
@@ -157,6 +164,16 @@ class TestRoundtrip:
         _, out2, _ = run(capsys, "roundtrip", "--count", "500", "--seed", "9")
         assert out1 == out2
 
+    def test_wrong_read_reports_each_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "read_double", _negated(cli.read_double))
+        code, out, _ = run(capsys, "roundtrip", "--count", "2", "--seed", "42")
+        assert code == 1
+        pattern = random.Random(42).getrandbits(64)
+        text = double_to_string(bits_to_float(pattern))
+        lines = out.splitlines()
+        assert lines[0] == f"FAIL 0x{pattern:016X} wrote {text} read 0x{pattern ^ 1 << 63:016X}"
+        assert lines[-1] == "roundtrip: 2 values, 2 failures"
+
 
 class TestVerify:
     def test_allones(self, capsys):
@@ -173,6 +190,28 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "minimality", "--count", "50", "--seed", "5")
         assert code == 0
         assert "0 failures" in out
+
+    def test_wrong_oracle_reports_mismatch(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "nearest_double_exact", _negated(nearest_double_exact))
+        code, out, _ = run(capsys, "verify", "oracle", "--count", "2", "--seed", "5")
+        assert code == 1
+        dec = cli._random_decimal(random.Random(5))
+        bits = float_to_bits(nearest_double_exact(dec))
+        lines = out.splitlines()
+        assert lines[0] == (
+            f"MISMATCH mant={dec.mant} point={dec.point} pow5=0x{bits:016X} "
+            f"pow10=0x{bits:016X} exact=0x{bits ^ 1 << 63:016X}"
+        )
+        assert lines[-1] == "oracle: 2 cases, 2 mismatches"
+
+    def test_wrong_check_reports_not_minimal(self, capsys, monkeypatch):
+        real = cli.minimality_check
+        monkeypatch.setattr(cli, "minimality_check", lambda f, n: f != 0.1 and real(f, n))
+        code, out, _ = run(capsys, "verify", "minimality", "--count", "1")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "NOT MINIMAL 0x3FB999999999999A -> 1.0E-1"
+        assert lines[-1] == "minimality: 5 values, 1 failures"
 
     def test_minimality_count_is_not_capped(self, capsys):
         code, out, _ = run(capsys, "verify", "minimality", "--count", "2001")
@@ -292,17 +331,21 @@ class TestBench:
         ns = sorted(int(row[0]) for row in body if row[1] == "ezfloat")
         assert ns == list(range(-3, 4))
 
-    def test_scale_float_mode(self, capsys, tmp_path):
-        path = tmp_path / "bench.csv"
-        code, _, _ = run(
+    def test_wrong_read_fails_the_bench(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "read_double", _negated(cli.read_double))
+        code, out, err = run(
             capsys,
-            "bench", "--count", "10", "--exp-low", "0", "--exp-high", "1",
-            "--seed", "3", "--csv", str(path), "--scale-float",
+            "bench", "--count", "3", "--exp-low", "0", "--exp-high", "0",
+            "--seed", "11", "--csv", str(tmp_path / "bench.csv"),
         )
-        assert code == 0
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert all(row[5] == "true" for row in rows[1:])
+        assert code == 1
+        # At n = 0 the exactly scaled vector is the base vector itself.
+        value = 10.0 ** random.Random(11).gauss(0.0, 1.0)
+        bits = float_to_bits(value)
+        assert err.splitlines()[0] == (
+            f"FAIL 0x{bits:016X} wrote {double_to_string(value)} read 0x{bits ^ 1 << 63:016X}"
+        )
+        assert out == ""
 
     def test_csv_deterministic_apart_from_timings(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

@@ -160,8 +160,7 @@ KINDS = ["digits", "zeros-before-a-digit", "ten-digit-exponent", "long-exponent"
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_hostile_input_is_subquadratic_and_unchanged(kind, monkeypatch):
-    monkeypatch.delenv("EZFLOAT_COMPAT", raising=False)
+def test_hostile_input_is_subquadratic_and_unchanged(kind):
     sizes = (SMALL, LARGE)
     outcomes = {n: {} for n in sizes}
     _check_budget({n: _text_calls(_text(kind, n)) for n in sizes}, outcomes)

@@ -188,8 +188,10 @@ def _model(f: float) -> tuple[list[tuple[int, int | str, bool, str]], tuple[int,
 # occurs.  The "tie" rows reach each arm of the tie rule at each scale,
 # in the straight-line code and in the narrow case's loop.  No double
 # reaches an odd exact tie in the narrow case's loop.  At point an exact tie
-# lies half of 10**point from |f|, more than half an ulp, so it never fits.
-# In the narrow case's loop no tie at point fits either.
+# lies half of 10**point from |f|, more than half an ulp except where
+# ulp == 100 * den (e2 == point == 0), where it is exactly half an ulp; no
+# tie occurs there, since q % 100 == 0.  In the narrow case's loop no tie at
+# point fits either.
 CANDIDATE_BANDS = {
     "point-fast-accept": (0x1775EE82643E2EC8, (0, -1, True, "")),
     "point-exact-cut-fits": (0x757069601C339464, (0, 0, True, "")),
@@ -358,10 +360,6 @@ class TestFormatSci:
     def test_examples(self, negative, lquo, point, expected):
         assert format_sci(negative, lquo, point) == expected
 
-    def test_compat_drops_padded_zero(self):
-        assert format_sci(False, 5, -324, compat=True) == "5.E-324"
-        assert format_sci(False, 12340, 0, compat=True) == "1.234E4"
-
     def test_exact_value_property(self):
         rng = random.Random(47)
         for i in range(3000):
@@ -375,17 +373,16 @@ class TestFormatSci:
             while mant % 10 == 0:
                 mant //= 10
                 exact_point += 1
-            for compat in (False, True):
-                text = format_sci(negative, lquo, point, compat)
-                assert parse_decimal(text) == DecimalSci(negative, mant, exact_point), text
-                head, exponent = text.lstrip("-").split("E")
-                lead, frac = head.split(".")
-                if mant < 10:
-                    assert frac == ("" if compat else "0"), text
-                else:
-                    assert frac and not frac.endswith("0"), text
-                assert lead == str(lquo)[0]
-                assert int(exponent) == point + len(str(lquo)) - 1, text
+            text = format_sci(negative, lquo, point)
+            assert parse_decimal(text) == DecimalSci(negative, mant, exact_point), text
+            head, exponent = text.lstrip("-").split("E")
+            lead, frac = head.split(".")
+            if mant < 10:
+                assert frac == "0", text
+            else:
+                assert frac and not frac.endswith("0"), text
+            assert lead == str(lquo)[0]
+            assert int(exponent) == point + len(str(lquo)) - 1, text
 
 
 class TestDoubleToString:
@@ -428,9 +425,8 @@ class TestDoubleToString:
             if not math.isfinite(f) or f == 0.0:
                 continue
             sd = shortest_digits(f)
-            for compat in (False, True):
-                expected = format_sci(f < 0, sd.lquo, sd.point, compat)
-                assert double_to_string(f, compat) == expected, hex(float_to_bits(f))
+            expected = format_sci(f < 0, sd.lquo, sd.point)
+            assert double_to_string(f) == expected, hex(float_to_bits(f))
 
     def test_exact_decimal_tie_rounds_to_even(self):
         # 2**50 + 0.25 lies exactly halfway between the 17-digit decimals
@@ -450,12 +446,6 @@ class TestDoubleToString:
             k = rng.randrange(2**46, 2**51)
             for f in (k + 0.25, k + 0.125):
                 assert digits(double_to_string(f)) == digits(repr(f)), repr(f)
-
-    def test_compat_flags(self):
-        assert double_to_string(-0.0, compat=True) == "0.0"
-        assert double_to_string(0.0, compat=True) == "0.0"
-        assert double_to_string(MIN_SUBNORMAL, compat=True) == "5.E-324"
-        assert double_to_string(math.nan, compat=True) == "NaN"
 
     def test_no_trailing_zeros(self):
         rng = random.Random(37)
