@@ -127,20 +127,16 @@ def _verify_minimality(count: int, seed: int) -> bool:
     return failures == 0
 
 
-def _verify_allones() -> bool:
-    report = quotient_length_audit()
-    print(report.render())
-    return report.ok
-
-
 def _verify_bounds(seed: int) -> bool:
     # Two audits check every bound: one scan of the whole read domain
     # (intermediate_size_scan) and one traced write of every all-ones
     # value (quotient_length_audit); see each for its bounds.
     scan = intermediate_size_scan(range(-340, 309), range(1, 18), random.Random(seed))
     print(scan.render())
+    writes = quotient_length_audit()
+    print(writes.render())
     # The design's bounds, not the paper's budgets of 2 and 4.
-    ok = _verify_allones() and scan.ok
+    ok = scan.ok and writes.ok
     print(f"bounds: {'ok' if ok else 'exceeded'}")
     return ok
 
@@ -151,32 +147,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ok = _verify_oracle(args.count, args.seed) and ok
     if args.suite in ("minimality", "all"):
         ok = _verify_minimality(args.count, args.seed) and ok
-    if args.suite == "allones":
-        ok = _verify_allones() and ok
     if args.suite in ("bounds", "all"):
         ok = _verify_bounds(args.seed) and ok
     return 0 if ok else 1
-
-
-def _bench_engine_rows(name, vec, write_one, read_one, n, writer_rows):
-    t0 = time.perf_counter_ns()
-    texts = [write_one(v) for v in vec]
-    t1 = time.perf_counter_ns()
-    back = [read_one(s) for s in texts]
-    t2 = time.perf_counter_ns()
-    verified = all(
-        float_to_bits(b) == float_to_bits(v) for b, v in zip(back, vec)
-    )
-    writer_rows.append([n, name, t1 - t0, t2 - t1, len(vec), "true" if verified else "false"])
-    if not verified:
-        for b, v, s in zip(back, vec, texts):
-            if float_to_bits(b) != float_to_bits(v):
-                print(
-                    f"FAIL 0x{float_to_bits(v):016X} wrote {s} read 0x{float_to_bits(b):016X}",
-                    file=sys.stderr,
-                )
-                break
-    return verified
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -190,23 +163,31 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rng = random.Random(args.seed)
-    base = [10.0 ** rng.gauss(0.0, 1.0) for _ in range(args.count)]
-    decs = [shortest_digits(v) for v in base]
-    rows_ours: list[list] = []
-    rows_native: list[list] = []
+    decs = [shortest_digits(10.0 ** rng.gauss(0.0, 1.0)) for _ in range(args.count)]
+    # Built per call, so the functions timed are the module's current bindings.
+    engines = (("ezfloat", double_to_string, read_double), ("native", repr, float))
     with handle:
+        writer = csv.writer(handle)
+        writer.writerow(_CSV_HEADER)
         for n in range(args.exp_low, args.exp_high + 1):
             # Exact scaling: shift the decimal exponent, convert once.
             vec = [mant_exp_to_double5(sd.lquo, sd.point + n) for sd in decs]
-            if not _bench_engine_rows("ezfloat", vec, double_to_string, read_double, n, rows_ours):
-                return 1
-            if not _bench_engine_rows("native", vec, repr, float, n, rows_native):
-                return 1
-        writer = csv.writer(handle)
-        writer.writerow(_CSV_HEADER)
-        writer.writerows(rows_ours)
-        writer.writerows(rows_native)
-    print(f"bench: wrote {len(rows_ours) + len(rows_native)} rows to {args.csv}")
+            for name, write_one, read_one in engines:
+                t0 = time.perf_counter_ns()
+                texts = [write_one(v) for v in vec]
+                t1 = time.perf_counter_ns()
+                back = [read_one(s) for s in texts]
+                t2 = time.perf_counter_ns()
+                bad = next((i for i, v in enumerate(vec)
+                            if float_to_bits(back[i]) != float_to_bits(v)), None)
+                verified = "true" if bad is None else "false"
+                writer.writerow([n, name, t1 - t0, t2 - t1, len(vec), verified])
+                if bad is not None:
+                    print(f"FAIL 0x{float_to_bits(vec[bad]):016X} wrote {texts[bad]} "
+                          f"read 0x{float_to_bits(back[bad]):016X}", file=sys.stderr)
+                    return 1
+    rows = len(engines) * (args.exp_high - args.exp_low + 1)
+    print(f"bench: wrote {rows} rows to {args.csv}")
     return 0
 
 
@@ -232,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("verify", help="run correctness audits")
-    p.add_argument("suite", choices=["oracle", "minimality", "allones", "bounds", "all"])
+    p.add_argument("suite", choices=["oracle", "minimality", "bounds", "all"])
     p.add_argument("--count", type=_count_arg, default=10000)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_verify)

@@ -61,6 +61,8 @@ def test_import_loads_no_heavy_module_and_defers_nothing():
     # Every import-time table is built by the import itself.
     assert "ezfloat.oracle" in got["new"]
     assert "ezfloat.audit" in got["new"]
+    # The CLI is loaded only by its entry point, so it cannot move import time.
+    assert "ezfloat.cli" not in got["new"]
     assert got["scales"] == 2047
     assert got["tables"] == [True] * 2
 
