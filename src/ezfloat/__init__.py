@@ -2,18 +2,12 @@
 
 Reading picks the nearest double with a single round-half-to-even integer
 division; writing emits the minimal-digit scientific notation that reads
-back bit-identically.  An independent exact oracle, audits and a benchmark
-harness round out the package.
+back bit-identically.  An independent exact oracle rounds out the library.
+The audits of the division bounds (``ezfloat.audit``) and the command line
+(``ezfloat.cli``) sit on top of it; ``import ezfloat`` loads neither.
 """
 
 from ._bits import bits_to_float, float_to_bits
-from .audit import (
-    AuditReport,
-    IntermediateSizeReport,
-    all_ones_mantissa_values,
-    intermediate_size_scan,
-    quotient_length_audit,
-)
 from .bigmath import DBL_MANT_DIG, LLOG2, MAX_POW, ConversionStats, power_of_5, round_quotient
 from .oracle import ExactRational, minimality_check, nearest_double_exact
 from .reader import (
@@ -39,32 +33,27 @@ from .writer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditReport",
     "ConversionStats",
     "DBL_MANT_DIG",
     "DecimalSci",
     "ExactRational",
     "FloatKind",
-    "IntermediateSizeReport",
     "LLOG2",
     "MAX_POW",
     "ParseError",
     "ReadOutcome",
     "ShortestDigits",
     "UnpackedDouble",
-    "all_ones_mantissa_values",
     "bits_to_float",
     "double_to_string",
     "float_to_bits",
     "format_sci",
-    "intermediate_size_scan",
     "mant_exp_to_double5",
     "mant_exp_to_double10",
     "minimality_check",
     "nearest_double_exact",
     "parse_decimal",
     "power_of_5",
-    "quotient_length_audit",
     "read_double",
     "read_double_with_stats",
     "round_quotient",

@@ -31,13 +31,10 @@ def all_ones_mantissa_values() -> list[float]:
     52 subnormals (2**k - 1 at scale 2**-1074) plus the all-ones 53-bit
     significand in each of the 2046 normal binades: 2098 values, sorted.
     """
-    out = set()
-    for k in range(1, 53):
-        out.add(math.ldexp((1 << k) - 1, -1074))
     full = float((1 << 53) - 1)
-    for biased in range(1, 2047):
-        out.add(math.ldexp(full, biased - 1075))
-    return sorted(out)
+    return [math.ldexp((1 << k) - 1, -1074) for k in range(1, 53)] + [
+        math.ldexp(full, biased - 1075) for biased in range(1, 2047)
+    ]
 
 
 class AuditReport:

@@ -1,4 +1,4 @@
-"""Command line front end: convert, verify, fuzz and benchmark.
+"""Command line front end: convert, verify and benchmark.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 """
@@ -63,11 +63,11 @@ def cmd_write(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_roundtrip(args: argparse.Namespace) -> int:
-    rng = random.Random(args.seed)
+def _verify_roundtrip(count: int, seed: int) -> bool:
+    rng = random.Random(seed)
     tested = 0
     failures = 0
-    for _ in range(args.count):
+    for _ in range(count):
         pattern = rng.getrandbits(64)
         f = bits_to_float(pattern)
         if f != f:
@@ -80,7 +80,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
             failures += 1
             print(f"FAIL 0x{pattern:016X} wrote {text} read 0x{back_bits:016X}")
     print(f"roundtrip: {tested} values, {failures} failures")
-    return 1 if failures else 0
+    return failures == 0
 
 
 def _random_decimal(rng: random.Random) -> DecimalSci:
@@ -147,6 +147,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ok = _verify_oracle(args.count, args.seed) and ok
     if args.suite in ("minimality", "all"):
         ok = _verify_minimality(args.count, args.seed) and ok
+    if args.suite in ("roundtrip", "all"):
+        ok = _verify_roundtrip(args.count, args.seed) and ok
     if args.suite in ("bounds", "all"):
         ok = _verify_bounds(args.seed) and ok
     return 0 if ok else 1
@@ -207,14 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("value", help="0x-prefixed 16-hex-digit pattern or decimal literal")
     p.set_defaults(func=cmd_write)
 
-    p = sub.add_parser("roundtrip", help="write/read random bit patterns")
-    p.add_argument("--count", type=_count_arg, default=10000)
-    p.add_argument("--seed", type=int, default=1)
-    p.set_defaults(func=cmd_roundtrip)
-
-    p = sub.add_parser("verify", help="run correctness audits")
-    p.add_argument("suite", choices=["oracle", "minimality", "bounds", "all"])
-    p.add_argument("--count", type=_count_arg, default=10000)
+    p = sub.add_parser("verify", help="run correctness checks")
+    p.add_argument("suite", choices=["oracle", "minimality", "roundtrip", "bounds", "all"])
+    p.add_argument("--count", type=_count_arg, default=10000,
+                   help="cases for oracle, minimality and roundtrip; "
+                        "bounds scans a fixed grid and ignores it")
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 

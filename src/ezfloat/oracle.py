@@ -5,8 +5,9 @@ nearest-double computation works from the exact rational value, locating
 the binade by integer comparison, and rounds once with the shared kernel
 ``round_quotient`` on operands it scaled itself.  A scaling bug would have
 to be reinvented independently on both sides to hide.  So this module
-imports only ``math``, ``namedtuple``, ``bigmath.round_quotient`` and the
-reader's records, never the code it checks (enforced by
+imports only ``math``, ``namedtuple``, ``bigmath.round_quotient``, the
+reader's ``DecimalSci`` record and its helper ``_record_repr``, never the
+code it checks (enforced by
 ``tests/test_oracle.py::test_oracle_imports_nothing_it_checks``); the
 audits that drive that code live in ``audit``.
 """

@@ -14,18 +14,20 @@ import pytest
 from ezfloat import (
     ConversionStats,
     DecimalSci,
-    all_ones_mantissa_values,
     bits_to_float,
     double_to_string,
     float_to_bits,
-    intermediate_size_scan,
     mant_exp_to_double5,
     mant_exp_to_double10,
     minimality_check,
     nearest_double_exact,
-    quotient_length_audit,
     read_double,
     shortest_digits,
+)
+from ezfloat.audit import (
+    all_ones_mantissa_values,
+    intermediate_size_scan,
+    quotient_length_audit,
 )
 from ezfloat.cli import main as cli_main
 

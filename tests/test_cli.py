@@ -144,29 +144,23 @@ class TestWrite:
 
 class TestRoundtrip:
     def test_small_run_passes(self, capsys):
-        code, out, _ = run(capsys, "roundtrip", "--count", "1000", "--seed", "42")
+        code, out, _ = run(capsys, "verify", "roundtrip", "--count", "1000", "--seed", "42")
         assert code == 0
         assert "0 failures" in out
 
     def test_zero_count(self, capsys):
-        code, out, _ = run(capsys, "roundtrip", "--count", "0")
+        code, out, _ = run(capsys, "verify", "roundtrip", "--count", "0")
         assert code == 0
         assert "0 values" in out
 
-    def test_negative_count_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["roundtrip", "--count", "-2"])
-        assert exc.value.code == 2
-        assert "count must be >= 0" in capsys.readouterr().err
-
     def test_deterministic_given_seed(self, capsys):
-        _, out1, _ = run(capsys, "roundtrip", "--count", "500", "--seed", "9")
-        _, out2, _ = run(capsys, "roundtrip", "--count", "500", "--seed", "9")
+        _, out1, _ = run(capsys, "verify", "roundtrip", "--count", "500", "--seed", "9")
+        _, out2, _ = run(capsys, "verify", "roundtrip", "--count", "500", "--seed", "9")
         assert out1 == out2
 
     def test_wrong_read_reports_each_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "read_double", _negated(cli.read_double))
-        code, out, _ = run(capsys, "roundtrip", "--count", "2", "--seed", "42")
+        code, out, _ = run(capsys, "verify", "roundtrip", "--count", "2", "--seed", "42")
         assert code == 1
         pattern = random.Random(42).getrandbits(64)
         text = double_to_string(bits_to_float(pattern))
@@ -300,8 +294,12 @@ class TestVerify:
         lines = out.splitlines()
         assert "oracle: 50 cases, 0 mismatches" in lines
         assert "minimality: 54 values, 0 failures" in lines
+        assert "roundtrip: 50 values, 0 failures" in lines
         assert "violations: 0" in lines
         assert lines[-1] == "bounds: ok"
+        # One summary line per suite, in suite order.
+        suites = ["oracle", "minimality", "roundtrip", "bounds"]
+        assert [s.split(":")[0] for s in lines if s.split(":")[0] in suites] == suites
         # The all-ones audit runs once, inside bounds.
         assert sum(line.startswith("values tested:") for line in lines) == 1
 

@@ -11,27 +11,29 @@ from fractions import Fraction
 import pytest
 
 from ezfloat import (
-    AuditReport,
     ConversionStats,
     DecimalSci,
     ExactRational,
-    IntermediateSizeReport,
-    all_ones_mantissa_values,
     bits_to_float,
     double_to_string,
     float_to_bits,
     format_sci,
-    intermediate_size_scan,
     minimality_check,
     nearest_double_exact,
     parse_decimal,
-    quotient_length_audit,
     read_double,
     shortest_digits,
     unpack_double,
 )
 from ezfloat import audit, oracle
-from ezfloat.audit import _scan_trace
+from ezfloat.audit import (
+    AuditReport,
+    IntermediateSizeReport,
+    _scan_trace,
+    all_ones_mantissa_values,
+    intermediate_size_scan,
+    quotient_length_audit,
+)
 from ezfloat.writer import FloatKind
 
 
