@@ -2,7 +2,9 @@
 
 ``quotient_length_audit`` writes every all-ones value once, traced, and
 reads its text back; ``intermediate_size_scan`` reads a grid spanning the
-whole read domain.  Both collect violations, never assert.  They call the
+whole read domain; ``halfway_audit`` reads halfway points at both ends of
+every binade, exact and with a far tail, where a read cuts long digits.
+All three collect violations, never assert.  They call the
 code they check, which ``oracle`` may not import
 (``tests/test_oracle.py::test_oracle_imports_nothing_it_checks``).
 """
@@ -13,13 +15,21 @@ import math
 
 from ._bits import float_to_bits
 from .bigmath import ConversionStats
-from .reader import DecimalSci, mant_exp_to_double5, mant_exp_to_double10, parse_decimal
+from .reader import (
+    DecimalSci,
+    mant_exp_to_double5,
+    mant_exp_to_double10,
+    parse_decimal,
+    read_double,
+)
 from .writer import format_sci, shortest_digits
 
 __all__ = [
     "AuditReport",
+    "HalfwayReport",
     "IntermediateSizeReport",
     "all_ones_mantissa_values",
+    "halfway_audit",
     "intermediate_size_scan",
     "quotient_length_audit",
 ]
@@ -58,7 +68,9 @@ class AuditReport:
 
 
 def _scan_trace(
-    report: AuditReport | IntermediateSizeReport, label: str, trace: list[tuple[str, int, int, int]]
+    report: AuditReport | IntermediateSizeReport | HalfwayReport,
+    label: str,
+    trace: list[tuple[str, int, int, int]],
 ) -> None:
     for site, num_bits, den_bits, quo in trace:
         if site in ("read-main", "read-shift"):
@@ -188,4 +200,79 @@ def intermediate_size_scan(
                 report.max_read_divisions = max(
                     report.max_read_divisions, s5.divisions, s10.divisions
                 )
+    return report
+
+
+class HalfwayReport:
+    """Reads made, the widest operand and broken bounds of the halfway audit."""
+
+    def __init__(self) -> None:
+        self.reads = self.max_read_bits = 0
+        self.violations: list[str] = []
+
+    def render(self) -> str:
+        lines = [f"VIOLATION {v}" for v in self.violations]
+        lines.append(f"halfway reads: {self.reads}")
+        lines.append(f"max halfway operand bits: {self.max_read_bits}")
+        return "\n".join(lines)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def halfway_audit() -> HalfwayReport:
+    """Read the halfway points above the two lowest and the two highest
+    significands of every binade through ``read_double``.
+
+    Those are 2**52, 2**52 + 1, 2**53 - 2 and 2**53 - 1 at each biased
+    exponent from 1 to 2046, and 0, 1, 2**52 - 2 and 2**52 - 1 among the
+    subnormals; the halfway point above the largest double is the
+    overflow threshold, whose upper neighbour is infinity.  Each is read
+    in three forms: exact, which must give the even neighbour; followed
+    by 60 zeros and a 1, which must give the upper neighbour; and one
+    unit lower in its last digit followed by 60 nines, which must give
+    the lower neighbour.  The tails make each read longer than the digits
+    a read keeps in that decade, so a cut that keeps too few digits, or a
+    sticky digit that does not stand above the cut, reads some wrongly.
+    A read also violates a bound when it makes more than 1 division, when
+    a traced quotient exceeds its site's ceiling, or when its widest
+    operand exceeds bits(10**769 - 1) = 2555: a read keeps at most 769
+    digits, the 768 of (2**53 - 1) * 2**-1075 and a sticky one.
+    Violations are collected, never asserted.  Expected: none.
+    """
+    report = HalfwayReport()
+    width_ceiling = (10**769 - 1).bit_length()
+    for biased in range(2047):
+        if biased:
+            e2, sigs = biased - 1075, (1 << 52, (1 << 52) + 1, (1 << 53) - 2, (1 << 53) - 1)
+        else:
+            e2, sigs = -1074, (0, 1, (1 << 52) - 2, (1 << 52) - 1)
+        for m in sigs:
+            # (2m + 1) * 2**(e2 - 1) as the integer digits * 10**point.
+            if e2 > 0:
+                digits, point = str((2 * m + 1) << (e2 - 1)), 0
+            else:
+                digits, point = str((2 * m + 1) * 5 ** (1 - e2)), e2 - 1
+            lower = float_to_bits(math.ldexp(m, e2))
+            upper = lower + 1  # the successor's bits, infinity's above the top
+            forms = (
+                ("exact", f"{digits}e{point}", upper if m & 1 else lower),
+                ("above", f"{digits}{'0' * 60}1e{point - 61}", upper),
+                ("below", f"{int(digits) - 1}{'9' * 60}e{point - 60}", lower),
+            )
+            for form, text, want in forms:
+                label = f"0x{lower:016X} halfway {form}"
+                stats = ConversionStats(trace=[])
+                got = float_to_bits(read_double(text, stats))
+                if got != want:
+                    report.violations.append(f"{label}: read 0x{got:016X}, want 0x{want:016X}")
+                if stats.divisions > 1:
+                    report.violations.append(f"{label} made {stats.divisions} divisions")
+                bits = stats.max_intermediate_bits
+                if bits > width_ceiling:
+                    report.violations.append(f"{label} operand bits {bits} over {width_ceiling}")
+                _scan_trace(report, label, stats.trace)
+                report.max_read_bits = max(report.max_read_bits, bits)
+                report.reads += 1
     return report

@@ -6,12 +6,14 @@ ties to even, plus a precomputed table of integer powers of 5.  The
 reader, the writer and the oracle all call it; it also records each
 division in an optional ``ConversionStats``.
 
-The table holds 5**k for every k up to ``MAX_POW`` = 1092, which covers
-every power a read of any length divides or multiplies by: a read keeps
-at most 769 significant digits of a value at or above 10**-324, so its
-``point`` is at least -323 - 769, and a value at or above 10**309 is
-infinity without a power, so ``point`` is at most 308.  The table is
-built once at import (about 0.2 ms, about 0.2 MB).
+The table holds 5**k for every k up to ``MAX_POW`` = 1076, which covers
+every power a read of any length divides or multiplies by: a read of a
+value in [10**(top-1), 10**top) keeps at most the significant digits of
+a halfway point there plus a sticky digit, so its ``point`` is at least
+e0 - 2 for the ulp 2**e0 >= 2**-1074 of the binade holding 10**(top-1),
+and a value at or above 10**309 is infinity without a power, so
+``point`` is at most 308.  The table is built once at import (about
+0.2 ms, about 0.2 MB).
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ __all__ = [
 DBL_MANT_DIG = 53            # significand bits of binary64, implicit bit included
 LLOG2 = math.log10(2.0)      # nearest binary64 to log10(2)
 
-# 323 + reader._KEPT_DIGITS + 1: the most negative point a read reaches.
-MAX_POW = 1092
+# 1074 + 2: the most negative point a read reaches, at every top from
+# -323 to -307, where the ulp is 2**-1074 (reader._kept_digits).
+MAX_POW = 1076
 
 
 def _build() -> tuple[int, ...]:

@@ -12,7 +12,7 @@ import sys
 import time
 
 from ._bits import bits_to_float, float_to_bits
-from .audit import intermediate_size_scan, quotient_length_audit
+from .audit import halfway_audit, intermediate_size_scan, quotient_length_audit
 from .bigmath import ConversionStats
 from .oracle import minimality_check, nearest_double_exact
 from .reader import DecimalSci, ParseError, mant_exp_to_double5, mant_exp_to_double10, read_double
@@ -128,15 +128,18 @@ def _verify_minimality(count: int, seed: int) -> bool:
 
 
 def _verify_bounds(seed: int) -> bool:
-    # Two audits check every bound: one scan of the whole read domain
-    # (intermediate_size_scan) and one traced write of every all-ones
-    # value (quotient_length_audit); see each for its bounds.
+    # Three audits check every bound: one scan of the whole read domain
+    # (intermediate_size_scan), reads of long texts at every binade's
+    # edge halfway points (halfway_audit) and one traced write of every
+    # all-ones value (quotient_length_audit); see each for its bounds.
     scan = intermediate_size_scan(range(-340, 309), range(1, 18), random.Random(seed))
     print(scan.render())
+    halfway = halfway_audit()
+    print(halfway.render())
     writes = quotient_length_audit()
     print(writes.render())
     # The design's bounds, not the paper's budgets of 2 and 4.
-    ok = scan.ok and writes.ok
+    ok = scan.ok and halfway.ok and writes.ok
     print(f"bounds: {'ok' if ok else 'exceeded'}")
     return ok
 

@@ -11,7 +11,9 @@ multiply or divide and no division is made.
 
 ``mant_exp_to_double5`` and ``mant_exp_to_double10`` are that one routine,
 ``_to_double``, with ``2**point`` kept outside the operands (powers of 5)
-or shifted into them (powers of 10); ``read_double`` calls the former.
+or shifted into them (powers of 10); ``read_double`` calls the former,
+on at most the significant digits a binary64 halfway point in the
+value's decade can have, plus one sticky digit.
 """
 
 from __future__ import annotations
@@ -42,12 +44,6 @@ _HUGE_EXP = 10**12
 # CPython limits str<->int conversion length; convert long digit runs in
 # chunks so mantissas of any length are read exactly.
 _INT_CHUNK = 4000
-
-# Significant digits a read keeps: the most any binary64 halfway point
-# has, that of (2**53 - 1) * 2**-1075 between the largest subnormal and
-# the smallest normal.  A longer significand keeps these plus one sticky
-# digit.
-_KEPT_DIGITS = 768
 
 # Clinger's exact path: 10**k for 0 <= k <= 22 is an exact binary64
 # (5**22 < 2**53), so mant * 10**point with mant < 2**53 is one IEEE
@@ -178,6 +174,22 @@ def parse_decimal(text: str) -> DecimalSci | float:
     return DecimalSci(negative, _digits_to_int(digits or "0"), point)
 
 
+def _kept_digits(top: int) -> int:
+    # The most significant digits a binary64 halfway point in the decade
+    # [10**(top-1), 10**top) has, for -323 <= top <= 309.  With 2**e0 the
+    # ulp of the binade holding 10**(top-1), at least 2**-1074, every
+    # halfway point of the decade is a multiple of 2**(e0-1) below
+    # 10**top: it has at most 1 - e0 fraction digits, and is an integer
+    # when e0 >= 1.  floor(log2(10**k)) is k + floor(log2(5**k)): exactly
+    # k + bits(5**k) - 1 for k >= 0 and k - bits(5**-k) for k < 0.
+    k = top - 1
+    if k >= 0:
+        e0 = k + power_of_5(k).bit_length() - 1 - 52
+    else:
+        e0 = max(k - power_of_5(-k).bit_length() - 52, -1074)
+    return top + 1 - e0 if e0 < 1 else top
+
+
 def _to_double(mant: int, point: int, stats: ConversionStats | None, twos: int) -> float:
     # mant * 10**point as mant * 5**point * 2**point, with 2**twos outside
     # the operands and 2**(point - twos) shifted into them: twos is point
@@ -270,12 +282,13 @@ def mant_exp_to_double10(
 def read_double(text: str, stats: ConversionStats | None = None) -> float:
     """Convert text to the nearest binary64 (round half to even).
 
-    Only the first 768 significant digits and one sticky digit standing
-    for the nonzero rest take part in the conversion, so a read costs
-    one scan of the text plus a conversion of bounded width, with at most
-    one rounding division.  The conversion is mant_exp_to_double5's,
-    called without that binding's frame.  When *stats* is given that
-    division is recorded there.
+    A significand longer than any binary64 halfway point of its decade
+    keeps only that many significant digits (17 to 768, 296 on average
+    over the decades) and one sticky digit standing for the nonzero rest,
+    so a read costs one scan of the text plus a conversion of bounded
+    width, with at most one rounding division.  The conversion is
+    mant_exp_to_double5's, called without that binding's frame.  When
+    *stats* is given that division is recorded there.
     """
     scanned = _scan(text)
     if scanned.__class__ is float:
@@ -290,14 +303,17 @@ def read_double(text: str, stats: ConversionStats | None = None) -> float:
     elif top > 309:
         value = math.inf
     else:
-        # Every binary64 halfway point has at most 768 significant digits.
-        # A longer significand and its first 768 digits plus a sticky 1
+        # Every binary64 halfway point in this decade has at most
+        # kept = _kept_digits(top) significant digits, and kept >= 17.  A
+        # longer significand and its first kept digits plus a sticky 1
         # (the stripped tail is nonzero) lie strictly inside the same gap
-        # between adjacent 768-digit decimals, which holds no halfway
+        # between adjacent kept-digit decimals, which holds no halfway
         # point, so both round alike.
-        if len(digits) > _KEPT_DIGITS + 1:
-            point = top - _KEPT_DIGITS - 1
-            digits = digits[:_KEPT_DIGITS] + "1"
+        if len(digits) > 18:
+            kept = _kept_digits(top)
+            if len(digits) > kept + 1:
+                point = top - kept - 1
+                digits = digits[:kept] + "1"
         value = _to_double(int(digits), point, stats, point)
     return -value if negative else value
 

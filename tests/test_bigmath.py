@@ -13,11 +13,11 @@ from ezfloat import (
     round_quotient,
 )
 from ezfloat.bigmath import _POWS5
-from ezfloat.reader import _KEPT_DIGITS
+from ezfloat.reader import _kept_digits
 
 # The most negative point a read reaches: a value at or above 10**-324
-# (top >= -323) with the kept digits and the sticky digit.
-READ_POW_REACH = 323 + _KEPT_DIGITS + 1
+# (top >= -323) with the digits kept in its decade and the sticky digit.
+READ_POW_REACH = max(_kept_digits(top) + 1 - top for top in range(-323, 310))
 
 
 def test_constants():

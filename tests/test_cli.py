@@ -59,6 +59,35 @@ sys.exit(main(["verify", "bounds"]))
 """
 
 
+# Runs `ezfloat verify bounds` with the reader keeping one digit fewer
+# than a halfway point in the decade can have.
+_SHORT_CUT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from ezfloat import reader
+from ezfloat.cli import main
+real = reader._kept_digits
+reader._kept_digits = lambda top: real(top) - 1
+sys.exit(main(["verify", "bounds"]))
+"""
+
+
+# Runs `ezfloat verify bounds` with the reader's sticky digit a 0, which
+# puts a cut halfway point followed by a far 1 back on the tie.
+_STICKY_ZERO = """
+import inspect, sys
+sys.path.insert(0, sys.argv[1])
+from ezfloat import reader
+source = inspect.getsource(reader.read_double)
+wrong = source.replace('digits[:kept] + "1"', 'digits[:kept] + "0"')
+if wrong == source:
+    sys.exit(3)
+exec(wrong, vars(reader))
+from ezfloat.cli import main
+sys.exit(main(["verify", "bounds"]))
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -92,6 +121,15 @@ class TestRead:
         lines = out.splitlines()
         assert lines[1].startswith("divisions=")
         assert "max_intermediate_bits=" in lines[1]
+
+    def test_stats_of_a_long_read(self, capsys):
+        # Near 0.78 a halfway point has at most 57 digits, so a read keeps
+        # 57 and a sticky digit of the 1000: under 200 bits, not 2555.
+        code, out, _ = run(capsys, "read", "--stats", "0." + "7" * 1000)
+        assert code == 0
+        stats = dict(field.split("=") for field in out.splitlines()[1].split())
+        assert stats["divisions"] == "1"
+        assert int(stats["max_intermediate_bits"]) < 300
 
     def test_negative_literal(self, capsys):
         code, out, _ = run(capsys, "read", "--", "-0.0")
@@ -235,6 +273,44 @@ class TestVerify:
         assert "max write divisions: 1" in out
         assert "bounds: ok" in out
         assert "VIOLATION" not in out
+
+    def test_bounds_reads_every_halfway_point(self, capsys):
+        # Four halfway points in each of the 2047 binades, read in three
+        # forms; a 769-digit read at top -307 reaches the 2555-bit ceiling.
+        code, out, _ = run(capsys, "verify", "bounds")
+        assert code == 0
+        lines = out.splitlines()
+        assert "halfway reads: 24564" in lines
+        assert "max halfway operand bits: 2555" in lines
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+    @pytest.mark.parametrize(
+        "script,wrong",
+        [
+            # The 768-digit midpoint above the largest subnormal, cut to
+            # 767 digits and a sticky 1, reads below the midpoint.
+            (_SHORT_CUT, "VIOLATION 0x000FFFFFFFFFFFFF halfway above: "
+             "read 0x000FFFFFFFFFFFFF, want 0x0010000000000000"),
+            # Cut to its own digits and a sticky 0, a halfway point with a
+            # far 1 is the tie again, which goes to the even lower neighbour.
+            (_STICKY_ZERO, "VIOLATION 0x000FFFFFFFFFFFFE halfway above: "
+             "read 0x000FFFFFFFFFFFFE, want 0x000FFFFFFFFFFFFF"),
+        ],
+        ids=["short-cut", "sticky-zero"],
+    )
+    def test_bounds_fails_on_a_wrong_cut(self, flags, script, wrong):
+        root = os.path.dirname(os.path.dirname(ezfloat.__file__))
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", script, root],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[-1] == "bounds: exceeded"
+        assert wrong in lines
+        # Only the halfway audit reads through read_double.
+        violations = [line for line in lines if line.startswith("VIOLATION")]
+        assert all(" halfway " in line for line in violations)
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
     def test_bounds_fails_on_a_broken_binding(self, flags):

@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import math
 import pickle
@@ -26,6 +27,7 @@ from ezfloat import (
     read_double,
     read_double_with_stats,
 )
+from ezfloat.reader import _kept_digits
 
 
 # README's input grammar as a state machine, written apart from reader.py:
@@ -489,12 +491,42 @@ def _assert_exact_read(text: str, want: int | None = None) -> None:
 _MIDPOINT_768 = str((2**53 - 1) * 5**1075)
 _MIDPOINT_TOP = len(_MIDPOINT_768) - 1075
 
-# After the clamps a read keeps at most 769 digits, and its widest operand
-# is such a significand.  Every operand built from it is narrower: a
-# normal value of 769 digits has point >= -1076, so the main dividend is
-# at most 53 bits wider than 5**1076, and at the lowest point, -1092, the
-# subnormal divisor is 5**1092 << 18.
+# After the clamps a read keeps at most 769 digits, at top -307 alone,
+# and its widest operand is such a significand.  Every operand built from
+# it is narrower: a read's point is at least -1076, so the main dividend
+# is at most 53 bits wider than 5**1076, and the subnormal divisor is at
+# most 5**1076 << 2.
 _READ_OPERAND_CEILING = (10**769 - 1).bit_length()
+
+
+def _binade(x: Fraction) -> int:
+    # floor(log2(x)) for x > 0.
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    return e - 1 if Fraction(2) ** e > x else e
+
+
+def _half_ulp(e: int) -> Fraction:
+    # Half the spacing of the doubles in the binade [2**e, 2**(e+1)).
+    return Fraction(2) ** (max(e - 52, -1074) - 1)
+
+
+def _significant_digits(x: Fraction) -> int:
+    # Of a dyadic rational, whose denominator is 2**j.
+    j = x.denominator.bit_length() - 1
+    return len(str(x.numerator * 5**j).rstrip("0"))
+
+
+@functools.cache
+def _halfway_digit_bound(top: int) -> int:
+    """The most significant digits of the first two binary64 halfway points
+    at or above 10**(top-1), odd multiples of a half ulp, counted with
+    Fractions.  Two odd multiples in a row are not both multiples of 5,
+    so one of them ends in a nonzero digit even where halfway points are
+    integers (10**23 is one)."""
+    low = Fraction(10) ** (top - 1)
+    half = _half_ulp(_binade(low))
+    n = math.ceil(low / half) | 1
+    return max(_significant_digits(n * half), _significant_digits((n + 2) * half))
 
 
 class TestBoundedRead:
@@ -560,6 +592,44 @@ class TestBoundedRead:
             _assert_exact_read(_sci(digits, top, rng.random() < 0.5))
 
 
+class TestKeptDigits:
+    """A read keeps at most the significant digits of a halfway point in
+    its decade: _kept_digits(top), against a count made with Fractions."""
+
+    def test_bound_is_attained_where_the_decade_starts(self):
+        # So a read keeps no digit fewer than some halfway point has.
+        for top in range(-323, 310):
+            assert _kept_digits(top) == _halfway_digit_bound(top), top
+
+    def test_no_halfway_point_in_the_decade_has_more(self):
+        two = Fraction(2)
+        for top in range(-323, 310):
+            kept = _kept_digits(top)
+            low, high = Fraction(10) ** (top - 1), Fraction(10) ** top
+            # The first halfway point of each higher binade in the decade;
+            # below 2**-1074 the half ulp stays 2**-1075.
+            e = _binade(low) + 1
+            while two**e < high:
+                half = _half_ulp(e)
+                first = (math.ceil(two**e / half) | 1) * half
+                if first < high:
+                    assert _significant_digits(first) <= kept, (top, e)
+                e += 1
+            # The last halfway point below 10**top.
+            e = _binade(high) - (two ** _binade(high) == high)
+            half = _half_ulp(e)
+            n = math.ceil(high / half) - 1
+            last = (n if n % 2 else n - 1) * half
+            assert low <= last < high, top
+            assert _significant_digits(last) <= kept, top
+
+    def test_extremes(self):
+        kept = {top: _kept_digits(top) for top in range(-323, 310)}
+        assert min(kept.values()) == kept[17] == 17
+        assert max(kept.values()) == 768
+        assert [top for top, k in kept.items() if k == 768] == [-307]
+
+
 def _halfway_digits(odd: int, e2: int) -> tuple[str, int]:
     # odd * 2**e2 written out: its significant digits and its top.
     if e2 >= 0:
@@ -579,21 +649,22 @@ _HIGH_HALFWAY = _halfway_digits(2**54 - 3, 970)
 class TestTableReach:
     """Reads of 800 or more digits at the table's two ends.
 
-    A long significand keeps 769 digits, so at top -323 a read divides by
-    5**1092, the table's last entry, and at top 309 by 5**460.
+    A long significand keeps the digits of a halfway point in its decade
+    and a sticky digit: 753 at top -323, so a read divides by 5**1076, the
+    table's last entry, and 310 at top 309, so by 5**1.
     """
 
     @pytest.mark.parametrize(
         "halfway,power,below,above",
         [
-            (_LOW_HALFWAY, 1092, 0x1, 0x2),
-            (_HIGH_HALFWAY, 460, 0x7FEFFFFFFFFFFFFE, 0x7FEFFFFFFFFFFFFF),
+            (_LOW_HALFWAY, 1076, 0x1, 0x2),
+            (_HIGH_HALFWAY, 1, 0x7FEFFFFFFFFFFFFE, 0x7FEFFFFFFFFFFFFF),
         ],
         ids=["top-323", "top309"],
     )
     def test_long_reads_at_either_end(self, halfway, power, below, above):
         digits, top = halfway
-        assert 769 - top == power <= bigmath.MAX_POW
+        assert _halfway_digit_bound(top) + 1 - top == power <= bigmath.MAX_POW
         cases = [
             # A far trailing 1 puts the value just above the halfway point.
             (digits + "0" * (850 - len(digits)) + "1", above),
@@ -735,16 +806,18 @@ class TestOneDivision:
 def _direct_and_bound(text: str) -> ConversionStats:
     """Read text directly and through mant_exp_to_double5; both must agree.
 
-    A significand of more than 769 digits is compared on the decimal that
-    read_double converts, its first 768 digits and a sticky 1.
+    A significand longer than a halfway point of its decade by more than
+    one digit is compared on the decimal that read_double converts: as
+    many digits as that halfway point has, and a sticky 1.
     """
     direct = ConversionStats(trace=[])
     got = read_double(text, direct)
     dec = parse_decimal(text)
     mant, point = dec.mant, dec.point
     digits = text.split("e")[0].replace("-", "").replace(".", "").rstrip("0")
-    if len(digits) > 769:
-        mant, point = int(digits[:768] + "1"), point + len(digits) - 769
+    kept = _halfway_digit_bound(point + len(digits))
+    if len(digits) > kept + 1:
+        mant, point = int(digits[:kept] + "1"), point + len(digits) - kept - 1
     bound = ConversionStats(trace=[])
     want = mant_exp_to_double5(mant, point, bound)
     assert float_to_bits(got) == float_to_bits(-want if dec.negative else want), text[:60]
@@ -770,7 +843,7 @@ class TestDirectCall:
         # (point >= 309 resp. top <= -324), so neither side divides.
         ((1, 20, 330, 400), ()),
         ((1, 20, -400, -324), ()),
-        # Cut to 768 digits and a sticky 1.
+        # Cut to a halfway point's digits and a sticky 1.
         ((770, 1500, -320, 300), ("read-shift", "read-main", "read-subnormal")),
     ]
 
