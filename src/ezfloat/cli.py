@@ -132,14 +132,15 @@ def _verify_bounds(seed: int) -> bool:
     # (intermediate_size_scan), reads of long texts at every binade's
     # edge halfway points (halfway_audit) and one traced write of every
     # all-ones value (quotient_length_audit); see each for its bounds.
-    scan = intermediate_size_scan(range(-340, 309), range(1, 18), random.Random(seed))
-    print(scan.render())
-    halfway = halfway_audit()
-    print(halfway.render())
-    writes = quotient_length_audit()
-    print(writes.render())
+    reports = (
+        intermediate_size_scan(range(-340, 309), range(1, 18), random.Random(seed)),
+        halfway_audit(),
+        quotient_length_audit(),
+    )
+    for report in reports:
+        print(report.render())
     # The design's bounds, not the paper's budgets of 2 and 4.
-    ok = scan.ok and halfway.ok and writes.ok
+    ok = all(report.ok for report in reports)
     print(f"bounds: {'ok' if ok else 'exceeded'}")
     return ok
 

@@ -28,8 +28,9 @@ from ezfloat import (
 from ezfloat import audit, oracle
 from ezfloat.audit import (
     AuditReport,
+    HalfwayReport,
     IntermediateSizeReport,
-    _scan_trace,
+    _check,
     all_ones_mantissa_values,
     intermediate_size_scan,
     quotient_length_audit,
@@ -263,9 +264,11 @@ class TestQuotientLengthAudit:
         shortest_digits(f, stats)
         [(site, num_bits, den_bits, quo)] = stats.trace
         report = AuditReport()
-        _scan_trace(report, f, [(site, num_bits, den_bits, 100 << 53)])
+        stats.trace = [(site, num_bits, den_bits, 100 << 53)]
+        _check(report, "write", stats, 810, divisions=(1,))
         assert report.violations == []
-        _scan_trace(report, f, [(site, num_bits, den_bits, (100 << 53) + 1)])
+        stats.trace = [(site, num_bits, den_bits, (100 << 53) + 1)]
+        _check(report, "write", stats, 810, divisions=(1,))
         assert len(report.violations) == 1
         assert site in report.violations[0]
 
@@ -301,7 +304,7 @@ class TestQuotientLengthAudit:
             real(dec.mant, dec.point, stats)
             if stats.divisions:
                 label = f"0x{float_to_bits(f):016X}"
-                expected.append(f"{label} reread made 2 divisions via mant_exp_to_double10")
+                expected.append(f"{label} reread via mant_exp_to_double10 made 2 divisions")
         # Clinger's path reads some of these texts without a division.
         assert 0 < len(expected) < len(all_ones_mantissa_values())
         monkeypatch.setattr(audit, "mant_exp_to_double10", extra)
@@ -330,7 +333,8 @@ class TestQuotientLengthAudit:
     def test_unknown_site_is_a_violation(self):
         # Sites match exactly: a stale route-specific name is unknown too.
         report = AuditReport()
-        _scan_trace(report, 1.0, [("renamed", 60, 3, 1), ("read5-main", 60, 3, 1)])
+        stats = ConversionStats(trace=[("renamed", 60, 3, 1), ("read5-main", 60, 3, 1)])
+        _check(report, "1.0", stats, 60)
         assert len(report.violations) == 2
 
     def test_render_format(self):
@@ -398,6 +402,18 @@ class TestIntermediateSizeScan:
             "VIOLATION 2E0 2 divisions",
             "max pow5 bits: 810, max pow10 bits: 1072",
             "max read divisions: 1",
+        ]
+
+
+class TestHalfwayAudit:
+    def test_render_format(self):
+        report = HalfwayReport()
+        report.reads, report.max_read_bits = 24564, 2555
+        report.violations.append("0x0000000000000000 halfway exact made 2 divisions")
+        assert report.render().splitlines() == [
+            "VIOLATION 0x0000000000000000 halfway exact made 2 divisions",
+            "halfway reads: 24564",
+            "max halfway operand bits: 2555",
         ]
 
 

@@ -18,7 +18,7 @@ from ezfloat import (
     UnpackedDouble,
     parse_decimal,
 )
-from ezfloat.audit import AuditReport, IntermediateSizeReport
+from ezfloat.audit import AuditReport, HalfwayReport, IntermediateSizeReport
 
 # Each immutable record with one value per field, in field order.
 RECORDS = [
@@ -29,6 +29,14 @@ RECORDS = [
     (ExactRational, {"num": 1, "den": 3, "negative": True}),
 ]
 RECORD_IDS = [cls.__name__ for cls, _ in RECORDS]
+
+# Each audit report with the counters it starts at zero.
+REPORTS = [
+    (AuditReport, ("values_tested", "max_write_bits", "max_write_divisions")),
+    (IntermediateSizeReport, ("max_pow5_bits", "max_pow10_bits", "max_read_divisions")),
+    (HalfwayReport, ("reads", "max_read_bits")),
+]
+REPORT_IDS = [cls.__name__ for cls, _ in REPORTS]
 
 # Loaded by ``import dataclasses`` or ``import typing``, not by the package.
 HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
@@ -162,19 +170,10 @@ class TestConversionStats:
 
 
 class TestReports:
-    def test_audit_report(self):
-        first, second = AuditReport(), AuditReport()
-        fields = ("values_tested", "max_write_bits", "max_write_divisions")
-        assert [getattr(first, name) for name in fields] == [0, 0, 0]
+    @pytest.mark.parametrize("cls,fields", REPORTS, ids=REPORT_IDS)
+    def test_fresh_report(self, cls, fields):
+        first, second = cls(), cls()
+        assert [getattr(first, name) for name in fields] == [0] * len(fields)
         assert first.violations == [] and first.violations is not second.violations
         first.violations.append("x")
         assert second.ok and not first.ok
-
-    def test_intermediate_size_report(self):
-        report = IntermediateSizeReport()
-        fields = ("max_pow5_bits", "max_pow10_bits", "max_read_divisions")
-        assert [getattr(report, name) for name in fields] == [0, 0, 0]
-        other = IntermediateSizeReport()
-        assert report.violations == [] and report.violations is not other.violations
-        report.violations.append("x")
-        assert other.ok and not report.ok

@@ -297,7 +297,7 @@ class TestShortestDigits:
         assert {site for site, *_ in stats.trace} == {"write"}
         widest = max(quo for *_, quo in stats.trace)
         assert widest.bit_length() == 60
-        assert widest <= 100 << 53  # the ceiling oracle._scan_trace checks
+        assert widest <= 100 << 53  # the write ceiling audit._check checks
 
     def test_stats_count_every_division(self, monkeypatch):
         # Count the kernel's calls wherever ezfloat holds it, so a division
