@@ -258,7 +258,7 @@ class TestVerify:
         assert "count must be >= 0" in captured.err
         assert "oracle:" not in captured.out
 
-    def test_bounds_prints_every_measured_maximum(self, capsys):
+    def test_bounds_reports_measured_maxima(self, capsys):
         code, out, _ = run(capsys, "verify", "bounds")
         assert code == 0
         assert out.splitlines() == [
@@ -268,8 +268,6 @@ class TestVerify:
             # the maxima are 806/1130 bits, attained at point -324.
             "max pow5 bits: 806, max pow10 bits: 1130",
             "max read divisions: 1",
-            # Four halfway points in each of the 2047 binades, read in three
-            # forms; a 769-digit read at top -307 reaches the 2555-bit ceiling.
             "halfway reads: 24564",
             "max halfway operand bits: 2555",
             "values tested: 2098",
@@ -279,6 +277,15 @@ class TestVerify:
             "violations: 0",
             "bounds: ok",
         ]
+
+    def test_bounds_reads_every_halfway_point(self, capsys):
+        # Four halfway points in each of the 2047 binades, read in three
+        # forms; a 769-digit read at top -307 reaches the 2555-bit ceiling.
+        code, out, _ = run(capsys, "verify", "bounds")
+        assert code == 0
+        lines = out.splitlines()
+        assert "halfway reads: 24564" in lines
+        assert "max halfway operand bits: 2555" in lines
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
     @pytest.mark.parametrize(
