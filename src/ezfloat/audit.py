@@ -1,33 +1,44 @@
-"""Audits of every division bound the reader and the writer claim.
+"""Audits of the reader and the writer: every check ``ezfloat verify`` runs.
 
-``quotient_length_audit`` writes every all-ones value once, traced, and
-reads its text back; ``intermediate_size_scan`` reads a grid spanning the
-whole read domain; ``halfway_audit`` reads halfway points at both ends of
-every binade, exact and with a far tail, where a read cuts long digits.
-Each passes every conversion it makes through one check, ``_check``, and
-collects violations, never asserts.  They call the code they check, which
-``oracle`` may not import
+``oracle_audit``, ``minimality_audit`` and ``roundtrip_audit`` check seeded
+draws against the oracle, for minimal output and for round trips.
+``quotient_length_audit`` writes every all-ones value once and reads its
+text back; ``intermediate_size_scan`` reads a grid spanning the whole read
+domain; ``halfway_audit`` reads halfway points at both ends of every binade,
+exact and with a far tail, where a read cuts long digits.  These three and
+``roundtrip_audit`` pass every conversion they make through one check,
+``_check``.  Each audit collects violations, never asserts.  They call the
+code they check, which ``oracle`` may not import
 (``tests/test_oracle.py::test_oracle_imports_nothing_it_checks``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import random
 
-from ._bits import float_to_bits
+from ._bits import bits_to_float, float_to_bits
 from .bigmath import ConversionStats
+from .oracle import minimality_check, nearest_double_exact
 from .reader import DecimalSci, parse_decimal, read_double
 from .reader import mant_exp_to_double5, mant_exp_to_double10
-from .writer import format_sci, shortest_digits
+from .writer import double_to_string, format_sci, shortest_digits
 
 __all__ = [
     "AuditReport",
     "HalfwayReport",
     "IntermediateSizeReport",
+    "MinimalityReport",
+    "OracleReport",
+    "RoundtripReport",
     "all_ones_mantissa_values",
     "halfway_audit",
     "intermediate_size_scan",
+    "minimality_audit",
+    "oracle_audit",
     "quotient_length_audit",
+    "roundtrip_audit",
 ]
 
 
@@ -58,6 +69,33 @@ class _Report:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+class OracleReport(_Report):
+    """Decimals read and mismatches against the exact oracle."""
+
+    cases = 0
+
+    def _summary(self) -> list[str]:
+        return [f"oracle: {self.cases} cases, {len(self.violations)} mismatches"]
+
+
+class MinimalityReport(_Report):
+    """Doubles written and outputs a shorter form would have read back."""
+
+    values = 0
+
+    def _summary(self) -> list[str]:
+        return [f"minimality: {self.values} values, {len(self.violations)} failures"]
+
+
+class RoundtripReport(_Report):
+    """Patterns written and read back, and every broken identity or bound."""
+
+    values = 0
+
+    def _summary(self) -> list[str]:
+        return [f"roundtrip: {self.values} values, {len(self.violations)} failures"]
 
 
 class AuditReport(_Report):
@@ -123,9 +161,91 @@ def _check(report: _Report, label: str, stats: ConversionStats, width_ceiling: i
     return bits
 
 
+# A write's operand ceiling, bits(100 * 5**323) + 53 = 810: at the finest
+# scale, 10**-325, one ulp is 100 * 5**323 units and the significand is
+# below 2**53.
+_WRITE_WIDTH_CEILING = (100 * 5**323).bit_length() + 53
+
+
+@functools.cache
 def _read_width_ceiling(base: int, point: int) -> int:
     # The operand ceiling of a read of at most 17 digits through base's binding.
     return (base ** max(-point, 323)).bit_length() + 53
+
+
+def _emitted_digits(text: str) -> int:
+    # A written value's significant digits: format_sci trims trailing
+    # zeros and pads a single digit to "d.0", whose zero is not one.
+    mant = text.partition("E")[0].lstrip("-").replace(".", "")
+    return len(mant) - mant.endswith("0")
+
+
+def oracle_audit(count: int, seed: int) -> OracleReport:
+    """Read ``count`` random decimals, of 1 to 40 digits and either sign at
+    a point in [-360, 330], through both bindings; each must give the
+    double ``nearest_double_exact`` gives."""
+    rng = random.Random(seed)
+    report = OracleReport()
+    for _ in range(count):
+        lo = 10 ** rng.randint(0, 39)
+        mant = rng.randint(lo, 10 * lo - 1)
+        dec = DecimalSci(rng.random() < 0.5, mant, rng.randint(-360, 330))
+        sign = -1.0 if dec.negative else 1.0
+        v5 = float_to_bits(sign * mant_exp_to_double5(mant, dec.point))
+        v10 = float_to_bits(sign * mant_exp_to_double10(mant, dec.point))
+        exact = float_to_bits(nearest_double_exact(dec))
+        if v5 != exact or v10 != exact:
+            report.violations.append(f"{'-' * dec.negative}{mant}E{dec.point} pow5=0x{v5:016X} "
+                                     f"pow10=0x{v10:016X} exact=0x{exact:016X}")
+        report.cases += 1
+    return report
+
+
+def minimality_audit(count: int, seed: int) -> MinimalityReport:
+    """Write four curated doubles and ``count`` random finite nonzero
+    ones; ``minimality_check`` must find no shorter form that reads back."""
+    rng = random.Random(seed)
+    values = [5e-324, 0.1, 0.3, 1.7976931348623157e308]
+    while len(values) < count + 4:
+        f = bits_to_float(rng.getrandbits(64))
+        if 0.0 < abs(f) < math.inf:
+            values.append(f)
+    report = MinimalityReport()
+    for f in values:
+        text = double_to_string(f)
+        if not minimality_check(f, _emitted_digits(text)):
+            report.violations.append(f"0x{float_to_bits(f):016X} wrote {text}, not minimal")
+        report.values += 1
+    return report
+
+
+def roundtrip_audit(count: int, seed: int) -> RoundtripReport:
+    """Write ``count`` random 64-bit patterns, NaNs skipped, and read each back.
+
+    The read must give the pattern back.  A finite nonzero value's write
+    must make exactly 1 division on operands within 810 bits, as in
+    ``quotient_length_audit``, and its read at most 1 within the scan's
+    ceiling for the text's point, as in ``intermediate_size_scan``.
+    """
+    rng = random.Random(seed)
+    report = RoundtripReport()
+    for _ in range(count):
+        pattern = rng.getrandbits(64)
+        f = bits_to_float(pattern)
+        if f != f:
+            continue
+        label = f"0x{pattern:016X}"
+        wstats, rstats = ConversionStats(trace=[]), ConversionStats(trace=[])
+        text = double_to_string(f, wstats)
+        back = float_to_bits(read_double(text, rstats))
+        if back != pattern:
+            report.violations.append(f"{label} wrote {text} read 0x{back:016X}")
+        if 0.0 < abs(f) < math.inf:
+            _check(report, f"{label} write", wstats, _WRITE_WIDTH_CEILING, divisions=(1,))
+            point = int(text.partition("E")[2]) + 1 - _emitted_digits(text)
+            _check(report, f"{label} read", rstats, _read_width_ceiling(5, point))
+        report.values += 1
+    return report
 
 
 def quotient_length_audit() -> AuditReport:
@@ -133,20 +253,18 @@ def quotient_length_audit() -> AuditReport:
 
     An all-ones significand is the largest of its binade, so these values
     reach every write maximum.  A write's significand must stay below
-    10**17 and its operands within bits(100 * 5**323) + 53 = 810 bits: at
-    the finest scale, 10**-325, one ulp is 100 * 5**323 units and the
-    significand is below 2**53.  A reread through either binding must give
+    10**17 and its operands within 810 bits (``_WRITE_WIDTH_CEILING``).
+    A reread through either binding must give
     the value back within the scan's read bounds, but never puts num/den
     at or above 2**53: a missing pre-compare before the read division
     shows only in ``intermediate_size_scan``.  Expected: no violation.
     """
     report = AuditReport()
-    width_ceiling = (100 * 5**323).bit_length() + 53
     for f in all_ones_mantissa_values():
         label = f"0x{float_to_bits(f):016X}"
         stats = ConversionStats(trace=[])
         sd = shortest_digits(f, stats)
-        bits = _check(report, f"{label} write", stats, width_ceiling, divisions=(1,))
+        bits = _check(report, f"{label} write", stats, _WRITE_WIDTH_CEILING, divisions=(1,))
         if not sd.lquo < 10**17:
             report.violations.append(f"{label} write significand too long")
         report.max_write_bits = max(report.max_write_bits, bits)

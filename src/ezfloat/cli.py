@@ -1,5 +1,8 @@
 """Command line front end: convert, verify and benchmark.
 
+``verify`` runs the audits of ``ezfloat.audit``, one or more per suite,
+and prints each report; it fails when any report holds a violation.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 """
 
@@ -11,23 +14,15 @@ import random
 import sys
 import time
 
+from . import audit
 from ._bits import bits_to_float, float_to_bits
-from .audit import halfway_audit, intermediate_size_scan, quotient_length_audit
 from .bigmath import ConversionStats
-from .oracle import minimality_check, nearest_double_exact
-from .reader import DecimalSci, ParseError, mant_exp_to_double5, mant_exp_to_double10, read_double
+from .reader import ParseError, mant_exp_to_double5, read_double
 from .writer import double_to_string, shortest_digits
 
 __all__ = ["main"]
 
 _CSV_HEADER = ["n", "engine", "write_ns", "read_ns", "values", "verified"]
-
-
-def _emitted_digits(text: str) -> int:
-    mant = text.split("E")[0].lstrip("-").replace(".", "")
-    if mant.endswith("0") and len(mant) > 1:
-        mant = mant[:-1]  # the padded fractional zero is not significant
-    return len(mant)
 
 
 def cmd_read(args: argparse.Namespace) -> int:
@@ -40,7 +35,10 @@ def cmd_read(args: argparse.Namespace) -> int:
 
 
 def _count_arg(text: str) -> int:
-    count = int(text)
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"count must be an integer >= 0, got {text!r}") from None
     if count < 0:
         raise argparse.ArgumentTypeError(f"count must be >= 0, got {count}")
     return count
@@ -63,98 +61,33 @@ def cmd_write(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_roundtrip(count: int, seed: int) -> bool:
-    rng = random.Random(seed)
-    tested = 0
-    failures = 0
-    for _ in range(count):
-        pattern = rng.getrandbits(64)
-        f = bits_to_float(pattern)
-        if f != f:
-            continue
-        tested += 1
-        text = double_to_string(f)
-        back = read_double(text)
-        back_bits = float_to_bits(back)
-        if back_bits != pattern:
-            failures += 1
-            print(f"FAIL 0x{pattern:016X} wrote {text} read 0x{back_bits:016X}")
-    print(f"roundtrip: {tested} values, {failures} failures")
-    return failures == 0
-
-
-def _random_decimal(rng: random.Random) -> DecimalSci:
-    ndigits = rng.randint(1, 40)
-    lo = 10 ** (ndigits - 1)
-    mant = rng.randint(lo, 10 * lo - 1)
-    return DecimalSci(rng.random() < 0.5, mant, rng.randint(-360, 330))
-
-
-def _verify_oracle(count: int, seed: int) -> bool:
-    rng = random.Random(seed)
-    mismatches = 0
-    for _ in range(count):
-        dec = _random_decimal(rng)
-        v5 = mant_exp_to_double5(dec.mant, dec.point)
-        v10 = mant_exp_to_double10(dec.mant, dec.point)
-        if dec.negative:
-            v5, v10 = -v5, -v10
-        exact = nearest_double_exact(dec)
-        if float_to_bits(v5) != float_to_bits(exact) or float_to_bits(v10) != float_to_bits(exact):
-            mismatches += 1
-            print(f"MISMATCH mant={dec.mant} point={dec.point} "
-                  f"pow5=0x{float_to_bits(v5):016X} pow10=0x{float_to_bits(v10):016X} "
-                  f"exact=0x{float_to_bits(exact):016X}")
-    print(f"oracle: {count} cases, {mismatches} mismatches")
-    return mismatches == 0
-
-
-def _verify_minimality(count: int, seed: int) -> bool:
-    rng = random.Random(seed)
-    curated = [5e-324, 0.1, 0.3, 1.7976931348623157e308]
-    values = list(curated)
-    while len(values) < count + len(curated):
-        f = bits_to_float(rng.getrandbits(64))
-        if f == f and f not in (float("inf"), float("-inf")) and f != 0.0:
-            values.append(f)
-    failures = 0
-    for f in values:
-        text = double_to_string(f)
-        if not minimality_check(f, _emitted_digits(text)):
-            failures += 1
-            print(f"NOT MINIMAL 0x{float_to_bits(f):016X} -> {text}")
-    print(f"minimality: {len(values)} values, {failures} failures")
-    return failures == 0
-
-
-def _verify_bounds(seed: int) -> bool:
-    # Three audits check every bound: one scan of the whole read domain
-    # (intermediate_size_scan), reads of long texts at every binade's
-    # edge halfway points (halfway_audit) and one traced write of every
-    # all-ones value (quotient_length_audit); see each for its bounds.
-    reports = (
-        intermediate_size_scan(range(-340, 309), range(1, 18), random.Random(seed)),
-        halfway_audit(),
-        quotient_length_audit(),
-    )
-    for report in reports:
-        print(report.render())
-    # The design's bounds, not the paper's budgets of 2 and 4.
-    ok = all(report.ok for report in reports)
-    print(f"bounds: {'ok' if ok else 'exceeded'}")
-    return ok
+# Each suite's reports, in the order ``verify all`` runs them.  Bounds has
+# three: one scan of the whole read domain, reads of long texts at every
+# binade's edge halfway points and one traced write of every all-ones
+# value; see each audit for its bounds.
+_SUITES = {
+    "oracle": lambda count, seed: [audit.oracle_audit(count, seed)],
+    "minimality": lambda count, seed: [audit.minimality_audit(count, seed)],
+    "roundtrip": lambda count, seed: [audit.roundtrip_audit(count, seed)],
+    "bounds": lambda count, seed: [
+        audit.intermediate_size_scan(range(-340, 309), range(1, 18), random.Random(seed)),
+        audit.halfway_audit(),
+        audit.quotient_length_audit(),
+    ],
+}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     ok = True
-    if args.suite in ("oracle", "all"):
-        ok = _verify_oracle(args.count, args.seed) and ok
-    if args.suite in ("minimality", "all"):
-        ok = _verify_minimality(args.count, args.seed) and ok
-    if args.suite in ("roundtrip", "all"):
-        ok = _verify_roundtrip(args.count, args.seed) and ok
-    if args.suite in ("bounds", "all"):
-        ok = _verify_bounds(args.seed) and ok
+    for suite, reports_of in _SUITES.items():
+        if args.suite in (suite, "all"):
+            reports = reports_of(args.count, args.seed)
+            print("\n".join(report.render() for report in reports))
+            suite_ok = all(report.ok for report in reports)
+            if suite == "bounds":
+                # The design's bounds, not the paper's budgets of 2 and 4.
+                print(f"bounds: {'ok' if suite_ok else 'exceeded'}")
+            ok = ok and suite_ok
     return 0 if ok else 1
 
 
@@ -214,11 +147,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_write)
 
     p = sub.add_parser("verify", help="run correctness checks")
-    p.add_argument("suite", choices=["oracle", "minimality", "roundtrip", "bounds", "all"])
+    p.add_argument("suite", choices=[*_SUITES, "all"])
     p.add_argument("--count", type=_count_arg, default=10000,
                    help="cases for oracle, minimality and roundtrip; "
                         "bounds scans a fixed grid and ignores it")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=1,
+                   help="seeds the oracle, minimality and roundtrip draws "
+                        "and the random fillers of the bounds scan")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="timed write/read over an exponent grid")

@@ -7,27 +7,18 @@ sizes and seeds are fixed so results are reproducible.
 import csv
 import math
 import random
-import time
 
 import pytest
 
-from ezfloat import (
-    ConversionStats,
-    DecimalSci,
-    bits_to_float,
-    double_to_string,
-    float_to_bits,
-    mant_exp_to_double5,
-    mant_exp_to_double10,
-    minimality_check,
-    nearest_double_exact,
-    read_double,
-    shortest_digits,
-)
+from ezfloat import ConversionStats, bits_to_float, double_to_string, float_to_bits, read_double
 from ezfloat.audit import (
+    _emitted_digits,
     all_ones_mantissa_values,
     intermediate_size_scan,
+    minimality_audit,
+    oracle_audit,
     quotient_length_audit,
+    roundtrip_audit,
 )
 from ezfloat.cli import main as cli_main
 
@@ -44,13 +35,6 @@ MINIMALITY_COUNT = 10**4
 def _report(number, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {number} ({name}): {status} {detail}".rstrip())
-
-
-def _random_finite(rng):
-    while True:
-        bits = rng.getrandbits(64)
-        if (bits >> 52) & 0x7FF != 0x7FF:
-            return bits
 
 
 def _curated_values():
@@ -77,135 +61,80 @@ def _curated_values():
     return values
 
 
-def _emitted_digits(text):
-    digits = text.split("E")[0].lstrip("-").replace(".", "")
-    if digits.endswith("0") and len(digits) > 1:
-        digits = digits[:-1]
-    return len(digits)
+@pytest.fixture(scope="module")
+def random_roundtrips():
+    # Criteria 1 and 4 share one run: the audit writes and reads back 10**6
+    # seeded patterns and checks each one's division counts and widths.
+    return roundtrip_audit(RANDOM_COUNT, 1)
 
 
-def test_criterion_1_roundtrip_identity():
-    rng = random.Random(1)
-    to_bits = float_to_bits
-    from_bits = bits_to_float
-    write = double_to_string
-    read = read_double
-    started = time.perf_counter()
-    failures = 0
-    for _ in range(RANDOM_COUNT):
-        bits = _random_finite(rng)
-        if to_bits(read(write(from_bits(bits)))) != bits:
-            failures += 1
+def test_criterion_1_roundtrip_identity(random_roundtrips):
+    # The audit's identity failures; its broken bounds are criterion 4's.
+    failures = sum(" wrote " in v for v in random_roundtrips.violations)
     extra = list(all_ones_mantissa_values())
     extra += [-v for v in extra]
     extra += _curated_values()
+    max_read = max_write = 0
     for f in extra:
-        if to_bits(read(write(f))) != to_bits(f):
-            failures += 1
-    elapsed = time.perf_counter() - started
-    total = RANDOM_COUNT + len(extra)
+        wstats, rstats = ConversionStats(), ConversionStats()
+        text = double_to_string(f, wstats)
+        failures += float_to_bits(read_double(text, rstats)) != float_to_bits(f)
+        max_read, max_write = max(max_read, rstats.divisions), max(max_write, wstats.divisions)
     _report(
         1,
         "round-trip identity",
-        failures == 0,
-        f"{total} values, {failures} mismatches, {elapsed:.0f}s",
+        failures == 0 and max_read == 1 and max_write == 1,
+        f"{random_roundtrips.values + len(extra)} values, {failures} mismatches;"
+        f" extras' max divisions {max_read} per read, {max_write} per write",
     )
     assert failures == 0
+    # Reads attain 1 division, one below their budget of 2 (the binary
+    # exponent is settled before the one division); writes attain 1, three
+    # below their budget of 4 (every candidate comes from one quotient at
+    # the finest scale).  Criterion 4 bounds every random pattern's.
+    assert max_read == 1 and max_write == 1
 
 
 def test_criterion_2_oracle_equivalence():
-    rng = random.Random(2)
-    mismatches = 0
-    for _ in range(ORACLE_COUNT):
-        ndigits = rng.randint(1, 40)
-        mant = rng.randint(10 ** (ndigits - 1), 10**ndigits - 1)
-        point = rng.randint(-360, 330)
-        negative = rng.random() < 0.5
-        v5 = mant_exp_to_double5(mant, point)
-        v10 = mant_exp_to_double10(mant, point)
-        if negative:
-            v5, v10 = -v5, -v10
-        exact = nearest_double_exact(DecimalSci(negative, mant, point))
-        if float_to_bits(v5) != float_to_bits(exact) or float_to_bits(
-            v10
-        ) != float_to_bits(exact):
-            mismatches += 1
+    report = oracle_audit(ORACLE_COUNT, 2)
     _report(
         2,
         "oracle equivalence",
-        mismatches == 0,
-        f"{ORACLE_COUNT} decimals, {mismatches} mismatches",
+        report.ok,
+        f"{report.cases} decimals, {len(report.violations)} mismatches",
     )
-    assert mismatches == 0
+    assert report.cases == ORACLE_COUNT
+    assert report.violations == []
 
 
 def test_criterion_3_minimality():
-    rng = random.Random(3)
-    values = [MIN_SUBNORMAL, 0.1, 0.3, MAX_FINITE]
-    while len(values) < MINIMALITY_COUNT + 4:
-        f = bits_to_float(_random_finite(rng))
-        if f != 0.0:
-            values.append(f)
-    failures = 0
-    for f in values:
-        if not minimality_check(f, _emitted_digits(double_to_string(f))):
-            failures += 1
+    report = minimality_audit(MINIMALITY_COUNT, 3)
     min_sub_text = double_to_string(bits_to_float(0x0000000000000001))
     one_digit = min_sub_text == "5.0E-324" and _emitted_digits(min_sub_text) == 1
     _report(
         3,
         "minimality",
-        failures == 0 and one_digit,
-        f"{len(values)} values, {failures} non-minimal;"
+        report.ok and one_digit,
+        f"{report.values} values, {len(report.violations)} non-minimal;"
         f" 0x0000000000000001 -> {min_sub_text}",
     )
-    assert failures == 0
+    assert report.values == MINIMALITY_COUNT + 4
+    assert report.violations == []
     assert one_digit
 
 
-def test_criterion_4_division_count_bounds():
-    # Same corpus as criterion 1 (same seed and draw sequence), instrumented.
-    rng = random.Random(1)
-    max_read = 0
-    max_write = 0
-    over_read = 0
-    over_write = 0
-
-    def observe(f):
-        nonlocal max_read, max_write, over_read, over_write
-        wstats = ConversionStats()
-        sd = shortest_digits(f, wstats)
-        rstats = ConversionStats()
-        mant_exp_to_double5(sd.lquo, sd.point, rstats)
-        if wstats.divisions > 4:
-            over_write += 1
-        if rstats.divisions > 2:
-            over_read += 1
-        max_read = max(max_read, rstats.divisions)
-        max_write = max(max_write, wstats.divisions)
-
-    for _ in range(RANDOM_COUNT):
-        f = bits_to_float(_random_finite(rng))
-        if f != 0.0:
-            observe(f)
-    for f in all_ones_mantissa_values():
-        observe(f)
-    for f in _curated_values():
-        if f != 0.0:
-            observe(abs(f))
-    ok = over_read == 0 and over_write == 0 and max_read == 1 and max_write == 1
+def test_criterion_4_division_count_bounds(random_roundtrips):
+    # Every random write made exactly 1 division and every read at most 1,
+    # within their operand ceilings; criterion 1 checks the extras' counts.
+    broken = [v for v in random_roundtrips.violations if " wrote " not in v]
     _report(
         4,
         "division-count bounds",
-        ok,
-        f"reads <= 2 (max {max_read}), writes <= 4 (max {max_write}),"
-        f" {over_read + over_write} over budget",
+        not broken,
+        f"{random_roundtrips.values} values, each read at most 1 division (budget 2)"
+        f" and each write exactly 1 (budget 4): {len(broken)} broken bounds",
     )
-    assert over_read == 0 and over_write == 0
-    # Reads attain 1, one below their budget (the binary exponent is
-    # settled before the one division); writes attain 1, three below
-    # theirs (every candidate comes from one quotient at the finest scale).
-    assert max_read == 1 and max_write == 1
+    assert broken == []
 
 
 def test_criterion_5_intermediate_size_bounds():

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import ezfloat
-from ezfloat import bits_to_float, cli, double_to_string, float_to_bits, nearest_double_exact
+from ezfloat import audit, bits_to_float, cli, double_to_string, float_to_bits, nearest_double_exact
+from ezfloat import writer
 from ezfloat.cli import main
 
 # Runs `ezfloat verify bounds` with the power-of-10 binding wrong in sign
@@ -197,14 +198,50 @@ class TestRoundtrip:
         assert out1 == out2
 
     def test_wrong_read_reports_each_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "read_double", _negated(cli.read_double))
+        monkeypatch.setattr(audit, "read_double", _negated(audit.read_double))
         code, out, _ = run(capsys, "verify", "roundtrip", "--count", "2", "--seed", "42")
         assert code == 1
         pattern = random.Random(42).getrandbits(64)
         text = double_to_string(bits_to_float(pattern))
         lines = out.splitlines()
-        assert lines[0] == f"FAIL 0x{pattern:016X} wrote {text} read 0x{pattern ^ 1 << 63:016X}"
+        assert lines[0] == (
+            f"VIOLATION 0x{pattern:016X} wrote {text} read 0x{pattern ^ 1 << 63:016X}"
+        )
         assert lines[-1] == "roundtrip: 2 values, 2 failures"
+        assert len(lines) == 3
+
+    def test_wider_write_operand_fails(self, capsys, monkeypatch):
+        # Every write division on operands shifted left by 2: same outputs,
+        # 2 bits wider, over 810 bits for the smallest binades.
+        real = writer.round_quotient
+        monkeypatch.setattr(writer, "round_quotient",
+                            lambda num, den, stats, site: real(num << 2, den << 2, stats, site))
+        code, out, _ = run(capsys, "verify", "roundtrip", "--count", "3000", "--seed", "3")
+        assert code == 1
+        # The three patterns drawn in the lowest three binades, of either sign.
+        assert out.splitlines() == [
+            "VIOLATION 0x000DF9079D5BBAA7 write operand bits 811 over 810",
+            "VIOLATION 0x8029C804D1453186 write operand bits 812 over 810",
+            "VIOLATION 0x0013CB01438F7195 write operand bits 811 over 810",
+            "roundtrip: 2999 values, 3 failures",
+        ]
+
+    def test_extra_read_division_fails(self, capsys, monkeypatch):
+        real = audit.read_double
+
+        def extra(text, stats):
+            value = real(text, stats)
+            stats.note_division("read-main", 1, 1, 1)
+            return value
+
+        monkeypatch.setattr(audit, "read_double", extra)
+        code, out, _ = run(capsys, "verify", "roundtrip", "--count", "20", "--seed", "1")
+        assert code == 1
+        lines = out.splitlines()
+        # -6.692647873169096E13 reads on Clinger's path, without a division.
+        assert len(lines) == 20 and "VIOLATION 0xC2CE6F447ED4D57B" not in out
+        assert all(line.endswith(" read made 2 divisions") for line in lines[:-1])
+        assert lines[-1] == "roundtrip: 20 values, 19 failures"
 
 
 class TestVerify:
@@ -219,26 +256,27 @@ class TestVerify:
         assert "0 failures" in out
 
     def test_wrong_oracle_reports_mismatch(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "nearest_double_exact", _negated(nearest_double_exact))
+        monkeypatch.setattr(audit, "nearest_double_exact", _negated(nearest_double_exact))
         code, out, _ = run(capsys, "verify", "oracle", "--count", "2", "--seed", "5")
         assert code == 1
-        dec = cli._random_decimal(random.Random(5))
-        bits = float_to_bits(nearest_double_exact(dec))
         lines = out.splitlines()
+        # The first decimal drawn at seed 5 overflows; the oracle says -inf.
         assert lines[0] == (
-            f"MISMATCH mant={dec.mant} point={dec.point} pow5=0x{bits:016X} "
-            f"pow10=0x{bits:016X} exact=0x{bits ^ 1 << 63:016X}"
+            "VIOLATION 8756802421011805068781820987516765132857E307 "
+            "pow5=0x7FF0000000000000 pow10=0x7FF0000000000000 exact=0xFFF0000000000000"
         )
         assert lines[-1] == "oracle: 2 cases, 2 mismatches"
 
     def test_wrong_check_reports_not_minimal(self, capsys, monkeypatch):
-        real = cli.minimality_check
-        monkeypatch.setattr(cli, "minimality_check", lambda f, n: f != 0.1 and real(f, n))
+        real = audit.minimality_check
+        monkeypatch.setattr(audit, "minimality_check", lambda f, n: f != 0.1 and real(f, n))
         code, out, _ = run(capsys, "verify", "minimality", "--count", "1")
         assert code == 1
         lines = out.splitlines()
-        assert lines[0] == "NOT MINIMAL 0x3FB999999999999A -> 1.0E-1"
-        assert lines[-1] == "minimality: 5 values, 1 failures"
+        assert lines == [
+            "VIOLATION 0x3FB999999999999A wrote 1.0E-1, not minimal",
+            "minimality: 5 values, 1 failures",
+        ]
 
     def test_minimality_count_is_not_capped(self, capsys):
         code, out, _ = run(capsys, "verify", "minimality", "--count", "2001")
@@ -256,6 +294,15 @@ class TestVerify:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "count must be >= 0" in captured.err
+        assert "oracle:" not in captured.out
+
+    def test_non_integer_count_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "oracle", "--count", "abc"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --count: count must be an integer >= 0, got 'abc'" in captured.err
+        assert "_count_arg" not in captured.err
         assert "oracle:" not in captured.out
 
     def test_bounds_reports_measured_maxima(self, capsys):

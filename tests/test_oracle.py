@@ -30,6 +30,9 @@ from ezfloat.audit import (
     AuditReport,
     HalfwayReport,
     IntermediateSizeReport,
+    MinimalityReport,
+    OracleReport,
+    RoundtripReport,
     _check,
     all_ones_mantissa_values,
     intermediate_size_scan,
@@ -414,6 +417,26 @@ class TestHalfwayAudit:
             "VIOLATION 0x0000000000000000 halfway exact made 2 divisions",
             "halfway reads: 24564",
             "max halfway operand bits: 2555",
+        ]
+
+
+class TestSeededAudits:
+    @pytest.mark.parametrize(
+        "cls,counter,summary",
+        [
+            (OracleReport, "cases", "oracle: 7 cases, 1 mismatches"),
+            (MinimalityReport, "values", "minimality: 7 values, 1 failures"),
+            (RoundtripReport, "values", "roundtrip: 7 values, 1 failures"),
+        ],
+        ids=["OracleReport", "MinimalityReport", "RoundtripReport"],
+    )
+    def test_render_format(self, cls, counter, summary):
+        report = cls()
+        setattr(report, counter, 7)
+        report.violations.append("0x3FF0000000000000 read made 2 divisions")
+        assert report.render().splitlines() == [
+            "VIOLATION 0x3FF0000000000000 read made 2 divisions",
+            summary,
         ]
 
 

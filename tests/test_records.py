@@ -18,7 +18,14 @@ from ezfloat import (
     UnpackedDouble,
     parse_decimal,
 )
-from ezfloat.audit import AuditReport, HalfwayReport, IntermediateSizeReport
+from ezfloat.audit import (
+    AuditReport,
+    HalfwayReport,
+    IntermediateSizeReport,
+    MinimalityReport,
+    OracleReport,
+    RoundtripReport,
+)
 
 # Each immutable record with one value per field, in field order.
 RECORDS = [
@@ -35,6 +42,9 @@ REPORTS = [
     (AuditReport, ("values_tested", "max_write_bits", "max_write_divisions")),
     (IntermediateSizeReport, ("max_pow5_bits", "max_pow10_bits", "max_read_divisions")),
     (HalfwayReport, ("reads", "max_read_bits")),
+    (OracleReport, ("cases",)),
+    (MinimalityReport, ("values",)),
+    (RoundtripReport, ("values",)),
 ]
 REPORT_IDS = [cls.__name__ for cls, _ in REPORTS]
 

@@ -24,6 +24,7 @@ from ezfloat import (
     unpack_double,
     writer,
 )
+from ezfloat.audit import minimality_audit, roundtrip_audit
 
 MAX_FINITE = 1.7976931348623157e308
 MIN_SUBNORMAL = 5e-324
@@ -277,15 +278,9 @@ class TestShortestDigits:
             assert 0 < sd.lquo < 10**17
 
     def test_every_write_makes_one_division(self):
-        # Every candidate comes from one quotient at the finest scale.
-        rng = random.Random(13)
-        for _ in range(4000):
-            f = bits_to_float(rng.getrandbits(64))
-            if f != f or f in (math.inf, -math.inf) or f == 0.0:
-                continue
-            stats = ConversionStats()
-            shortest_digits(f, stats)
-            assert stats.divisions == 1, hex(float_to_bits(f))
+        # Every candidate comes from one quotient at the finest scale; the
+        # audit checks each finite nonzero write's division count.
+        assert roundtrip_audit(4000, 13).violations == []
 
     def test_widest_write_quotient_is_60_bits(self):
         # An all-ones significand is the largest of its binade, so it
@@ -461,13 +456,8 @@ class TestDoubleToString:
             assert len(head + frac) <= 17
 
     def test_roundtrip_random(self):
-        rng = random.Random(41)
-        for _ in range(20000):
-            bits = rng.getrandbits(64)
-            f = bits_to_float(bits)
-            if f != f:
-                continue
-            assert float_to_bits(read_double(double_to_string(f))) == bits
+        report = roundtrip_audit(20000, 41)
+        assert report.violations == [] and report.values == 19988  # 12 NaNs skipped
 
     def test_roundtrip_curated(self):
         curated = [
@@ -489,18 +479,8 @@ class TestDoubleToString:
             assert float_to_bits(read_double(double_to_string(f))) == float_to_bits(f)
 
     def test_minimality_spot_sample(self):
-        rng = random.Random(43)
-        checked = 0
-        while checked < 300:
-            f = bits_to_float(rng.getrandbits(64))
-            if f != f or f in (math.inf, -math.inf) or f == 0.0:
-                continue
-            text = double_to_string(f)
-            digits = text.split("E")[0].lstrip("-").replace(".", "")
-            if digits.endswith("0") and len(digits) > 1:
-                digits = digits[:-1]
-            assert minimality_check(f, len(digits)), text
-            checked += 1
+        report = minimality_audit(300, 43)
+        assert report.violations == [] and report.values == 304
 
     @settings(max_examples=400)
     @given(st.floats(allow_nan=False))
