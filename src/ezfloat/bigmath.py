@@ -130,9 +130,10 @@ def round_quotient(
 def power_of_5(k: int) -> int:
     """5**k: a table lookup for k <= MAX_POW, computed directly above it.
 
-    Reads call it; writes index ``writer._SCALES``, built from the table
-    at import. Only the public bindings ``mant_exp_to_double5/10``, which
-    accept any ``point``, can ask for a ``k`` above ``MAX_POW``.
+    Reads index the table itself and writes ``writer._SCALES``, built
+    from the table at import. Only the public bindings
+    ``mant_exp_to_double5/10``, which accept any ``point``, call this, for
+    a ``k`` above ``MAX_POW``.
     """
     if k < 0:
         raise ValueError("power_of_5 requires k >= 0")

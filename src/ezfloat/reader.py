@@ -11,18 +11,25 @@ multiply or divide and no division is made.
 
 ``mant_exp_to_double5`` and ``mant_exp_to_double10`` are that one routine,
 ``_to_double``, with ``2**point`` kept outside the operands (powers of 5)
-or shifted into them (powers of 10); ``read_double`` calls the former,
-on at most the significant digits a binary64 halfway point in the
-value's decade can have, plus one sticky digit.
+or shifted into them (powers of 10).  ``_to_double`` checks nothing: it
+takes a positive significand whose value is neither past the overflow
+clamp nor below the underflow clamp.  The bindings, which accept any
+``mant`` and ``point``, make those checks first, each once: a negative
+``mant`` is rejected, and zero, overflow and total underflow return
+before a power is built.  ``read_double`` makes its own clamps from the
+text's digit count and exponent, then calls ``_to_double`` the way
+``mant_exp_to_double5`` does, on at most the significant digits a binary64
+halfway point in the value's decade can have, plus one sticky digit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import namedtuple
 
-from .bigmath import DBL_MANT_DIG, ConversionStats, power_of_5, round_quotient
+from .bigmath import _POWS5, DBL_MANT_DIG, MAX_POW, ConversionStats, power_of_5, round_quotient
 
 __all__ = [
     "DecimalSci",
@@ -35,9 +42,10 @@ __all__ = [
     "read_double_with_stats",
 ]
 
-# Exponents written with more than this many digits are treated as +/-huge;
-# the overflow/underflow clamps make the result exact without ever building
-# a proportionally huge integer.
+# Exponents of more than this many digits, leading zeros not counted, are
+# treated as +/-huge; the overflow/underflow clamps make the result exact
+# without ever building a proportionally huge integer.  An exponent of at
+# most this many characters is read as it is, zeros and all.
 _MAX_EXP_DIGITS = 10
 _HUGE_EXP = 10**12
 
@@ -132,8 +140,9 @@ def _scan(text: str) -> tuple[bool, str, int] | float:
                 return sign == "-", "", 0
             point = len(digits) - len(stripped) - len(frac_digits)
             if exp_digits:
-                exp_digits = exp_digits.lstrip("0")
-                if len(exp_digits) > _MAX_EXP_DIGITS:
+                if len(exp_digits) <= _MAX_EXP_DIGITS:
+                    exp = int(exp_digits)
+                elif len(exp_digits := exp_digits.lstrip("0")) > _MAX_EXP_DIGITS:
                     exp = _HUGE_EXP  # saturates; the read clamps decide the value
                 else:
                     exp = int(exp_digits or 0)
@@ -174,6 +183,7 @@ def parse_decimal(text: str) -> DecimalSci | float:
     return DecimalSci(negative, _digits_to_int(digits or "0"), point)
 
 
+@functools.cache
 def _kept_digits(top: int) -> int:
     # The most significant digits a binary64 halfway point in the decade
     # [10**(top-1), 10**top) has, for -323 <= top <= 309.  With 2**e0 the
@@ -182,11 +192,13 @@ def _kept_digits(top: int) -> int:
     # 10**top: it has at most 1 - e0 fraction digits, and is an integer
     # when e0 >= 1.  floor(log2(10**k)) is k + floor(log2(5**k)): exactly
     # k + bits(5**k) - 1 for k >= 0 and k - bits(5**-k) for k < 0.
+    # Cached: one entry per decade a long read reaches, at most 633, each
+    # computed on first use.
     k = top - 1
     if k >= 0:
-        e0 = k + power_of_5(k).bit_length() - 1 - 52
+        e0 = k + _POWS5[k].bit_length() - 1 - 52
     else:
-        e0 = max(k - power_of_5(-k).bit_length() - 52, -1074)
+        e0 = max(k - _POWS5[-k].bit_length() - 52, -1074)
     return top + 1 - e0 if e0 < 1 else top
 
 
@@ -194,22 +206,17 @@ def _to_double(mant: int, point: int, stats: ConversionStats | None, twos: int) 
     # mant * 10**point as mant * 5**point * 2**point, with 2**twos outside
     # the operands and 2**(point - twos) shifted into them: twos is point
     # (powers of 5) or 0 (powers of 10); a shift by 0 would only copy.
-    if mant < 0:
-        raise ValueError("mant must be nonnegative")
-    if mant == 0:
-        return 0.0
+    # Unchecked: the caller has made sure that mant > 0, that point <= 308
+    # and that the value is not below the underflow clamp, so 5**point and,
+    # on every read, 5**-point are in the power table.
     if mant < _CLINGER_MANT and -22 <= point <= 22:
         if point >= 0:
             return mant * _CLINGER_POWS[point]
         return mant / _CLINGER_POWS[-point]
-    if point >= 309:
-        return math.inf  # value >= 10**309, past the largest double
-    if point < -324 and point + mant.bit_length() * 30103 // 100000 < -324:
-        return 0.0  # value < 2**bits * 10**point < 10**-324
     if point >= 0:
         # Past Clinger's path mant >= 2**53 or point >= 23 (5**23 > 2**53),
         # so num has at least 54 bits and bex >= 1.
-        num = mant * power_of_5(point)
+        num = mant * _POWS5[point]
         if not twos:
             num <<= point
         bex = num.bit_length() - DBL_MANT_DIG
@@ -221,7 +228,8 @@ def _to_double(mant: int, point: int, stats: ConversionStats | None, twos: int) 
         # settle the binary exponent before the one rounding: afterwards
         # 2**52 <= num/den < 2**53 and the quotient has 53 bits, or is
         # 2**53 after a rounding carry, which still converts exactly.
-        scl = pow5 = power_of_5(-point)
+        # Only a binding's long significand reaches a point below -MAX_POW.
+        scl = pow5 = _POWS5[-point] if point >= -MAX_POW else power_of_5(-point)
         if not twos:
             scl <<= -point
         bex = mant.bit_length() - scl.bit_length() - DBL_MANT_DIG
@@ -253,6 +261,20 @@ def _to_double(mant: int, point: int, stats: ConversionStats | None, twos: int) 
         return math.inf
 
 
+def _checked(mant: int, point: int, stats: ConversionStats | None, twos: int) -> float:
+    # The bindings' checks, each made once, before any power is built;
+    # then the conversion.
+    if mant < 0:
+        raise ValueError("mant must be nonnegative")
+    if mant == 0:
+        return 0.0
+    if point >= 309:
+        return math.inf  # value >= 10**309, past the largest double
+    if point < -324 and point + mant.bit_length() * 30103 // 100000 < -324:
+        return 0.0  # value < 2**bits * 10**point < 10**-324
+    return _to_double(mant, point, stats, twos)
+
+
 def mant_exp_to_double5(
     mant: int, point: int, stats: ConversionStats | None = None
 ) -> float:
@@ -264,7 +286,7 @@ def mant_exp_to_double5(
     total underflow +0.0, both without building a power for a ``point``
     beyond range.  The sign is the caller's concern.
     """
-    return _to_double(mant, point, stats, point)
+    return _checked(mant, point, stats, point)
 
 
 def mant_exp_to_double10(
@@ -276,7 +298,7 @@ def mant_exp_to_double10(
     operands roughly 40% wider: the contrast acceptance criterion 5
     measures, not a separate implementation.
     """
-    return _to_double(mant, point, stats, 0)
+    return _checked(mant, point, stats, 0)
 
 
 def read_double(text: str, stats: ConversionStats | None = None) -> float:
@@ -286,9 +308,11 @@ def read_double(text: str, stats: ConversionStats | None = None) -> float:
     keeps only that many significant digits (17 to 768, 296 on average
     over the decades) and one sticky digit standing for the nonzero rest,
     so a read costs one scan of the text plus a conversion of bounded
-    width, with at most one rounding division.  The conversion is
-    mant_exp_to_double5's, called without that binding's frame.  When
-    *stats* is given that division is recorded there.
+    width, with at most one rounding division.  The read clamps zero,
+    overflow and underflow itself, from the digit count and the exponent,
+    and then makes mant_exp_to_double5's conversion without that
+    binding's frame or its checks, which the clamps have already settled.
+    When *stats* is given that division is recorded there.
     """
     scanned = _scan(text)
     if scanned.__class__ is float:

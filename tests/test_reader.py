@@ -184,6 +184,26 @@ class TestParseDecimal:
         assert read_double("1E-00000000000000005") == 1e-5
         assert read_double("1e+00000000000000000") == 1.0
 
+    @pytest.mark.parametrize(
+        "text,point,value",
+        [
+            # Ten characters are read as they are; longer exponents are
+            # counted without their leading zeros.
+            ("1e9999999999", 9999999999, math.inf),
+            ("1e09999999999", 9999999999, math.inf),
+            ("1e-09999999999", -9999999999, 0.0),
+            ("1e10000000000", 10**12, math.inf),
+            ("1e-10000000000", -(10**12), 0.0),
+            ("1e-0000000001", -1, 0.1),
+            ("1e+0000000000", 0, 1.0),
+        ],
+    )
+    def test_exponent_length_switch(self, text, point, value):
+        assert parse_decimal(text) == DecimalSci(False, 1, point)
+        got = read_double(text)
+        assert float_to_bits(got) == float_to_bits(value)
+        assert float_to_bits(got) == float_to_bits(nearest_double_exact(parse_decimal(text)))
+
     def test_very_long_mantissa_is_exact(self):
         # All digits must participate in the single rounding.
         digits = str(5**1075)  # exact decimal expansion of 2**-1075 scaled
@@ -268,15 +288,35 @@ class TestMantExpToDouble:
         )
         assert float_to_bits(mant_exp_to_double10(5, -324)) == 0x0000000000000001
 
+    # Points on Clinger's path, past overflow and far past both clamps: the
+    # bindings check the sign first and zero second, before either clamp.
+    _CHECKED_POINTS = (0, 400, -(10**6), 10**6)
+
     def test_zero_mantissa(self):
         assert mant_exp_to_double5(0, 100) == 0.0
         assert mant_exp_to_double10(0, -100) == 0.0
+        for convert in (mant_exp_to_double5, mant_exp_to_double10):
+            for point in self._CHECKED_POINTS:
+                stats = ConversionStats()
+                got = convert(0, point, stats)
+                assert float_to_bits(got) == 0 and stats.divisions == 0, (convert, point)
 
     def test_negative_mantissa_rejected(self):
-        with pytest.raises(ValueError):
-            mant_exp_to_double5(-1, 0)
-        with pytest.raises(ValueError):
-            mant_exp_to_double10(-1, 0)
+        for convert in (mant_exp_to_double5, mant_exp_to_double10):
+            for point in self._CHECKED_POINTS:
+                with pytest.raises(ValueError):
+                    convert(-1, point)
+
+    def test_point_past_the_power_table(self):
+        # A significand long enough to stay above the underflow clamp at a
+        # point below -MAX_POW, which no read reaches.
+        mant, point = 10**1200 + 1, -1200
+        assert -point > bigmath.MAX_POW
+        want = nearest_double_exact(DecimalSci(False, mant, point))
+        for convert in (mant_exp_to_double5, mant_exp_to_double10):
+            stats = ConversionStats()
+            got = convert(mant, point, stats)
+            assert got == want == 1.0 and stats.divisions == 1, convert
 
     def test_non_canonical_mantissas(self):
         assert mant_exp_to_double5(1500, -3) == 1.5
@@ -629,6 +669,20 @@ class TestKeptDigits:
         assert max(kept.values()) == 768
         assert [top for top, k in kept.items() if k == 768] == [-307]
 
+    def test_cached_once_per_decade(self):
+        digits = "1234567890" * 3 + "1234567897"
+        _kept_digits.cache_clear()
+        for top in (-400, 400):  # clamped, so no count is made
+            read_double(_sci(digits, top))
+        assert _kept_digits.cache_info().currsize == 0
+        for top in range(-323, 310):
+            read_double(_sci(digits, top))
+        assert _kept_digits.cache_info().currsize == 633
+        for top in range(-323, 310):
+            assert _kept_digits(top) == _halfway_digit_bound(top), top
+        info = _kept_digits.cache_info()
+        assert (info.currsize, info.hits) == (633, 633)
+
 
 def _halfway_digits(odd: int, e2: int) -> tuple[str, int]:
     # odd * 2**e2 written out: its significant digits and its top.
@@ -830,7 +884,9 @@ def _direct_and_bound(text: str) -> ConversionStats:
 
 
 class TestDirectCall:
-    """read_double calls the conversion without mant_exp_to_double5's frame."""
+    """read_double clamps zero, overflow and underflow itself and calls the
+    unchecked conversion without mant_exp_to_double5's frame or checks;
+    it must still agree with the binding in value, divisions and trace."""
 
     # (fewest and most significant digits, lowest and highest top) and the
     # sites a draw may divide at: none on Clinger's path or a clamp.
