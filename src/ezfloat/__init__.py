@@ -8,7 +8,7 @@ The audits of the division bounds (``ezfloat.audit``) and the command line
 """
 
 from ._bits import bits_to_float, float_to_bits
-from .bigmath import DBL_MANT_DIG, LLOG2, MAX_POW, ConversionStats, power_of_5, round_quotient
+from .bigmath import DBL_MANT_DIG, LLOG2, MAX_POW, ConversionStats, round_quotient
 from .oracle import ExactRational, minimality_check, nearest_double_exact
 from .reader import (
     DecimalSci,
@@ -53,7 +53,6 @@ __all__ = [
     "minimality_check",
     "nearest_double_exact",
     "parse_decimal",
-    "power_of_5",
     "read_double",
     "read_double_with_stats",
     "round_quotient",

@@ -235,7 +235,7 @@ def roundtrip_audit(count: int, seed: int) -> RoundtripReport:
         if f != f:
             continue
         label = f"0x{pattern:016X}"
-        wstats, rstats = ConversionStats(trace=[]), ConversionStats(trace=[])
+        wstats, rstats = ConversionStats(), ConversionStats()
         text = double_to_string(f, wstats)
         back = float_to_bits(read_double(text, rstats))
         if back != pattern:
@@ -262,7 +262,7 @@ def quotient_length_audit() -> AuditReport:
     report = AuditReport()
     for f in all_ones_mantissa_values():
         label = f"0x{float_to_bits(f):016X}"
-        stats = ConversionStats(trace=[])
+        stats = ConversionStats()
         sd = shortest_digits(f, stats)
         bits = _check(report, f"{label} write", stats, _WRITE_WIDTH_CEILING, divisions=(1,))
         if not sd.lquo < 10**17:
@@ -273,7 +273,7 @@ def quotient_length_audit() -> AuditReport:
         assert isinstance(dec, DecimalSci)
         for reader, base in ((mant_exp_to_double5, 5), (mant_exp_to_double10, 10)):
             via = f"{label} reread via {reader.__name__}"
-            stats = ConversionStats(trace=[])
+            stats = ConversionStats()
             if reader(dec.mant, dec.point, stats) != f:
                 report.violations.append(f"{via} mismatch")
             _check(report, via, stats, _read_width_ceiling(base, dec.point))
@@ -301,7 +301,7 @@ def intermediate_size_scan(points: range, digit_counts: range, rng) -> Intermedi
             ceiling5, ceiling10 = (_read_width_ceiling(base, point) for base in (5, 10))
             for mant in {lo, hi, rng.randint(lo, hi), rng.randint(lo, hi)}:
                 label = f"{mant}E{point}"
-                s5, s10 = ConversionStats(trace=[]), ConversionStats(trace=[])
+                s5, s10 = ConversionStats(), ConversionStats()
                 v5 = mant_exp_to_double5(mant, point, s5)
                 v10 = mant_exp_to_double10(mant, point, s10)
                 bits5 = _check(report, f"{label} pow5", s5, ceiling5)
@@ -357,7 +357,7 @@ def halfway_audit() -> HalfwayReport:
             )
             for form, text, want in forms:
                 label = f"0x{lower:016X} halfway {form}"
-                stats = ConversionStats(trace=[])
+                stats = ConversionStats()
                 got = float_to_bits(read_double(text, stats))
                 if got != want:
                     report.violations.append(f"{label}: read 0x{got:016X}, want 0x{want:016X}")

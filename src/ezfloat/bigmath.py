@@ -25,7 +25,6 @@ __all__ = [
     "LLOG2",
     "MAX_POW",
     "ConversionStats",
-    "power_of_5",
     "round_quotient",
 ]
 
@@ -54,50 +53,44 @@ class ConversionStats:
     """Per-call instrumentation for the conversion routines.
 
     Every rounding division of a read or a write passes through
-    ``round_quotient``, which notes it here when given a stats object:
-    ``divisions`` counts them, ``max_intermediate_bits`` is the widest
-    operand fed to one.  ``trace`` (opt-in) records every division as
-    ``(site, num_bits, den_bits, quotient)`` for the quotient-length audit.
-    A mutable accumulator; two compare equal when all three fields do.
+    ``round_quotient``, which notes it here when given a stats object.
+    ``trace`` holds one ``(site, num_bits, den_bits, quotient)`` record
+    per division; ``divisions`` and ``max_intermediate_bits`` (the widest
+    operand fed to one) are read from it, so they always agree with it.
+    A mutable accumulator; two compare equal when their traces do.
     """
 
-    __slots__ = ("divisions", "max_intermediate_bits", "trace")
+    __slots__ = ("trace",)
 
-    def __init__(
-        self,
-        divisions: int = 0,
-        max_intermediate_bits: int = 0,
-        trace: list[tuple[str, int, int, int]] | None = None,
-    ) -> None:
-        self.divisions = divisions
-        self.max_intermediate_bits = max_intermediate_bits
-        self.trace = trace
+    def __init__(self) -> None:
+        self.trace: list[tuple[str, int, int, int]] = []
+
+    @property
+    def divisions(self) -> int:
+        return len(self.trace)
+
+    @property
+    def max_intermediate_bits(self) -> int:
+        # Plain compares: several times faster than max() over a generator,
+        # and the audits read this once per conversion.
+        widest = 0
+        for _, num_bits, den_bits, _ in self.trace:
+            if num_bits > widest:
+                widest = num_bits
+            if den_bits > widest:
+                widest = den_bits
+        return widest
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.divisions, self.max_intermediate_bits, self.trace) == (
-            other.divisions,
-            other.max_intermediate_bits,
-            other.trace,
-        )
+        return self.trace == other.trace
 
     def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(divisions={self.divisions!r}, "
-            f"max_intermediate_bits={self.max_intermediate_bits!r}, trace={self.trace!r})"
-        )
+        return f"{type(self).__name__}(trace={self.trace!r})"
 
     def note_division(self, site: str, num: int, den: int, quo: int) -> None:
-        self.divisions += 1
-        nb = num.bit_length()
-        db = den.bit_length()
-        if nb > self.max_intermediate_bits:
-            self.max_intermediate_bits = nb
-        if db > self.max_intermediate_bits:
-            self.max_intermediate_bits = db
-        if self.trace is not None:
-            self.trace.append((site, nb, db, quo))
+        self.trace.append((site, num.bit_length(), den.bit_length(), quo))
 
 
 def round_quotient(
@@ -125,17 +118,3 @@ def round_quotient(
     if stats is not None:
         stats.note_division(site, num, den, quo)
     return quo
-
-
-def power_of_5(k: int) -> int:
-    """5**k: a table lookup for k <= MAX_POW, computed directly above it.
-
-    Reads index the table itself and writes ``writer._SCALES``, built
-    from the table at import. Only the public bindings
-    ``mant_exp_to_double5/10``, which accept any ``point``, call this, for
-    a ``k`` above ``MAX_POW``.
-    """
-    if k < 0:
-        raise ValueError("power_of_5 requires k >= 0")
-    return _POWS5[k] if k <= MAX_POW else 5**k
-

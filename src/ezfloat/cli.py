@@ -3,7 +3,7 @@
 ``verify`` runs the audits of ``ezfloat.audit``, one or more per suite,
 and prints each report; it fails when any report holds a violation.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage, input or I/O error.
 """
 
 from __future__ import annotations
@@ -96,11 +96,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print("error: need exp-low <= exp-high and count >= 1", file=sys.stderr)
         return 2
     # Opened before any timing, so an unwritable path fails at once.
-    try:
-        handle = open(args.csv, "w", newline="")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    handle = open(args.csv, "w", newline="")
     rng = random.Random(args.seed)
     decs = [shortest_digits(10.0 ** rng.gauss(0.0, 1.0)) for _ in range(args.count)]
     # Built per call, so the functions timed are the module's current bindings.
@@ -172,7 +168,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

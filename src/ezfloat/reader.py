@@ -29,7 +29,7 @@ import math
 import re
 from collections import namedtuple
 
-from .bigmath import _POWS5, DBL_MANT_DIG, MAX_POW, ConversionStats, power_of_5, round_quotient
+from .bigmath import _POWS5, DBL_MANT_DIG, MAX_POW, ConversionStats, round_quotient
 
 __all__ = [
     "DecimalSci",
@@ -229,7 +229,7 @@ def _to_double(mant: int, point: int, stats: ConversionStats | None, twos: int) 
         # 2**52 <= num/den < 2**53 and the quotient has 53 bits, or is
         # 2**53 after a rounding carry, which still converts exactly.
         # Only a binding's long significand reaches a point below -MAX_POW.
-        scl = pow5 = _POWS5[-point] if point >= -MAX_POW else power_of_5(-point)
+        scl = pow5 = _POWS5[-point] if point >= -MAX_POW else 5**-point
         if not twos:
             scl <<= -point
         bex = mant.bit_length() - scl.bit_length() - DBL_MANT_DIG

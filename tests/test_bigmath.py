@@ -9,7 +9,6 @@ from ezfloat import (
     DBL_MANT_DIG,
     LLOG2,
     MAX_POW,
-    power_of_5,
     round_quotient,
 )
 from ezfloat.bigmath import _POWS5
@@ -147,24 +146,3 @@ class TestPowerTables:
         assert _POWS5[0] == 1
         for k in range(1, MAX_POW + 1):
             assert _POWS5[k] == 5 * _POWS5[k - 1]
-
-    @pytest.mark.parametrize("k,expected", [(0, 1), (3, 125), (20, 5**20)])
-    def test_power_of_5_small(self, k, expected):
-        assert power_of_5(k) == expected
-
-    def test_chaining_beyond_table(self):
-        # Independent oracle: repeated multiplication.
-        k = MAX_POW + 325
-        acc = 1
-        for _ in range(k):
-            acc *= 5
-        assert power_of_5(k) == acc
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            power_of_5(-1)
-
-    @settings(max_examples=40)
-    @given(st.integers(0, MAX_POW), st.integers(0, MAX_POW))
-    def test_power_product_law(self, a, b):
-        assert power_of_5(a + b) == power_of_5(a) * power_of_5(b)

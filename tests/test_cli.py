@@ -89,6 +89,15 @@ sys.exit(main(["verify", "bounds"]))
 """
 
 
+# Runs `ezfloat` on the arguments after the source root.
+_MAIN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from ezfloat.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -117,11 +126,19 @@ class TestRead:
         assert "position 2" in err
 
     def test_stats_flag(self, capsys):
-        code, out, _ = run(capsys, "read", "--stats", "2.5E-100")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[1].startswith("divisions=")
-        assert "max_intermediate_bits=" in lines[1]
+        # One text per read path: Clinger's, each division site, and a
+        # 20-digit significand past Clinger's 2**53.
+        cases = {
+            "1.5": ("0x3FF8000000000000 1.5E0", 0, 0),
+            "2.5E-100": ("0x2B417F7D4ED8C33E 2.5E-100", 1, 288),  # read-main
+            "5E-324": ("0x0000000000000001 5.0E-324", 1, 753),  # read-subnormal
+            "1e300": ("0x7E37E43C8800759C 1.0E300", 1, 697),  # read-shift
+            "12345678901234567890": ("0x43E56A95319D63E1 1.2345678901234567E19", 1, 63),
+        }
+        for text, (value, divisions, bits) in cases.items():
+            code, out, _ = run(capsys, "read", "--stats", text)
+            assert code == 0
+            assert out == f"{value}\ndivisions={divisions} max_intermediate_bits={bits}\n", text
 
     def test_stats_of_a_long_read(self, capsys):
         # Near 0.78 a halfway point has at most 57 digits, so a read keeps
@@ -506,6 +523,18 @@ class TestBench:
         assert err.startswith("error: ") and "bench.csv" in err
         assert out == ""
         assert not path.parent.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_csv_write_error_is_an_io_error(self):
+        # /dev/full opens but fails every write with ENOSPC.
+        root = os.path.dirname(os.path.dirname(ezfloat.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", _MAIN, root,
+             "bench", "--count", "5", "--exp-low", "0", "--exp-high", "1", "--csv", "/dev/full"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
     def test_bad_range_usage_error(self, capsys, tmp_path):
         code, _, err = run(

@@ -263,14 +263,14 @@ class TestQuotientLengthAudit:
         # The write trace as the writer records it, with its quotient
         # pushed just past the ceiling 100 * 2**53, must be flagged.
         f = float.fromhex("0x1.fffffffffffffp+0")
-        stats = ConversionStats(trace=[])
+        stats = ConversionStats()
         shortest_digits(f, stats)
         [(site, num_bits, den_bits, quo)] = stats.trace
         report = AuditReport()
-        stats.trace = [(site, num_bits, den_bits, 100 << 53)]
+        stats.trace[0] = (site, num_bits, den_bits, 100 << 53)
         _check(report, "write", stats, 810, divisions=(1,))
         assert report.violations == []
-        stats.trace = [(site, num_bits, den_bits, (100 << 53) + 1)]
+        stats.trace[0] = (site, num_bits, den_bits, (100 << 53) + 1)
         _check(report, "write", stats, 810, divisions=(1,))
         assert len(report.violations) == 1
         assert site in report.violations[0]
@@ -321,7 +321,8 @@ class TestQuotientLengthAudit:
 
         def wide(f, stats=None):
             sd = real(f, stats)
-            stats.max_intermediate_bits = 811
+            site, _, den_bits, quo = stats.trace[0]
+            stats.trace[0] = (site, 811, den_bits, quo)
             return sd
 
         monkeypatch.setattr(audit, "shortest_digits", wide)
@@ -336,9 +337,11 @@ class TestQuotientLengthAudit:
     def test_unknown_site_is_a_violation(self):
         # Sites match exactly: a stale route-specific name is unknown too.
         report = AuditReport()
-        stats = ConversionStats(trace=[("renamed", 60, 3, 1), ("read5-main", 60, 3, 1)])
-        _check(report, "1.0", stats, 60)
-        assert len(report.violations) == 2
+        stats = ConversionStats()
+        stats.trace += [("renamed", 60, 3, 1), ("read5-main", 60, 3, 1)]
+        _check(report, "1.0", stats, 60, divisions=(2,))
+        assert report.violations == [f"1.0 {site} quotient 1 bits from 60/3"
+                                     for site in ("renamed", "read5-main")]
 
     def test_render_format(self):
         report = quotient_length_audit()
@@ -371,7 +374,7 @@ class TestIntermediateSizeScan:
 
         def traced(mant, point, stats=None):
             value = real(mant, point, stats)
-            stats.trace.append(("read-main", 60, 3, (1 << 53) + 1))
+            stats.trace[0] = ("read-main", 60, 3, (1 << 53) + 1)
             return value
 
         monkeypatch.setattr(audit, "mant_exp_to_double5", traced)

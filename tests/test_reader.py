@@ -864,7 +864,7 @@ def _direct_and_bound(text: str) -> ConversionStats:
     one digit is compared on the decimal that read_double converts: as
     many digits as that halfway point has, and a sticky 1.
     """
-    direct = ConversionStats(trace=[])
+    direct = ConversionStats()
     got = read_double(text, direct)
     dec = parse_decimal(text)
     mant, point = dec.mant, dec.point
@@ -872,14 +872,10 @@ def _direct_and_bound(text: str) -> ConversionStats:
     kept = _halfway_digit_bound(point + len(digits))
     if len(digits) > kept + 1:
         mant, point = int(digits[:kept] + "1"), point + len(digits) - kept - 1
-    bound = ConversionStats(trace=[])
+    bound = ConversionStats()
     want = mant_exp_to_double5(mant, point, bound)
     assert float_to_bits(got) == float_to_bits(-want if dec.negative else want), text[:60]
-    assert (direct.divisions, direct.max_intermediate_bits, direct.trace) == (
-        bound.divisions,
-        bound.max_intermediate_bits,
-        bound.trace,
-    ), text[:60]
+    assert direct == bound, text[:60]
     return direct
 
 
@@ -943,7 +939,7 @@ class TestSharedTail:
         cases = [(m, p) for m in range(2**53 - 1, 2**53 + 2) for p in range(31)]
         cases += [(m, p) for m in range(1, 10) for p in range(23, 31)]
         for mant, point in cases:
-            stats = ConversionStats(trace=[])
+            stats = ConversionStats()
             value = binding(mant, point, stats)
             want = nearest_double_exact(DecimalSci(False, mant, point))
             assert float_to_bits(value) == float_to_bits(want), (mant, point)
@@ -962,8 +958,8 @@ class TestSharedTail:
             lo = 10 ** (nd - 1)
             for point in points:
                 for mant in {lo, 10 * lo - 1, rng.randint(lo, 10 * lo - 1)}:
-                    s5 = ConversionStats(trace=[])
-                    s10 = ConversionStats(trace=[])
+                    s5 = ConversionStats()
+                    s10 = ConversionStats()
                     v5 = mant_exp_to_double5(mant, point, s5)
                     v10 = mant_exp_to_double10(mant, point, s10)
                     want = nearest_double_exact(DecimalSci(False, mant, point))

@@ -30,7 +30,7 @@ from ezfloat.audit import (
 # Each immutable record with one value per field, in field order.
 RECORDS = [
     (DecimalSci, {"negative": True, "mant": 15, "point": 2}),
-    (ReadOutcome, {"value": 1.5, "stats": ConversionStats(1, 54)}),
+    (ReadOutcome, {"value": 1.5, "stats": ConversionStats()}),
     (ShortestDigits, {"lquo": 17976931348623157, "point": 292}),
     (UnpackedDouble, {"negative": False, "lmant": 1 << 52, "e2": -1074, "kind": FloatKind.NORMAL}),
     (ExactRational, {"num": 1, "den": 3, "negative": True}),
@@ -146,37 +146,47 @@ class TestRecords:
 class TestConversionStats:
     def test_defaults(self):
         stats = ConversionStats()
-        assert (stats.divisions, stats.max_intermediate_bits, stats.trace) == (0, 0, None)
+        assert (stats.divisions, stats.max_intermediate_bits, stats.trace) == (0, 0, [])
 
     def test_construction(self):
-        trace = [("write", 60, 5, 9)]
-        by_position = ConversionStats(1, 60, trace)
-        by_keyword = ConversionStats(divisions=1, max_intermediate_bits=60, trace=trace)
-        for stats in (by_position, by_keyword):
-            assert (stats.divisions, stats.max_intermediate_bits, stats.trace) == (1, 60, trace)
+        # The trace is the one field; the counts are read from it.
+        assert ConversionStats.__slots__ == ("trace",)
+        with pytest.raises(TypeError):
+            ConversionStats(1)
+        with pytest.raises(TypeError):
+            ConversionStats(trace=[])
+        stats = ConversionStats()
+        stats.trace += [("write", 60, 5, 9), ("read-main", 3, 70, 1)]
+        assert (stats.divisions, stats.max_intermediate_bits) == (2, 70)
 
     def test_fieldwise_equality(self):
-        assert ConversionStats(1, 54, []) == ConversionStats(1, 54, [])
-        assert ConversionStats(1, 54) != ConversionStats(2, 54)
-        assert ConversionStats(1, 54) != ConversionStats(1, 55)
-        assert ConversionStats(1, 54) != ConversionStats(1, 54, [])
-        assert ConversionStats() != (0, 0, None)
+        first, second = ConversionStats(), ConversionStats()
+        assert first == second
+        first.note_division("read-main", 1 << 53, 1, 1 << 53)
+        assert first != second
+        second.note_division("read-main", 1 << 53, 1, 1 << 53)
+        assert first == second
+        second.trace[0] = ("read-shift", 54, 1, 1 << 53)
+        assert first != second
+        assert ConversionStats() != []
 
     def test_mutable_and_slotted(self):
-        stats = ConversionStats(trace=[])
+        stats = ConversionStats()
         stats.note_division("read-main", 1 << 100, 1 << 46, 3)
-        assert stats == ConversionStats(1, 101, [("read-main", 101, 47, 3)])
-        stats.divisions = 5
-        assert stats.divisions == 5
+        assert stats.trace == [("read-main", 101, 47, 3)]
+        assert (stats.divisions, stats.max_intermediate_bits) == (1, 101)
+        for counter in ("divisions", "max_intermediate_bits"):
+            with pytest.raises(AttributeError):
+                setattr(stats, counter, 5)
         with pytest.raises(AttributeError):
             stats.extra = 0
         with pytest.raises(TypeError):
             hash(stats)
 
     def test_repr(self):
-        assert repr(ConversionStats(1, 54)) == (
-            "ConversionStats(divisions=1, max_intermediate_bits=54, trace=None)"
-        )
+        stats = ConversionStats()
+        stats.note_division("write", 1 << 59, 1 << 4, 9)
+        assert repr(stats) == "ConversionStats(trace=[('write', 60, 5, 9)])"
 
 
 class TestReports:

@@ -285,7 +285,7 @@ class TestShortestDigits:
     def test_widest_write_quotient_is_60_bits(self):
         # An all-ones significand is the largest of its binade, so it
         # gives the widest quotient of its exponent's scale.
-        stats = ConversionStats(trace=[])
+        stats = ConversionStats()
         for ue2 in range(0x7FF):
             shortest_digits(bits_to_float(ue2 << 52 | ALL_ONES), stats)
         assert len(stats.trace) == 0x7FF
