@@ -6,9 +6,11 @@ draws against the oracle, for minimal output and for round trips.
 text back; ``intermediate_size_scan`` reads a grid spanning the whole read
 domain; ``halfway_audit`` reads halfway points at both ends of every binade,
 exact and with a far tail, where a read cuts long digits.  These three and
-``roundtrip_audit`` pass every conversion they make through one check,
-``_check``.  Each audit collects violations, never asserts.  They call the
-code they check, which ``oracle`` may not import
+``roundtrip_audit`` pass every conversion they make through ``_check``,
+which returns the bounds it breaks: only a violation formats a label.  No
+point's read ceiling is below 803 bits, so ``roundtrip_audit`` parses a
+text's point only for a wider read.  Each audit collects violations, never
+asserts.  They call the code they check, which ``oracle`` may not import
 (``tests/test_oracle.py::test_oracle_imports_nothing_it_checks``).
 """
 
@@ -29,9 +31,7 @@ __all__ = [
     "AuditReport",
     "HalfwayReport",
     "IntermediateSizeReport",
-    "MinimalityReport",
-    "OracleReport",
-    "RoundtripReport",
+    "SeededReport",
     "all_ones_mantissa_values",
     "halfway_audit",
     "intermediate_size_scan",
@@ -71,31 +71,17 @@ class _Report:
         return not self.violations
 
 
-class OracleReport(_Report):
-    """Decimals read and mismatches against the exact oracle."""
+class SeededReport(_Report):
+    """The draws of a seeded audit, ``count``, and each one that failed."""
 
-    cases = 0
+    count = 0
 
-    def _summary(self) -> list[str]:
-        return [f"oracle: {self.cases} cases, {len(self.violations)} mismatches"]
-
-
-class MinimalityReport(_Report):
-    """Doubles written and outputs a shorter form would have read back."""
-
-    values = 0
+    def __init__(self, suite: str, unit: str, failure: str) -> None:
+        super().__init__()
+        self.suite, self.unit, self.failure = suite, unit, failure
 
     def _summary(self) -> list[str]:
-        return [f"minimality: {self.values} values, {len(self.violations)} failures"]
-
-
-class RoundtripReport(_Report):
-    """Patterns written and read back, and every broken identity or bound."""
-
-    values = 0
-
-    def _summary(self) -> list[str]:
-        return [f"roundtrip: {self.values} values, {len(self.violations)} failures"]
+        return [f"{self.suite}: {self.count} {self.unit}, {len(self.violations)} {self.failure}"]
 
 
 class AuditReport(_Report):
@@ -141,24 +127,24 @@ _QUOTIENT_CEILINGS = {"read-main": 1 << 53, "read-shift": 1 << 53,
                       "read-subnormal": 1 << 52, "write": 100 << 53}
 
 
-def _check(report: _Report, label: str, stats: ConversionStats, width_ceiling: int,
-           divisions: tuple[int, ...] = (0, 1)) -> int:
-    """Check one traced conversion; return its widest operand.
+def _check(stats: ConversionStats, width_ceiling: int,
+           divisions: tuple[int, ...] = (0, 1)) -> list[str]:
+    """The bounds one traced conversion breaks, one text each; [] if none.
 
-    A violation is a division count not in ``divisions`` (a write makes
+    A broken bound is a division count not in ``divisions`` (a write makes
     exactly 1, a read at most 1), an operand wider than ``width_ceiling``
     or a quotient over its site's ceiling, which a site must have.
     """
-    add = report.violations.append
+    broken = []
     if stats.divisions not in divisions:
-        add(f"{label} made {stats.divisions} divisions")
+        broken.append(f"made {stats.divisions} divisions")
     bits = stats.max_intermediate_bits
     if bits > width_ceiling:
-        add(f"{label} operand bits {bits} over {width_ceiling}")
+        broken.append(f"operand bits {bits} over {width_ceiling}")
     for site, num_bits, den_bits, quo in stats.trace:
         if quo > _QUOTIENT_CEILINGS.get(site, -1):
-            add(f"{label} {site} quotient {quo.bit_length()} bits from {num_bits}/{den_bits}")
-    return bits
+            broken.append(f"{site} quotient {quo.bit_length()} bits from {num_bits}/{den_bits}")
+    return broken
 
 
 # A write's operand ceiling, bits(100 * 5**323) + 53 = 810: at the finest
@@ -180,12 +166,12 @@ def _emitted_digits(text: str) -> int:
     return len(mant) - mant.endswith("0")
 
 
-def oracle_audit(count: int, seed: int) -> OracleReport:
+def oracle_audit(count: int, seed: int) -> SeededReport:
     """Read ``count`` random decimals, of 1 to 40 digits and either sign at
     a point in [-360, 330], through both bindings; each must give the
     double ``nearest_double_exact`` gives."""
     rng = random.Random(seed)
-    report = OracleReport()
+    report = SeededReport("oracle", "cases", "mismatches")
     for _ in range(count):
         lo = 10 ** rng.randint(0, 39)
         mant = rng.randint(lo, 10 * lo - 1)
@@ -197,11 +183,11 @@ def oracle_audit(count: int, seed: int) -> OracleReport:
         if v5 != exact or v10 != exact:
             report.violations.append(f"{'-' * dec.negative}{mant}E{dec.point} pow5=0x{v5:016X} "
                                      f"pow10=0x{v10:016X} exact=0x{exact:016X}")
-        report.cases += 1
+        report.count += 1
     return report
 
 
-def minimality_audit(count: int, seed: int) -> MinimalityReport:
+def minimality_audit(count: int, seed: int) -> SeededReport:
     """Write four curated doubles and ``count`` random finite nonzero
     ones; ``minimality_check`` must find no shorter form that reads back."""
     rng = random.Random(seed)
@@ -210,41 +196,49 @@ def minimality_audit(count: int, seed: int) -> MinimalityReport:
         f = bits_to_float(rng.getrandbits(64))
         if 0.0 < abs(f) < math.inf:
             values.append(f)
-    report = MinimalityReport()
+    report = SeededReport("minimality", "values", "failures")
     for f in values:
         text = double_to_string(f)
         if not minimality_check(f, _emitted_digits(text)):
             report.violations.append(f"0x{float_to_bits(f):016X} wrote {text}, not minimal")
-        report.values += 1
+        report.count += 1
     return report
 
 
-def roundtrip_audit(count: int, seed: int) -> RoundtripReport:
+def roundtrip_audit(count: int, seed: int) -> SeededReport:
     """Write ``count`` random 64-bit patterns, NaNs skipped, and read each back.
 
     The read must give the pattern back.  A finite nonzero value's write
     must make exactly 1 division on operands within 810 bits, as in
     ``quotient_length_audit``, and its read at most 1 within the scan's
-    ceiling for the text's point, as in ``intermediate_size_scan``.
+    ceiling for the text's point, as in ``intermediate_size_scan``.  That
+    ceiling is 803 bits at every point from -323 up and wider below, so
+    the point is parsed only for a read whose widest operand is wider.
     """
     rng = random.Random(seed)
-    report = RoundtripReport()
+    report = SeededReport("roundtrip", "values", "failures")
+    add = report.violations.append
+    least = _read_width_ceiling(5, 0)
     for _ in range(count):
         pattern = rng.getrandbits(64)
         f = bits_to_float(pattern)
         if f != f:
             continue
-        label = f"0x{pattern:016X}"
         wstats, rstats = ConversionStats(), ConversionStats()
         text = double_to_string(f, wstats)
         back = float_to_bits(read_double(text, rstats))
         if back != pattern:
-            report.violations.append(f"{label} wrote {text} read 0x{back:016X}")
+            add(f"0x{pattern:016X} wrote {text} read 0x{back:016X}")
         if 0.0 < abs(f) < math.inf:
-            _check(report, f"{label} write", wstats, _WRITE_WIDTH_CEILING, divisions=(1,))
-            point = int(text.partition("E")[2]) + 1 - _emitted_digits(text)
-            _check(report, f"{label} read", rstats, _read_width_ceiling(5, point))
-        report.values += 1
+            for broken in _check(wstats, _WRITE_WIDTH_CEILING, divisions=(1,)):
+                add(f"0x{pattern:016X} write {broken}")
+            ceiling = least
+            if rstats.max_intermediate_bits > ceiling:
+                point = int(text.partition("E")[2]) + 1 - _emitted_digits(text)
+                ceiling = _read_width_ceiling(5, point)
+            for broken in _check(rstats, ceiling):
+                add(f"0x{pattern:016X} read {broken}")
+        report.count += 1
     return report
 
 
@@ -260,23 +254,24 @@ def quotient_length_audit() -> AuditReport:
     shows only in ``intermediate_size_scan``.  Expected: no violation.
     """
     report = AuditReport()
+    add = report.violations.append
     for f in all_ones_mantissa_values():
-        label = f"0x{float_to_bits(f):016X}"
         stats = ConversionStats()
         sd = shortest_digits(f, stats)
-        bits = _check(report, f"{label} write", stats, _WRITE_WIDTH_CEILING, divisions=(1,))
+        for broken in _check(stats, _WRITE_WIDTH_CEILING, divisions=(1,)):
+            add(f"0x{float_to_bits(f):016X} write {broken}")
         if not sd.lquo < 10**17:
-            report.violations.append(f"{label} write significand too long")
-        report.max_write_bits = max(report.max_write_bits, bits)
+            add(f"0x{float_to_bits(f):016X} write significand too long")
+        report.max_write_bits = max(report.max_write_bits, stats.max_intermediate_bits)
         report.max_write_divisions = max(report.max_write_divisions, stats.divisions)
         dec = parse_decimal(format_sci(False, *sd))
         assert isinstance(dec, DecimalSci)
         for reader, base in ((mant_exp_to_double5, 5), (mant_exp_to_double10, 10)):
-            via = f"{label} reread via {reader.__name__}"
             stats = ConversionStats()
             if reader(dec.mant, dec.point, stats) != f:
-                report.violations.append(f"{via} mismatch")
-            _check(report, via, stats, _read_width_ceiling(base, dec.point))
+                add(f"0x{float_to_bits(f):016X} reread via {reader.__name__} mismatch")
+            for broken in _check(stats, _read_width_ceiling(base, dec.point)):
+                add(f"0x{float_to_bits(f):016X} reread via {reader.__name__} {broken}")
         report.values_tested += 1
     return report
 
@@ -293,6 +288,7 @@ def intermediate_size_scan(points: range, digit_counts: range, rng) -> Intermedi
     bindings must agree in value and in division count.
     """
     report = IntermediateSizeReport()
+    add = report.violations.append
     for nd in digit_counts:
         lo, hi = 10 ** (nd - 1), 10**nd - 1
         for point in points:
@@ -300,17 +296,18 @@ def intermediate_size_scan(points: range, digit_counts: range, rng) -> Intermedi
                 continue
             ceiling5, ceiling10 = (_read_width_ceiling(base, point) for base in (5, 10))
             for mant in {lo, hi, rng.randint(lo, hi), rng.randint(lo, hi)}:
-                label = f"{mant}E{point}"
                 s5, s10 = ConversionStats(), ConversionStats()
                 v5 = mant_exp_to_double5(mant, point, s5)
                 v10 = mant_exp_to_double10(mant, point, s10)
-                bits5 = _check(report, f"{label} pow5", s5, ceiling5)
-                bits10 = _check(report, f"{label} pow10", s10, ceiling10)
+                for broken in _check(s5, ceiling5):
+                    add(f"{mant}E{point} pow5 {broken}")
+                for broken in _check(s10, ceiling10):
+                    add(f"{mant}E{point} pow10 {broken}")
                 # The scaling choice alone differs: same value, same path.
                 if float_to_bits(v5) != float_to_bits(v10) or s5.divisions != s10.divisions:
-                    report.violations.append(f"{label} bindings differ")
-                report.max_pow5_bits = max(report.max_pow5_bits, bits5)
-                report.max_pow10_bits = max(report.max_pow10_bits, bits10)
+                    add(f"{mant}E{point} bindings differ")
+                report.max_pow5_bits = max(report.max_pow5_bits, s5.max_intermediate_bits)
+                report.max_pow10_bits = max(report.max_pow10_bits, s10.max_intermediate_bits)
                 report.max_read_divisions = max(
                     report.max_read_divisions, s5.divisions, s10.divisions
                 )
@@ -336,6 +333,7 @@ def halfway_audit() -> HalfwayReport:
     Expected: no violation.
     """
     report = HalfwayReport()
+    add = report.violations.append
     ceiling = (10**769 - 1).bit_length()
     for biased in range(2047):
         if biased:
@@ -356,11 +354,12 @@ def halfway_audit() -> HalfwayReport:
                 ("below", f"{int(digits) - 1}{'9' * 60}e{point - 60}", lower),
             )
             for form, text, want in forms:
-                label = f"0x{lower:016X} halfway {form}"
                 stats = ConversionStats()
                 got = float_to_bits(read_double(text, stats))
                 if got != want:
-                    report.violations.append(f"{label}: read 0x{got:016X}, want 0x{want:016X}")
-                report.max_read_bits = max(report.max_read_bits, _check(report, label, stats, ceiling))
+                    add(f"0x{lower:016X} halfway {form}: read 0x{got:016X}, want 0x{want:016X}")
+                for broken in _check(stats, ceiling):
+                    add(f"0x{lower:016X} halfway {form} {broken}")
+                report.max_read_bits = max(report.max_read_bits, stats.max_intermediate_bits)
                 report.reads += 1
     return report

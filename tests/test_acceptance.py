@@ -84,7 +84,7 @@ def test_criterion_1_roundtrip_identity(random_roundtrips):
         1,
         "round-trip identity",
         failures == 0 and max_read == 1 and max_write == 1,
-        f"{random_roundtrips.values + len(extra)} values, {failures} mismatches;"
+        f"{random_roundtrips.count + len(extra)} values, {failures} mismatches;"
         f" extras' max divisions {max_read} per read, {max_write} per write",
     )
     assert failures == 0
@@ -101,9 +101,9 @@ def test_criterion_2_oracle_equivalence():
         2,
         "oracle equivalence",
         report.ok,
-        f"{report.cases} decimals, {len(report.violations)} mismatches",
+        f"{report.count} decimals, {len(report.violations)} mismatches",
     )
-    assert report.cases == ORACLE_COUNT
+    assert report.count == ORACLE_COUNT
     assert report.violations == []
 
 
@@ -115,10 +115,10 @@ def test_criterion_3_minimality():
         3,
         "minimality",
         report.ok and one_digit,
-        f"{report.values} values, {len(report.violations)} non-minimal;"
+        f"{report.count} values, {len(report.violations)} non-minimal;"
         f" 0x0000000000000001 -> {min_sub_text}",
     )
-    assert report.values == MINIMALITY_COUNT + 4
+    assert report.count == MINIMALITY_COUNT + 4
     assert report.violations == []
     assert one_digit
 
@@ -131,7 +131,7 @@ def test_criterion_4_division_count_bounds(random_roundtrips):
         4,
         "division-count bounds",
         not broken,
-        f"{random_roundtrips.values} values, each read at most 1 division (budget 2)"
+        f"{random_roundtrips.count} values, each read at most 1 division (budget 2)"
         f" and each write exactly 1 (budget 4): {len(broken)} broken bounds",
     )
     assert broken == []

@@ -25,18 +25,17 @@ from ezfloat import (
     shortest_digits,
     unpack_double,
 )
-from ezfloat import audit, oracle
+from ezfloat import audit, oracle, reader
 from ezfloat.audit import (
-    AuditReport,
     HalfwayReport,
     IntermediateSizeReport,
-    MinimalityReport,
-    OracleReport,
-    RoundtripReport,
+    SeededReport,
     _check,
+    _read_width_ceiling,
     all_ones_mantissa_values,
     intermediate_size_scan,
     quotient_length_audit,
+    roundtrip_audit,
 )
 from ezfloat.writer import FloatKind
 
@@ -266,14 +265,13 @@ class TestQuotientLengthAudit:
         stats = ConversionStats()
         shortest_digits(f, stats)
         [(site, num_bits, den_bits, quo)] = stats.trace
-        report = AuditReport()
+        assert _check(stats, 810, divisions=(1,)) == []
         stats.trace[0] = (site, num_bits, den_bits, 100 << 53)
-        _check(report, "write", stats, 810, divisions=(1,))
-        assert report.violations == []
+        assert _check(stats, 810, divisions=(1,)) == []
         stats.trace[0] = (site, num_bits, den_bits, (100 << 53) + 1)
-        _check(report, "write", stats, 810, divisions=(1,))
-        assert len(report.violations) == 1
-        assert site in report.violations[0]
+        assert _check(stats, 810, divisions=(1,)) == [
+            f"write quotient 60 bits from {num_bits}/{den_bits}"
+        ]
 
     def test_extra_write_division_is_a_violation(self, monkeypatch):
         real = audit.shortest_digits
@@ -336,12 +334,11 @@ class TestQuotientLengthAudit:
 
     def test_unknown_site_is_a_violation(self):
         # Sites match exactly: a stale route-specific name is unknown too.
-        report = AuditReport()
         stats = ConversionStats()
         stats.trace += [("renamed", 60, 3, 1), ("read5-main", 60, 3, 1)]
-        _check(report, "1.0", stats, 60, divisions=(2,))
-        assert report.violations == [f"1.0 {site} quotient 1 bits from 60/3"
-                                     for site in ("renamed", "read5-main")]
+        assert _check(stats, 60, divisions=(2,)) == [
+            f"{site} quotient 1 bits from 60/3" for site in ("renamed", "read5-main")
+        ]
 
     def test_render_format(self):
         report = quotient_length_audit()
@@ -424,23 +421,61 @@ class TestHalfwayAudit:
 
 
 class TestSeededAudits:
+    # The ids keep the names the seeded audits' reports had as three classes.
     @pytest.mark.parametrize(
-        "cls,counter,summary",
+        "words",
         [
-            (OracleReport, "cases", "oracle: 7 cases, 1 mismatches"),
-            (MinimalityReport, "values", "minimality: 7 values, 1 failures"),
-            (RoundtripReport, "values", "roundtrip: 7 values, 1 failures"),
+            ("oracle", "cases", "mismatches"),
+            ("minimality", "values", "failures"),
+            ("roundtrip", "values", "failures"),
         ],
         ids=["OracleReport", "MinimalityReport", "RoundtripReport"],
     )
-    def test_render_format(self, cls, counter, summary):
-        report = cls()
-        setattr(report, counter, 7)
+    def test_render_format(self, words):
+        suite, unit, failure = words
+        report, other = SeededReport(*words), SeededReport(*words)
+        assert report.render() == f"{suite}: 0 {unit}, 0 {failure}"
+        report.count = 7
         report.violations.append("0x3FF0000000000000 read made 2 divisions")
+        assert other.count == 0 and other.ok
         assert report.render().splitlines() == [
             "VIOLATION 0x3FF0000000000000 read made 2 divisions",
-            summary,
+            f"{suite}: 7 {unit}, 1 {failure}",
         ]
+
+
+class TestRoundtripAudit:
+    def test_read_ceiling_at_each_point(self, monkeypatch):
+        # Every read division on operands shifted left by 5: the same
+        # quotients, 5 bits wider.  Each read is held to the ceiling of its
+        # text's point, parsed from every text: 803 bits from point -323
+        # up, wider below.  The writer's own binding is left alone.
+        real = reader.round_quotient
+        monkeypatch.setattr(reader, "round_quotient",
+                            lambda num, den, stats, site: real(num << 5, den << 5, stats, site))
+        expected = []
+        rng = random.Random(5)
+        for _ in range(20000):
+            pattern = rng.getrandbits(64)
+            f = bits_to_float(pattern)
+            if not 0.0 < abs(f) < math.inf:
+                continue
+            text = double_to_string(f)
+            stats = ConversionStats()
+            read_double(text, stats)
+            dec = parse_decimal(text)
+            mant, point = dec.mant, dec.point
+            while mant % 10 == 0:
+                mant, point = mant // 10, point + 1
+            ceiling = _read_width_ceiling(5, point)
+            if stats.max_intermediate_bits > ceiling:
+                expected.append(f"0x{pattern:016X} read operand bits "
+                                f"{stats.max_intermediate_bits} over {ceiling}")
+        report = roundtrip_audit(20000, 5)
+        assert report.violations == expected
+        assert sum(v.endswith(" over 803") for v in expected) == 100
+        assert sum(v.endswith(" over 806") for v in expected) == 12
+        assert report.render().splitlines()[-1] == "roundtrip: 19994 values, 112 failures"
 
 
 # (module, level, name) of every import the oracle may make: the kernel and

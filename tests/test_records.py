@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
@@ -18,14 +19,7 @@ from ezfloat import (
     UnpackedDouble,
     parse_decimal,
 )
-from ezfloat.audit import (
-    AuditReport,
-    HalfwayReport,
-    IntermediateSizeReport,
-    MinimalityReport,
-    OracleReport,
-    RoundtripReport,
-)
+from ezfloat.audit import AuditReport, HalfwayReport, IntermediateSizeReport, SeededReport
 
 # Each immutable record with one value per field, in field order.
 RECORDS = [
@@ -37,16 +31,19 @@ RECORDS = [
 ]
 RECORD_IDS = [cls.__name__ for cls, _ in RECORDS]
 
-# Each audit report with the counters it starts at zero.
+# Each audit report, made by a call without arguments, with the counters
+# it starts at zero.  The seeded audits' reports are one class; their ids
+# keep the names they had as three classes.
 REPORTS = [
     (AuditReport, ("values_tested", "max_write_bits", "max_write_divisions")),
     (IntermediateSizeReport, ("max_pow5_bits", "max_pow10_bits", "max_read_divisions")),
     (HalfwayReport, ("reads", "max_read_bits")),
-    (OracleReport, ("cases",)),
-    (MinimalityReport, ("values",)),
-    (RoundtripReport, ("values",)),
+    (partial(SeededReport, "oracle", "cases", "mismatches"), ("count",)),
+    (partial(SeededReport, "minimality", "values", "failures"), ("count",)),
+    (partial(SeededReport, "roundtrip", "values", "failures"), ("count",)),
 ]
-REPORT_IDS = [cls.__name__ for cls, _ in REPORTS]
+REPORT_IDS = ["AuditReport", "IntermediateSizeReport", "HalfwayReport",
+              "OracleReport", "MinimalityReport", "RoundtripReport"]
 
 # Loaded by ``import dataclasses`` or ``import typing``, not by the package.
 HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")

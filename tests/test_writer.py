@@ -457,7 +457,7 @@ class TestDoubleToString:
 
     def test_roundtrip_random(self):
         report = roundtrip_audit(20000, 41)
-        assert report.violations == [] and report.values == 19988  # 12 NaNs skipped
+        assert report.violations == [] and report.count == 19988  # 12 NaNs skipped
 
     def test_roundtrip_curated(self):
         curated = [
@@ -480,7 +480,7 @@ class TestDoubleToString:
 
     def test_minimality_spot_sample(self):
         report = minimality_audit(300, 43)
-        assert report.violations == [] and report.values == 304
+        assert report.violations == [] and report.count == 304
 
     @settings(max_examples=400)
     @given(st.floats(allow_nan=False))
