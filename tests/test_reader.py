@@ -8,6 +8,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from ezfloat import (
     parse_decimal,
     read_double,
     read_double_with_stats,
+    reader,
 )
 from ezfloat.reader import _kept_digits
 
@@ -269,6 +271,84 @@ class TestParseDecimal:
             short = min(short, took(digits[:25_000]), took(digits[:25_000]))
             long = min(long, took(digits))
         assert long < 150 * short
+
+
+# Characters that break a plain number, or are not ASCII: a lone
+# surrogate is one that str.encode refuses.
+_MUTATIONS = [".", "e", "E", "+", "-", "x", "_", " ", "\n", "\u0663", "\uff15", "\ud800"]
+
+
+@st.composite
+def _long_numbers(draw) -> str:
+    """A plain number of 100 to 5000 characters: an optional sign, digits
+    with zero runs at either end and inside, an optional point and an
+    optional exponent of 1 to 15 digits."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    exponent = draw(st.sampled_from(["", "e", "E"]))
+    if exponent:
+        exponent += draw(st.sampled_from(["", "+", "-"]))
+        exponent += draw(st.text("0123456789", min_size=1, max_size=15))
+    width = draw(st.integers(100, 5000)) - len(sign) - len(exponent)
+    digits = random.Random(draw(st.integers(0, 2**32))).choices("0123456789", k=width)
+    lead, trail = draw(st.integers(0, width)), draw(st.integers(0, width))
+    inner = draw(st.lists(st.tuples(st.integers(0, width), st.integers(1, width)), max_size=3))
+    for start, count in [(0, lead), (width - trail, trail), *inner]:
+        digits[start : start + count] = "0" * len(digits[start : start + count])
+    point = draw(st.none() | st.integers(0, width - 1))
+    if point is not None:
+        digits[point] = "."
+    return sign + "".join(digits) + exponent
+
+
+def _spanning_groups(text: str) -> tuple[str, ...] | None:
+    m = reader._NUMBER.match(text)
+    return m.groups("") if m.end() == len(text) else None
+
+
+class TestLongSplit:
+    """reader._split_long, the front of _scan for texts longer than
+    reader._LONG_TEXT, against the one pattern it stands in for."""
+
+    @settings(max_examples=200)
+    @given(_long_numbers())
+    def test_takes_every_plain_number(self, text):
+        assert reader._split_long(text) == _spanning_groups(text) is not None
+
+    @settings(max_examples=300)
+    @given(_long_numbers(), st.data())
+    def test_agrees_with_the_pattern_on_one_wrong_character(self, text, data):
+        at = data.draw(st.integers(0, len(text)))
+        c = data.draw(st.sampled_from(_MUTATIONS))
+        for broken in (text[:at] + c + text[at:], text[:at] + c + text[at + 1 :]):
+            split = reader._split_long(broken)
+            assert split is None or split == _spanning_groups(broken), broken
+
+    @settings(max_examples=50)
+    @given(_long_numbers(), st.data())
+    def test_reads_as_the_grammar_says_through_the_split(self, text, data):
+        at = data.draw(st.integers(0, len(text)))
+        broken = text[:at] + data.draw(st.sampled_from(_MUTATIONS)) + text[at + 1 :]
+        with mock.patch.object(reader, "_LONG_TEXT", 0):
+            for candidate in (text, broken):
+                self._check_against_reference(candidate)
+
+    def test_short_texts_read_as_the_grammar_says_through_the_split(self):
+        # test_matches_grammar_reference's 111,111 texts, every nonempty one
+        # offered to the split first.
+        with mock.patch.object(reader, "_LONG_TEXT", 0):
+            for n in range(6):
+                for chars in itertools.product("01.eE+-Nax", repeat=n):
+                    self._check_against_reference("".join(chars))
+
+    @staticmethod
+    def _check_against_reference(text: str) -> None:
+        accepted, position = _grammar_reference(text)
+        try:
+            read_double(text)
+        except ParseError as exc:
+            assert (accepted, exc.position) == (False, position), text
+        else:
+            assert accepted, text
 
 
 class TestMantExpToDouble:
