@@ -279,10 +279,9 @@ def quotient_length_audit() -> AuditReport:
 def intermediate_size_scan(points: range, digit_counts: range, rng) -> IntermediateSizeReport:
     """Audit every read bound over a (digit count x point) grid.
 
-    A cell is skipped exactly when ``read_double`` clamps it to infinity
-    or zero without dividing: ``point + nd > 309`` or ``point + nd <= -324``.
-    Each other cell converts the extreme mantissas of its digit count plus
-    two random fillers with both bindings, tracing every division.  A
+    Each cell converts the extreme mantissas of its digit count plus two
+    random fillers with both bindings, tracing every division; a cell that
+    ``read_double`` clamps to infinity or zero converts with none.  A
     conversion's operand ceiling is ``bits(5**k) + 53`` resp.
     ``bits(10**k) + 53`` with ``k = max(-point, 323)``, and the two
     bindings must agree in value and in division count.
@@ -292,8 +291,6 @@ def intermediate_size_scan(points: range, digit_counts: range, rng) -> Intermedi
     for nd in digit_counts:
         lo, hi = 10 ** (nd - 1), 10**nd - 1
         for point in points:
-            if point + nd > 309 or point + nd <= -324:
-                continue
             ceiling5, ceiling10 = (_read_width_ceiling(base, point) for base in (5, 10))
             for mant in {lo, hi, rng.randint(lo, hi), rng.randint(lo, hi)}:
                 s5, s10 = ConversionStats(), ConversionStats()

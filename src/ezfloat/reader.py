@@ -13,13 +13,17 @@ multiply or divide and no division is made.
 ``_to_double``, with ``2**point`` kept outside the operands (powers of 5)
 or shifted into them (powers of 10).  ``_to_double`` checks nothing: it
 takes a positive significand whose value is neither past the overflow
-clamp nor below the underflow clamp.  The bindings, which accept any
-``mant`` and ``point``, make those checks first, each once: a negative
-``mant`` is rejected, and zero, overflow and total underflow return
-before a power is built.  ``read_double`` makes its own clamps from the
-text's digit count and exponent, then calls ``_to_double`` the way
-``mant_exp_to_double5`` does, on at most the significant digits a binary64
-halfway point in the value's decade can have, plus one sticky digit.
+clamp nor below the underflow clamp.  Every read clamps by one rule, on
+the decimal ``top`` with ``10**(top-1) <= value < 10**top``: zero when
+``top <= _ZERO_TOP`` and infinity when ``top > _INF_TOP``, without a
+division.  ``read_double`` takes ``top`` from the text's digit count and
+exponent, then calls ``_to_double`` the way ``mant_exp_to_double5`` does,
+on at most the significant digits a binary64 halfway point in the value's
+decade can have, plus one sticky digit.  The bindings, which accept any
+``mant`` and ``point``, make their checks first, each once: a negative
+``mant`` is rejected, and zero and the two clamps return before a power
+is built, unless the bracket ``bits(mant)`` puts on ``top`` holds an
+edge; then one power settles it.
 
 ``_scan`` reads the text for both ``parse_decimal`` and ``read_double``.
 A text of more than ``_LONG_TEXT`` characters that is a plain number is
@@ -85,6 +89,14 @@ _NUMBER = re.compile(
 # 2 cores).  No bits or gauss text is that long; half the longdigits texts,
 # holding 91% of its characters, are longer (seeds 1-3).
 _LONG_TEXT = 350
+
+# The clamps of every read, on the decimal top of its value, where
+# 10**(top-1) <= value < 10**top: a value below 10**-324, under half the
+# smallest subnormal (2**-1075 ~= 2.47e-324), is zero, and a value at or
+# above 10**309, past the largest double, is infinity.  So a read is zero
+# when top <= _ZERO_TOP and infinity when top > _INF_TOP.
+_ZERO_TOP = -324
+_INF_TOP = 309
 
 
 class ParseError(ValueError):
@@ -285,7 +297,7 @@ def _to_double(mant: int, point: int, stats: ConversionStats | None, twos: int) 
         # 2**52 <= num/den < 2**53 and the quotient has 53 bits, or is
         # 2**53 after a rounding carry, which still converts exactly.
         # Only a binding's long significand reaches a point below -MAX_POW.
-        scl = pow5 = _POWS5[-point] if point >= -MAX_POW else 5**-point
+        scl = pow5 = _POWS5[-point] if point >= -MAX_POW else _pow5_past_table(-point)
         if not twos:
             scl <<= -point
         bex = mant.bit_length() - scl.bit_length() - DBL_MANT_DIG
@@ -317,17 +329,44 @@ def _to_double(mant: int, point: int, stats: ConversionStats | None, twos: int) 
         return math.inf
 
 
+@functools.lru_cache(maxsize=1)
+def _pow5_past_table(k: int) -> int:
+    # 5**k for k > MAX_POW, which only a binding's long significand needs:
+    # its clamp check and its conversion share the last one built.
+    return 5**k
+
+
+def _top_over(mant: int, point: int, edge: int) -> bool:
+    # top > edge, for an edge at or above point: mant >= 10**k with
+    # k = edge - point, tested as mant >> k >= 5**k.
+    k = edge - point
+    if k <= MAX_POW:
+        return mant >> k >= _POWS5[k]
+    # Then point < -767, and 5**k comes from 5**-point, which the
+    # conversion divides by: 5**k = 5**-point * 5**edge.
+    pow5 = _POWS5[-point] if point >= -MAX_POW else _pow5_past_table(-point)
+    if edge < 0:
+        return mant * _POWS5[-edge] >> k >= pow5
+    return mant >> k >= pow5 * _POWS5[edge]
+
+
 def _checked(mant: int, point: int, stats: ConversionStats | None, twos: int) -> float:
-    # The bindings' checks, each made once, before any power is built;
-    # then the conversion.
+    # The bindings' checks, each made once, then read_double's clamps on
+    # top = point + digits(mant), then the conversion.  With n = bits(mant),
+    # 2**(n-1) <= mant < 2**n and 30102/100000 < log10(2) < 30103/100000
+    # put digits(mant) in [lo - point, hi - point]; a power is built only
+    # when that bracket holds an edge, to settle which side top is on.
     if mant < 0:
         raise ValueError("mant must be nonnegative")
     if mant == 0:
         return 0.0
-    if point >= 309:
-        return math.inf  # value >= 10**309, past the largest double
-    if point < -324 and point + mant.bit_length() * 30103 // 100000 < -324:
-        return 0.0  # value < 2**bits * 10**point < 10**-324
+    n = mant.bit_length()
+    lo = point + (n - 1) * 30102 // 100000 + 1
+    hi = point + n * 30103 // 100000 + 1
+    if hi > _INF_TOP and (lo > _INF_TOP or _top_over(mant, point, _INF_TOP)):
+        return math.inf
+    if lo <= _ZERO_TOP and (hi <= _ZERO_TOP or not _top_over(mant, point, _ZERO_TOP)):
+        return 0.0
     return _to_double(mant, point, stats, twos)
 
 
@@ -338,9 +377,9 @@ def mant_exp_to_double5(
 
     ``mant`` may be arbitrarily large; the rounding is always a single
     round-half-to-even division, or one IEEE multiply or divide when
-    ``mant < 2**53`` and ``|point| <= 22``.  Overflow returns +Infinity,
-    total underflow +0.0, both without building a power for a ``point``
-    beyond range.  The sign is the caller's concern.
+    ``mant < 2**53`` and ``|point| <= 22``.  A value of 10**309 or more
+    returns +Infinity and one below 10**-324 +0.0, without a division, as
+    ``read_double``.  The sign is the caller's concern.
     """
     return _checked(mant, point, stats, point)
 
@@ -352,7 +391,8 @@ def mant_exp_to_double10(
 
     The same routine and the same values and division counts, with
     operands roughly 40% wider: the contrast acceptance criterion 5
-    measures, not a separate implementation.
+    measures, not a separate implementation.  It clamps without a
+    division, as ``read_double``.
     """
     return _checked(mant, point, stats, 0)
 
@@ -378,11 +418,9 @@ def read_double(text: str, stats: ConversionStats | None = None) -> float:
     negative, digits, point = scanned
     # The value is int(digits) * 10**point with 10**(top-1) <= value < 10**top.
     top = point + len(digits)
-    # value >= 10**309 overflows; value < 10**-324, under half the
-    # smallest subnormal (2**-1075 ~= 2.47e-324), underflows.
-    if not digits or top <= -324:
+    if not digits or top <= _ZERO_TOP:
         value = 0.0
-    elif top > 309:
+    elif top > _INF_TOP:
         value = math.inf
     else:
         # Every binary64 halfway point in this decade has at most

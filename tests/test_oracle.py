@@ -18,6 +18,8 @@ from ezfloat import (
     double_to_string,
     float_to_bits,
     format_sci,
+    mant_exp_to_double5,
+    mant_exp_to_double10,
     minimality_check,
     nearest_double_exact,
     parse_decimal,
@@ -379,22 +381,27 @@ class TestIntermediateSizeScan:
         assert len(scan.violations) == 40
         assert all(v.endswith(" pow5 read-main quotient 54 bits from 60/3") for v in scan.violations)
 
-    def test_skips_exactly_the_cells_read_double_clamps(self):
-        # A cell makes no division exactly when the scan skips it, near
-        # both clamps and for every digit count: read_double sends such a
-        # value to infinity or zero without converting it.
-        rng = random.Random(4)
-        for nd in range(1, 18):
+    def test_bindings_divide_exactly_when_read_double_does(self):
+        # Near both clamps, for 1 to 40 digits and for 1100 and 1500, the
+        # least and the greatest significand of each length: read_double
+        # and both bindings clamp by one rule, so all three make the same
+        # division count, none exactly when top = point + nd is past a
+        # clamp.  The long ones settle an edge with powers past 5**MAX_POW.
+        for nd in [*range(1, 41), 1100, 1500]:
             lo, hi = 10 ** (nd - 1), 10**nd - 1
             for edge in (309 - nd, -324 - nd):
-                for point in range(edge - 20, edge + 21):
-                    scan = intermediate_size_scan(range(point, point + 1), range(nd, nd + 1), rng)
-                    assert scan.ok
-                    skipped = scan.max_read_divisions == 0
+                for point in range(edge - 25, edge + 26):
+                    divides = -324 < point + nd <= 309
                     for mant in (lo, hi):
+                        counts = []
+                        for convert in (mant_exp_to_double5, mant_exp_to_double10):
+                            stats = ConversionStats()
+                            convert(mant, point, stats)
+                            counts.append(stats.divisions)
                         stats = ConversionStats()
                         read_double(f"{mant}E{point}", stats)
-                        assert (stats.divisions == 0) == skipped, (mant, point)
+                        counts.append(stats.divisions)
+                        assert counts == [int(divides)] * 3, (nd, mant == hi, point)
 
     def test_render_format(self):
         report = IntermediateSizeReport()

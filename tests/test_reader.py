@@ -443,16 +443,35 @@ class TestMantExpToDouble:
                     assert convert(1, p) == want
                     assert time.perf_counter() - started < 0.05, (convert, p)
 
+    def test_long_significand_clamps_without_a_division(self):
+        # 2**3321929 has 1,000,001 digits, so at point 0 its bit length alone
+        # puts top past 309: infinity, with no power or division that wide.
+        mant = 1 << 3321929
+        for convert in (mant_exp_to_double5, mant_exp_to_double10):
+            stats = ConversionStats()
+            started = time.perf_counter()
+            assert convert(mant, 0, stats) == math.inf
+            assert time.perf_counter() - started < 0.05, convert
+            assert stats.divisions == 0, convert
+
     def test_clamps_agree_with_oracle_at_their_edges(self):
-        # Around the underflow clamp's edge for significands of several
-        # lengths, and around point 309: the clamps change no result.
+        # Around point -324 - bits(mant) * log10(2) for significands of
+        # several bit lengths, around point 309, and on both sides of each
+        # clamp's edge in top = point + digits(mant) for the least and the
+        # greatest significand of k digits: the clamps change no result.
+        cases = []
         for nbits in (1, 60, 500, 2600):
             edge = -324 - nbits * 30103 // 100000
             for mant in (1 << (nbits - 1), (1 << nbits) - 1):
-                for point in range(edge - 3, edge + 4):
-                    want = float_to_bits(nearest_double_exact(DecimalSci(False, mant, point)))
-                    assert float_to_bits(mant_exp_to_double5(mant, point)) == want
-                    assert float_to_bits(mant_exp_to_double10(mant, point)) == want
+                cases += [(mant, point) for point in range(edge - 3, edge + 4)]
+        for k in (1, 17, 300, 1100):
+            for mant in (10 ** (k - 1), 10**k - 1):
+                for edge in (-324 - k, 309 - k):
+                    cases += [(mant, point) for point in range(edge - 3, edge + 4)]
+        for mant, point in cases:
+            want = float_to_bits(nearest_double_exact(DecimalSci(False, mant, point)))
+            assert float_to_bits(mant_exp_to_double5(mant, point)) == want, (mant, point)
+            assert float_to_bits(mant_exp_to_double10(mant, point)) == want, (mant, point)
         for point in range(305, 312):
             want = nearest_double_exact(DecimalSci(False, 1, point))
             assert mant_exp_to_double5(1, point) == mant_exp_to_double10(1, point) == want
@@ -971,9 +990,9 @@ class TestDirectCall:
         ((17, 17, 41, 300), ("read-shift",)),
         ((17, 17, -280, -8), ("read-main",)),
         ((17, 17, -323, -309), ("read-subnormal",)),
-        # The clamps, at tops where the binding's own clamps apply too
-        # (point >= 309 resp. top <= -324), so neither side divides.
-        ((1, 20, 330, 400), ()),
+        # The clamps, which read_double and the binding make by one rule,
+        # so neither side divides.
+        ((1, 20, 310, 400), ()),
         ((1, 20, -400, -324), ()),
         # Cut to a halfway point's digits and a sticky 1.
         ((770, 1500, -320, 300), ("read-shift", "read-main", "read-subnormal")),
