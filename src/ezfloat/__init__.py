@@ -7,7 +7,6 @@ The audits of the division bounds (``ezfloat.audit``) and the command line
 (``ezfloat.cli``) sit on top of it; ``import ezfloat`` loads neither.
 """
 
-from ._bits import bits_to_float, float_to_bits
 from .bigmath import DBL_MANT_DIG, LLOG2, MAX_POW, ConversionStats, round_quotient
 from .oracle import ExactRational, minimality_check, nearest_double_exact
 from .reader import (
@@ -24,7 +23,9 @@ from .writer import (
     FloatKind,
     ShortestDigits,
     UnpackedDouble,
+    bits_to_float,
     double_to_string,
+    float_to_bits,
     format_sci,
     shortest_digits,
     unpack_double,

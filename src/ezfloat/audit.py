@@ -14,18 +14,15 @@ asserts.  They call the code they check, which ``oracle`` may not import
 (``tests/test_oracle.py::test_oracle_imports_nothing_it_checks``).
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import random
 
-from ._bits import bits_to_float, float_to_bits
 from .bigmath import ConversionStats
 from .oracle import minimality_check, nearest_double_exact
 from .reader import DecimalSci, parse_decimal, read_double
 from .reader import mant_exp_to_double5, mant_exp_to_double10
-from .writer import double_to_string, format_sci, shortest_digits
+from .writer import bits_to_float, double_to_string, float_to_bits, format_sci, shortest_digits
 
 __all__ = [
     "AuditReport",

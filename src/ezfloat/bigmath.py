@@ -16,8 +16,6 @@ and a value at or above 10**309 is infinity without a power, so
 0.2 ms, about 0.2 MB).
 """
 
-from __future__ import annotations
-
 import math
 
 __all__ = [

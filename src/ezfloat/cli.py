@@ -6,8 +6,6 @@ and prints each report; it fails when any report holds a violation.
 Exit codes: 0 success, 1 verification failure, 2 usage, input or I/O error.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import random
@@ -15,10 +13,9 @@ import sys
 import time
 
 from . import audit
-from ._bits import bits_to_float, float_to_bits
 from .bigmath import ConversionStats
 from .reader import ParseError, mant_exp_to_double5, read_double
-from .writer import double_to_string, shortest_digits
+from .writer import bits_to_float, double_to_string, float_to_bits, shortest_digits
 
 __all__ = ["main"]
 

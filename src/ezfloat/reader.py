@@ -34,8 +34,6 @@ the same parts, so values, traces and error positions do not depend on
 which one ran.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import re
@@ -332,7 +330,7 @@ def _to_double(mant: int, point: int, stats: ConversionStats | None, twos: int) 
 @functools.lru_cache(maxsize=1)
 def _pow5_past_table(k: int) -> int:
     # 5**k for k > MAX_POW, which only a binding's long significand needs:
-    # its clamp check and its conversion share the last one built.
+    # its clamp check and its conversion share it, and _checked releases it.
     return 5**k
 
 
@@ -363,11 +361,16 @@ def _checked(mant: int, point: int, stats: ConversionStats | None, twos: int) ->
     n = mant.bit_length()
     lo = point + (n - 1) * 30102 // 100000 + 1
     hi = point + n * 30103 // 100000 + 1
-    if hi > _INF_TOP and (lo > _INF_TOP or _top_over(mant, point, _INF_TOP)):
-        return math.inf
-    if lo <= _ZERO_TOP and (hi <= _ZERO_TOP or not _top_over(mant, point, _ZERO_TOP)):
-        return 0.0
-    return _to_double(mant, point, stats, twos)
+    try:
+        if hi > _INF_TOP and (lo > _INF_TOP or _top_over(mant, point, _INF_TOP)):
+            return math.inf
+        if lo <= _ZERO_TOP and (hi <= _ZERO_TOP or not _top_over(mant, point, _ZERO_TOP)):
+            return 0.0
+        return _to_double(mant, point, stats, twos)
+    finally:
+        # The power past the table lives only as long as this call.
+        if point < -MAX_POW:
+            _pow5_past_table.cache_clear()
 
 
 def mant_exp_to_double5(

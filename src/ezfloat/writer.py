@@ -23,28 +23,44 @@ resort.  The fewest digits that fit win, and nothing is read back.
 
 double_to_string composes the two halves, a plain (lquo, point) pair and
 format_sci, without building the ShortestDigits that shortest_digits returns.
+float_to_bits and bits_to_float map a double to its raw 64-bit pattern and
+back, with the prebuilt Structs every write unpacks through.
 """
 
-from __future__ import annotations
-
 import math
+import struct
 from collections import namedtuple
 from enum import Enum
 
-from ._bits import float_to_bits, pack_f64, unpack_u64
 from .bigmath import _POWS5, LLOG2, ConversionStats, round_quotient
 
 __all__ = [
     "FloatKind",
     "ShortestDigits",
     "UnpackedDouble",
+    "bits_to_float",
     "double_to_string",
+    "float_to_bits",
     "format_sci",
     "shortest_digits",
     "unpack_double",
 ]
 
 _FRAC_MASK = (1 << 52) - 1
+
+# Bound methods of prebuilt Structs: no format-string lookup per call.
+pack_f64 = struct.Struct("<d").pack
+unpack_f64 = struct.Struct("<d").unpack
+pack_u64 = struct.Struct("<Q").pack
+unpack_u64 = struct.Struct("<Q").unpack
+
+
+def float_to_bits(f: float) -> int:
+    return unpack_u64(pack_f64(f))[0]
+
+
+def bits_to_float(u: int) -> float:
+    return unpack_f64(pack_u64(u))[0]
 
 
 class FloatKind(Enum):
@@ -87,19 +103,19 @@ def unpack_double(f: float) -> UnpackedDouble:
 
 
 def _build_scales() -> tuple[tuple[int, int, int, int], ...]:
+    # point is the unique one with 10**(point-1) < 2**e2 <= 10**point; exact
+    # for every binary64 exponent (checked over [-1100, 1100] by the tests).
+    # Biased exponents 0 and 1 both have e2 = -1074, and 2..0x7FE map to
+    # e2 = ue2 - 1075; e2 <= 0 gives point <= 0 and e2 > 0 gives point > 0.
     out = []
-    for ue2 in range(0x7FF):
-        e2 = ue2 - 1075 if ue2 else -1074
-        # The unique point with 10**(point-1) < 2**e2 <= 10**point; exact for
-        # every binary64 exponent (checked over [-1100, 1100] by the tests).
+    for e2 in (-1074, *range(-1074, 1)):
         point = math.ceil(e2 * LLOG2)
-        if e2 > 0:
-            ulp, den = 100 << (e2 - point), _POWS5[point]
-            cut = ulp // den >> 1
-        else:
-            ulp, den = 100 * _POWS5[-point], 1 << (point - e2)
-            cut = ulp >> (point - e2 + 1)
-        out.append((point, ulp, den, cut))
+        ulp = 100 * _POWS5[-point]
+        out.append((point, ulp, 1 << (point - e2), ulp >> (point - e2 + 1)))
+    for e2 in range(1, 972):
+        point = math.ceil(e2 * LLOG2)
+        ulp, den = 100 << (e2 - point), _POWS5[point]
+        out.append((point, ulp, den, ulp // den >> 1))
     return tuple(out)
 
 

@@ -13,6 +13,7 @@ import io
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -22,6 +23,7 @@ from ezfloat import (
     ParseError,
     double_to_string,
     float_to_bits,
+    mant_exp_to_double5,
     minimality_check,
     nearest_double_exact,
     parse_decimal,
@@ -207,3 +209,19 @@ def test_long_plain_read_costs_less_than_its_match(text):
         read = min(read, _took(lambda: read_double(text))[0])
         matched = min(matched, _took(lambda: reader._NUMBER.match(text))[0])
     assert read <= 0.7 * matched, (read, matched)
+
+
+def test_binding_past_the_power_table_keeps_nothing():
+    # A point below -MAX_POW needs 5**-point, built for the call (29 KB
+    # here) and shared by its clamp check and its conversion; once the
+    # call returns nothing of it may stay behind.
+    mant = 10**100000 - 1
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = mant_exp_to_double5(mant, -100100)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert value == nearest_double_exact(DecimalSci(False, mant, -100100))
+    assert kept < 4096, kept

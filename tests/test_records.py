@@ -78,6 +78,12 @@ def test_import_loads_no_heavy_module_and_defers_nothing():
     # imported themselves, so they cannot move import time.
     assert "ezfloat.audit" not in got["new"]
     assert "ezfloat.cli" not in got["new"]
+    # The import path is exactly the library's four modules under the
+    # package, and no annotation needs __future__ to be deferred.
+    assert [m for m in got["new"] if m.split(".")[0] == "ezfloat"] == [
+        "ezfloat", "ezfloat.bigmath", "ezfloat.oracle", "ezfloat.reader", "ezfloat.writer",
+    ]
+    assert "__future__" not in got["new"]
     assert got["scales"] == 2047
     assert got["tables"] == [True] * 2
 
