@@ -294,8 +294,9 @@ def _to_double(mant: int, point: int, stats: ConversionStats | None, twos: int) 
         # settle the binary exponent before the one rounding: afterwards
         # 2**52 <= num/den < 2**53 and the quotient has 53 bits, or is
         # 2**53 after a rounding carry, which still converts exactly.
-        # Only a binding's long significand reaches a point below -MAX_POW.
-        scl = pow5 = _POWS5[-point] if point >= -MAX_POW else _pow5_past_table(-point)
+        # Only a binding's long significand reaches a point below -MAX_POW,
+        # and then builds 5**-point for this call.
+        scl = pow5 = _POWS5[-point] if point >= -MAX_POW else 5**-point
         if not twos:
             scl <<= -point
         bex = mant.bit_length() - scl.bit_length() - DBL_MANT_DIG
@@ -327,25 +328,12 @@ def _to_double(mant: int, point: int, stats: ConversionStats | None, twos: int) 
         return math.inf
 
 
-@functools.lru_cache(maxsize=1)
-def _pow5_past_table(k: int) -> int:
-    # 5**k for k > MAX_POW, which only a binding's long significand needs:
-    # its clamp check and its conversion share it, and _checked releases it.
-    return 5**k
-
-
 def _top_over(mant: int, point: int, edge: int) -> bool:
     # top > edge, for an edge at or above point: mant >= 10**k with
-    # k = edge - point, tested as mant >> k >= 5**k.
+    # k = edge - point, tested as mant >> k >= 5**k, built for the call
+    # when k is past the power table.
     k = edge - point
-    if k <= MAX_POW:
-        return mant >> k >= _POWS5[k]
-    # Then point < -767, and 5**k comes from 5**-point, which the
-    # conversion divides by: 5**k = 5**-point * 5**edge.
-    pow5 = _POWS5[-point] if point >= -MAX_POW else _pow5_past_table(-point)
-    if edge < 0:
-        return mant * _POWS5[-edge] >> k >= pow5
-    return mant >> k >= pow5 * _POWS5[edge]
+    return mant >> k >= (_POWS5[k] if k <= MAX_POW else 5**k)
 
 
 def _checked(mant: int, point: int, stats: ConversionStats | None, twos: int) -> float:
@@ -361,16 +349,11 @@ def _checked(mant: int, point: int, stats: ConversionStats | None, twos: int) ->
     n = mant.bit_length()
     lo = point + (n - 1) * 30102 // 100000 + 1
     hi = point + n * 30103 // 100000 + 1
-    try:
-        if hi > _INF_TOP and (lo > _INF_TOP or _top_over(mant, point, _INF_TOP)):
-            return math.inf
-        if lo <= _ZERO_TOP and (hi <= _ZERO_TOP or not _top_over(mant, point, _ZERO_TOP)):
-            return 0.0
-        return _to_double(mant, point, stats, twos)
-    finally:
-        # The power past the table lives only as long as this call.
-        if point < -MAX_POW:
-            _pow5_past_table.cache_clear()
+    if hi > _INF_TOP and (lo > _INF_TOP or _top_over(mant, point, _INF_TOP)):
+        return math.inf
+    if lo <= _ZERO_TOP and (hi <= _ZERO_TOP or not _top_over(mant, point, _ZERO_TOP)):
+        return 0.0
+    return _to_double(mant, point, stats, twos)
 
 
 def mant_exp_to_double5(

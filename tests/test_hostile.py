@@ -24,6 +24,7 @@ from ezfloat import (
     double_to_string,
     float_to_bits,
     mant_exp_to_double5,
+    mant_exp_to_double10,
     minimality_check,
     nearest_double_exact,
     parse_decimal,
@@ -213,8 +214,7 @@ def test_long_plain_read_costs_less_than_its_match(text):
 
 def test_binding_past_the_power_table_keeps_nothing():
     # A point below -MAX_POW needs 5**-point, built for the call (29 KB
-    # here) and shared by its clamp check and its conversion; once the
-    # call returns nothing of it may stay behind.
+    # here); once the call returns nothing of it may stay behind.
     mant = 10**100000 - 1
     tracemalloc.start()
     try:
@@ -225,3 +225,19 @@ def test_binding_past_the_power_table_keeps_nothing():
         tracemalloc.stop()
     assert value == nearest_double_exact(DecimalSci(False, mant, -100100))
     assert kept < 4096, kept
+
+
+@pytest.mark.parametrize("convert", [mant_exp_to_double5, mant_exp_to_double10])
+def test_binding_past_the_power_table_builds_at_most_two_powers(convert):
+    # At an edge that the bracket of bits(mant) holds, a binding past the
+    # power table builds 5**k to settle the clamp and, in range, 5**-point
+    # to divide by: about two builds of 5**n (one when it clamps), so two
+    # more powers or a quadratic step break the bound of four.
+    n = 100000
+    mant = 10**n - 1
+    power = min(_took(lambda: 5**n)[0] for _ in range(5))
+    for point in (-n + 309, -n + 310, -n - 323, -n - 324):
+        want = float_to_bits(nearest_double_exact(DecimalSci(False, mant, point)))
+        spent, value = min(_took(lambda: convert(mant, point)) for _ in range(5))
+        assert float_to_bits(value) == want, point
+        assert spent <= 4 * power, (point, spent / power)

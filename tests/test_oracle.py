@@ -381,12 +381,13 @@ class TestIntermediateSizeScan:
         assert len(scan.violations) == 40
         assert all(v.endswith(" pow5 read-main quotient 54 bits from 60/3") for v in scan.violations)
 
-    def test_bindings_divide_exactly_when_read_double_does(self):
+    def test_bindings_divide_exactly_when_read_double_does(self, kernel_calls):
         # Near both clamps, for 1 to 40 digits and for 1100 and 1500, the
         # least and the greatest significand of each length: read_double
         # and both bindings clamp by one rule, so all three make the same
         # division count, none exactly when top = point + nd is past a
-        # clamp.  The long ones settle an edge with powers past 5**MAX_POW.
+        # clamp, and each counts every kernel call it makes.  The long ones
+        # settle an edge with powers past 5**MAX_POW.
         for nd in [*range(1, 41), 1100, 1500]:
             lo, hi = 10 ** (nd - 1), 10**nd - 1
             for edge in (309 - nd, -324 - nd):
@@ -394,14 +395,16 @@ class TestIntermediateSizeScan:
                     divides = -324 < point + nd <= 309
                     for mant in (lo, hi):
                         counts = []
-                        for convert in (mant_exp_to_double5, mant_exp_to_double10):
+                        for convert in (
+                            functools.partial(mant_exp_to_double5, mant, point),
+                            functools.partial(mant_exp_to_double10, mant, point),
+                            functools.partial(read_double, f"{mant}E{point}"),
+                        ):
+                            kernel_calls.count = 0
                             stats = ConversionStats()
-                            convert(mant, point, stats)
-                            counts.append(stats.divisions)
-                        stats = ConversionStats()
-                        read_double(f"{mant}E{point}", stats)
-                        counts.append(stats.divisions)
-                        assert counts == [int(divides)] * 3, (nd, mant == hi, point)
+                            convert(stats)
+                            counts += [stats.divisions, kernel_calls.count]
+                        assert counts == [int(divides)] * 6, (nd, mant == hi, point)
 
     def test_render_format(self):
         report = IntermediateSizeReport()

@@ -5,7 +5,6 @@ import math
 import pickle
 import random
 import re
-import sys
 import time
 from fractions import Fraction
 from unittest import mock
@@ -922,22 +921,7 @@ class TestOneDivision:
                 assert float_to_bits(mant_exp_to_double5(mant, point)) == want, text
                 assert float_to_bits(mant_exp_to_double10(mant, point)) == want, text
 
-    def test_reads_count_every_division(self, monkeypatch):
-        # Count the kernel's calls wherever ezfloat holds it, so a division
-        # that bypasses the stats hook shows as a mismatch.
-        kernel = bigmath.round_quotient
-        calls = 0
-
-        def counted(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return kernel(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name == "ezfloat" or name.startswith("ezfloat."):
-                for attr, value in list(vars(module).items()):
-                    if value is kernel:
-                        monkeypatch.setattr(module, attr, counted)
+    def test_reads_count_every_division(self, kernel_calls):
         rng = random.Random(23)
         values = [bits_to_float(rng.getrandbits(64)) for _ in range(3000)]
         values += [math.ldexp(rng.randrange(1, 2**52), -1074) for _ in range(500)]
@@ -946,11 +930,11 @@ class TestOneDivision:
                   "2.2250738585072011e-308", "2.2250738585072014e-308"]
         seen = set()
         for text in texts:
-            calls = 0
+            kernel_calls.count = 0
             stats = ConversionStats()
             value = read_double(text, stats)
-            assert stats.divisions == calls <= 1, text
-            seen.add(calls)
+            assert stats.divisions == kernel_calls.count <= 1, text
+            seen.add(kernel_calls.count)
             assert float_to_bits(value) == float_to_bits(float(text)), text
             assert read_double_with_stats(text).stats == stats, text
         assert seen == {0, 1}
