@@ -2,10 +2,11 @@
 
 ``oracle_audit``, ``minimality_audit`` and ``roundtrip_audit`` check seeded
 draws against the oracle, for minimal output and for round trips.
-``quotient_length_audit`` writes every all-ones value once and reads its
-text back; ``intermediate_size_scan`` reads a grid spanning the whole read
-domain; ``halfway_audit`` reads halfway points at both ends of every binade,
-exact and with a far tail, where a read cuts long digits.  These three and
+``quotient_length_audit`` writes every all-ones value and every normal
+power of two once, holds each power's output to ``minimality_check`` and
+reads each text back; ``intermediate_size_scan`` reads a grid spanning the
+whole read domain; ``halfway_audit`` reads halfway points at both ends of
+every binade, exact and with a far tail, where a read cuts long digits.  These three and
 ``roundtrip_audit`` pass every conversion they make through ``_check``,
 which returns the bounds it breaks: only a violation formats a label.  No
 point's read ceiling is below 803 bits, so ``roundtrip_audit`` parses a
@@ -25,10 +26,7 @@ from .reader import mant_exp_to_double5, mant_exp_to_double10
 from .writer import bits_to_float, double_to_string, float_to_bits, format_sci, shortest_digits
 
 __all__ = [
-    "AuditReport",
-    "HalfwayReport",
-    "IntermediateSizeReport",
-    "SeededReport",
+    "Report",
     "all_ones_mantissa_values",
     "halfway_audit",
     "intermediate_size_scan",
@@ -51,69 +49,27 @@ def all_ones_mantissa_values() -> list[float]:
     ]
 
 
-class _Report:
-    """The violations an audit collects, each rendered above its summary."""
+class Report:
+    """The violations an audit collects, each rendered above its summary.
 
-    def __init__(self) -> None:
+    The summary lines are ``str.format`` templates over the audit's named
+    integer figures, each kept as an attribute, and ``failures``, the
+    number of violations.
+    """
+
+    def __init__(self, *templates: str, **figures: int) -> None:
         self.violations: list[str] = []
-
-    def _summary(self) -> list[str]:
-        raise NotImplementedError
+        self.templates = templates
+        self.__dict__.update(figures)
 
     def render(self) -> str:
-        return "\n".join([f"VIOLATION {v}" for v in self.violations] + self._summary())
+        fields = {**vars(self), "failures": len(self.violations)}
+        return "\n".join([f"VIOLATION {v}" for v in self.violations]
+                         + [template.format(**fields) for template in self.templates])
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-class SeededReport(_Report):
-    """The draws of a seeded audit, ``count``, and each one that failed."""
-
-    count = 0
-
-    def __init__(self, suite: str, unit: str, failure: str) -> None:
-        super().__init__()
-        self.suite, self.unit, self.failure = suite, unit, failure
-
-    def _summary(self) -> list[str]:
-        return [f"{self.suite}: {self.count} {self.unit}, {len(self.violations)} {self.failure}"]
-
-
-class AuditReport(_Report):
-    """Outcome of the quotient-length audit over the all-ones enumeration."""
-
-    values_tested = max_write_bits = max_write_divisions = 0
-
-    def _summary(self) -> list[str]:
-        return [
-            f"values tested: {self.values_tested}",
-            f"max write operand bits: {self.max_write_bits}",
-            f"max write divisions: {self.max_write_divisions}",
-            f"violations: {len(self.violations)}",
-        ]
-
-
-class IntermediateSizeReport(_Report):
-    """Peak operand widths, division counts and broken bounds over a read grid."""
-
-    max_pow5_bits = max_pow10_bits = max_read_divisions = 0
-
-    def _summary(self) -> list[str]:
-        return [
-            f"max pow5 bits: {self.max_pow5_bits}, max pow10 bits: {self.max_pow10_bits}",
-            f"max read divisions: {self.max_read_divisions}",
-        ]
-
-
-class HalfwayReport(_Report):
-    """Reads made, the widest operand and broken bounds of the halfway audit."""
-
-    reads = max_read_bits = 0
-
-    def _summary(self) -> list[str]:
-        return [f"halfway reads: {self.reads}", f"max halfway operand bits: {self.max_read_bits}"]
 
 
 # Each division site's quotient ceiling.  A read settles its binary exponent
@@ -163,12 +119,12 @@ def _emitted_digits(text: str) -> int:
     return len(mant) - mant.endswith("0")
 
 
-def oracle_audit(count: int, seed: int) -> SeededReport:
+def oracle_audit(count: int, seed: int) -> Report:
     """Read ``count`` random decimals, of 1 to 40 digits and either sign at
     a point in [-360, 330], through both bindings; each must give the
     double ``nearest_double_exact`` gives."""
     rng = random.Random(seed)
-    report = SeededReport("oracle", "cases", "mismatches")
+    report = Report("oracle: {count} cases, {failures} mismatches", count=0)
     for _ in range(count):
         lo = 10 ** rng.randint(0, 39)
         mant = rng.randint(lo, 10 * lo - 1)
@@ -184,7 +140,7 @@ def oracle_audit(count: int, seed: int) -> SeededReport:
     return report
 
 
-def minimality_audit(count: int, seed: int) -> SeededReport:
+def minimality_audit(count: int, seed: int) -> Report:
     """Write four curated doubles and ``count`` random finite nonzero
     ones; ``minimality_check`` must find no shorter form that reads back."""
     rng = random.Random(seed)
@@ -193,7 +149,7 @@ def minimality_audit(count: int, seed: int) -> SeededReport:
         f = bits_to_float(rng.getrandbits(64))
         if 0.0 < abs(f) < math.inf:
             values.append(f)
-    report = SeededReport("minimality", "values", "failures")
+    report = Report("minimality: {count} values, {failures} failures", count=0)
     for f in values:
         text = double_to_string(f)
         if not minimality_check(f, _emitted_digits(text)):
@@ -202,7 +158,7 @@ def minimality_audit(count: int, seed: int) -> SeededReport:
     return report
 
 
-def roundtrip_audit(count: int, seed: int) -> SeededReport:
+def roundtrip_audit(count: int, seed: int) -> Report:
     """Write ``count`` random 64-bit patterns, NaNs skipped, and read each back.
 
     The read must give the pattern back.  A finite nonzero value's write
@@ -213,7 +169,7 @@ def roundtrip_audit(count: int, seed: int) -> SeededReport:
     the point is parsed only for a read whose widest operand is wider.
     """
     rng = random.Random(seed)
-    report = SeededReport("roundtrip", "values", "failures")
+    report = Report("roundtrip: {count} values, {failures} failures", count=0)
     add = report.violations.append
     least = _read_width_ceiling(5, 0)
     for _ in range(count):
@@ -239,20 +195,30 @@ def roundtrip_audit(count: int, seed: int) -> SeededReport:
     return report
 
 
-def quotient_length_audit() -> AuditReport:
-    """Write every all-ones value once, traced, and read its text back.
+def quotient_length_audit() -> Report:
+    """Write every all-ones value and every normal power of two once,
+    traced, and read each text back.
 
     An all-ones significand is the largest of its binade, so these values
-    reach every write maximum.  A write's significand must stay below
-    10**17 and its operands within 810 bits (``_WRITE_WIDTH_CEILING``).
-    A reread through either binding must give
-    the value back within the scan's read bounds, but never puts num/den
-    at or above 2**53: a missing pre-compare before the read division
-    shows only in ``intermediate_size_scan``.  Expected: no violation.
+    reach every write maximum.  The least significands of the normal
+    binades, 2**-1022 to 2**1023, are the 2045 writes that go round the
+    writer's power-of-two loop and 2**-1022; each must be minimal
+    (``minimality_check``).  A write's significand must stay below 10**17
+    and its operands within 810 bits (``_WRITE_WIDTH_CEILING``).  A reread
+    of either kind of value through either binding must give the value
+    back within the scan's read bounds, but never puts num/den at or above
+    2**53: a missing pre-compare before the read division shows only in
+    ``intermediate_size_scan``.  Expected: no violation.
     """
-    report = AuditReport()
+    ones = all_ones_mantissa_values()
+    powers = [math.ldexp(1.0, e) for e in range(-1022, 1024)]
+    report = Report("values tested: {values_tested}", "powers of two: {powers}",
+                    "max write operand bits: {max_write_bits}",
+                    "max write divisions: {max_write_divisions}", "violations: {failures}",
+                    values_tested=len(ones), powers=len(powers),
+                    max_write_bits=0, max_write_divisions=0)
     add = report.violations.append
-    for f in all_ones_mantissa_values():
+    for i, f in enumerate(ones + powers):
         stats = ConversionStats()
         sd = shortest_digits(f, stats)
         for broken in _check(stats, _WRITE_WIDTH_CEILING, divisions=(1,)):
@@ -261,7 +227,10 @@ def quotient_length_audit() -> AuditReport:
             add(f"0x{float_to_bits(f):016X} write significand too long")
         report.max_write_bits = max(report.max_write_bits, stats.max_intermediate_bits)
         report.max_write_divisions = max(report.max_write_divisions, stats.divisions)
-        dec = parse_decimal(format_sci(False, *sd))
+        text = format_sci(False, *sd)
+        if i >= len(ones) and not minimality_check(f, _emitted_digits(text)):
+            add(f"0x{float_to_bits(f):016X} wrote {text}, not minimal")
+        dec = parse_decimal(text)
         assert isinstance(dec, DecimalSci)
         for reader, base in ((mant_exp_to_double5, 5), (mant_exp_to_double10, 10)):
             stats = ConversionStats()
@@ -269,11 +238,10 @@ def quotient_length_audit() -> AuditReport:
                 add(f"0x{float_to_bits(f):016X} reread via {reader.__name__} mismatch")
             for broken in _check(stats, _read_width_ceiling(base, dec.point)):
                 add(f"0x{float_to_bits(f):016X} reread via {reader.__name__} {broken}")
-        report.values_tested += 1
     return report
 
 
-def intermediate_size_scan(points: range, digit_counts: range, rng) -> IntermediateSizeReport:
+def intermediate_size_scan(points: range, digit_counts: range, rng) -> Report:
     """Audit every read bound over a (digit count x point) grid.
 
     Each cell converts the extreme mantissas of its digit count plus two
@@ -283,7 +251,9 @@ def intermediate_size_scan(points: range, digit_counts: range, rng) -> Intermedi
     ``bits(10**k) + 53`` with ``k = max(-point, 323)``, and the two
     bindings must agree in value and in division count.
     """
-    report = IntermediateSizeReport()
+    report = Report("max pow5 bits: {max_pow5_bits}, max pow10 bits: {max_pow10_bits}",
+                    "max read divisions: {max_read_divisions}",
+                    max_pow5_bits=0, max_pow10_bits=0, max_read_divisions=0)
     add = report.violations.append
     for nd in digit_counts:
         lo, hi = 10 ** (nd - 1), 10**nd - 1
@@ -308,7 +278,7 @@ def intermediate_size_scan(points: range, digit_counts: range, rng) -> Intermedi
     return report
 
 
-def halfway_audit() -> HalfwayReport:
+def halfway_audit() -> Report:
     """Read the halfway points above the two lowest and the two highest
     significands of every binade through ``read_double``.
 
@@ -326,7 +296,8 @@ def halfway_audit() -> HalfwayReport:
     most 769 digits, the 768 of (2**53 - 1) * 2**-1075 and a sticky one.
     Expected: no violation.
     """
-    report = HalfwayReport()
+    report = Report("halfway reads: {reads}", "max halfway operand bits: {max_read_bits}",
+                    reads=0, max_read_bits=0)
     add = report.violations.append
     ceiling = (10**769 - 1).bit_length()
     for biased in range(2047):

@@ -42,6 +42,23 @@ sys.exit(main(["verify", "bounds"]))
 """
 
 
+# Runs `ezfloat verify bounds` with each power of two written wrongly:
+# sys.argv[2] names the wrong (lquo, point) made from the right one.
+_WRONG_POWER_OF_TWO = """
+import math, sys
+sys.path.insert(0, sys.argv[1])
+from ezfloat import writer
+from ezfloat.cli import main
+real = writer._shortest
+wrong = eval("lambda lquo, point: " + sys.argv[2])
+def shortest(f, stats):
+    lquo, point = real(f, stats)
+    return wrong(lquo, point) if math.frexp(f)[0] == 0.5 else (lquo, point)
+writer._shortest = shortest
+sys.exit(main(["verify", "bounds"]))
+"""
+
+
 # Runs `ezfloat verify bounds` with every read through the power-of-10
 # binding noting one division more than it made.
 _EXTRA_REREAD_DIVISION = """
@@ -335,6 +352,7 @@ class TestVerify:
             "halfway reads: 24564",
             "max halfway operand bits: 2555",
             "values tested: 2098",
+            "powers of two: 2046",
             # An all-ones significand at e2 = -1074 times 100 * 5**323.
             "max write operand bits: 810",
             "max write divisions: 1",
@@ -405,12 +423,41 @@ class TestVerify:
         lines = done.stdout.splitlines()
         assert lines[-1] == "bounds: exceeded"
         assert "max write operand bits: 812" in lines
-        # The three all-ones values whose operands reach 809 and 810 bits.
+        # The three all-ones values whose operands reach 809 and 810 bits,
+        # then the two powers of two whose operands reach 809 bits.
         assert [line for line in lines if line.startswith("VIOLATION")] == [
             "VIOLATION 0x000FFFFFFFFFFFFF write operand bits 811 over 810",
             "VIOLATION 0x001FFFFFFFFFFFFF write operand bits 812 over 810",
             "VIOLATION 0x002FFFFFFFFFFFFF write operand bits 812 over 810",
+            "VIOLATION 0x0010000000000000 write operand bits 811 over 810",
+            "VIOLATION 0x0020000000000000 write operand bits 811 over 810",
         ]
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+    @pytest.mark.parametrize(
+        "wrong,suffix",
+        [
+            # A needless last digit, 1 (format_sci would trim a 0): the
+            # shorter right output reads back, whether or not this one does.
+            ("(lquo * 10 + 1, point - 1)", ", not minimal"),
+            # One unit down: below the narrow interval under a power of two.
+            ("(lquo - 1, point)", " reread via mant_exp_to_double5 mismatch"),
+        ],
+        ids=["needless-digit", "one-unit-down"],
+    )
+    def test_bounds_fails_on_a_wrong_power_of_two(self, flags, wrong, suffix):
+        root = os.path.dirname(os.path.dirname(ezfloat.__file__))
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", _WRONG_POWER_OF_TWO, root, wrong],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[-1] == "bounds: exceeded"
+        violations = [line for line in lines if line.startswith("VIOLATION")]
+        assert any(line.endswith(suffix) for line in violations)
+        # Each names a normal power of two: its fraction field is zero.
+        assert all(int(line.split()[1], 16) & (1 << 52) - 1 == 0 for line in violations)
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
     def test_allones_fails_on_an_extra_reread_division(self, flags):

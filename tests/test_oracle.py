@@ -29,9 +29,7 @@ from ezfloat import (
 )
 from ezfloat import audit, oracle, reader
 from ezfloat.audit import (
-    HalfwayReport,
-    IntermediateSizeReport,
-    SeededReport,
+    Report,
     _check,
     _read_width_ceiling,
     all_ones_mantissa_values,
@@ -253,6 +251,12 @@ class TestAllOnes:
             assert u.lmant == (1 << k) - 1
 
 
+# Every value the quotient-length audit writes: the all-ones values, then
+# the least significand of each normal binade.
+def _written_values():
+    return all_ones_mantissa_values() + [math.ldexp(1.0, e) for e in range(-1022, 1024)]
+
+
 class TestQuotientLengthAudit:
     def test_audit_is_clean(self):
         report = quotient_length_audit()
@@ -288,7 +292,7 @@ class TestQuotientLengthAudit:
         assert not report.ok
         assert report.max_write_divisions == 2
         assert report.violations == [
-            f"0x{float_to_bits(f):016X} write made 2 divisions" for f in all_ones_mantissa_values()
+            f"0x{float_to_bits(f):016X} write made 2 divisions" for f in _written_values()
         ]
 
     def test_extra_reread_division_is_a_violation(self, monkeypatch):
@@ -301,7 +305,7 @@ class TestQuotientLengthAudit:
             return value
 
         expected = []
-        for f in all_ones_mantissa_values():
+        for f in _written_values():
             dec = parse_decimal(format_sci(False, *shortest_digits(f)))
             stats = ConversionStats()
             real(dec.mant, dec.point, stats)
@@ -309,7 +313,7 @@ class TestQuotientLengthAudit:
                 label = f"0x{float_to_bits(f):016X}"
                 expected.append(f"{label} reread via mant_exp_to_double10 made 2 divisions")
         # Clinger's path reads some of these texts without a division.
-        assert 0 < len(expected) < len(all_ones_mantissa_values())
+        assert 0 < len(expected) < len(_written_values())
         monkeypatch.setattr(audit, "mant_exp_to_double10", extra)
         report = quotient_length_audit()
         assert not report.ok
@@ -331,7 +335,7 @@ class TestQuotientLengthAudit:
         assert report.max_write_bits == 811
         assert report.violations == [
             f"0x{float_to_bits(f):016X} write operand bits 811 over 810"
-            for f in all_ones_mantissa_values()
+            for f in _written_values()
         ]
 
     def test_unknown_site_is_a_violation(self):
@@ -347,6 +351,7 @@ class TestQuotientLengthAudit:
         lines = report.render().splitlines()
         assert lines == [
             "values tested: 2098",
+            "powers of two: 2046",
             "max write operand bits: 810",
             "max write divisions: 1",
             "violations: 0",
@@ -407,8 +412,9 @@ class TestIntermediateSizeScan:
                         assert counts == [int(divides)] * 6, (nd, mant == hi, point)
 
     def test_render_format(self):
-        report = IntermediateSizeReport()
-        report.max_pow5_bits, report.max_pow10_bits, report.max_read_divisions = 810, 1072, 1
+        report = Report("max pow5 bits: {max_pow5_bits}, max pow10 bits: {max_pow10_bits}",
+                        "max read divisions: {max_read_divisions}",
+                        max_pow5_bits=810, max_pow10_bits=1072, max_read_divisions=1)
         report.violations += ["1E0 bindings differ", "2E0 2 divisions"]
         assert report.render().splitlines() == [
             "VIOLATION 1E0 bindings differ",
@@ -420,8 +426,8 @@ class TestIntermediateSizeScan:
 
 class TestHalfwayAudit:
     def test_render_format(self):
-        report = HalfwayReport()
-        report.reads, report.max_read_bits = 24564, 2555
+        report = Report("halfway reads: {reads}", "max halfway operand bits: {max_read_bits}",
+                        reads=24564, max_read_bits=2555)
         report.violations.append("0x0000000000000000 halfway exact made 2 divisions")
         assert report.render().splitlines() == [
             "VIOLATION 0x0000000000000000 halfway exact made 2 divisions",
@@ -443,7 +449,8 @@ class TestSeededAudits:
     )
     def test_render_format(self, words):
         suite, unit, failure = words
-        report, other = SeededReport(*words), SeededReport(*words)
+        template = f"{suite}: {{count}} {unit}, {{failures}} {failure}"
+        report, other = Report(template, count=0), Report(template, count=0)
         assert report.render() == f"{suite}: 0 {unit}, 0 {failure}"
         report.count = 7
         report.violations.append("0x3FF0000000000000 read made 2 divisions")
