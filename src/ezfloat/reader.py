@@ -28,10 +28,15 @@ edge; then one power settles it.
 ``_scan`` reads the text for both ``parse_decimal`` and ``read_double``.
 A text of more than ``_LONG_TEXT`` characters that is a plain number is
 split with ``str.find`` and its digits checked with ``bytes.isdigit``, at
-about a third of the cost of the pattern; every other text, and every
-rejection, is one match of the grammar's pattern ``_NUMBER``.  Both give
-the same parts, so values, traces and error positions do not depend on
-which one ran.
+about a third of the cost of the pattern.  A shorter text that is only
+digits, a point and digits, as every read of the ``10**N(0,1)`` corpus
+is, is split at its point with ``str.partition`` and checked with
+``str.isdigit`` and ``str.isascii``: ``isdigit`` alone would also take
+non-ASCII digits (Arabic-Indic, fullwidth, superscript), which the
+grammar rejects.  That costs about a fifth less than the match.  Every
+other text, and every rejection, is one match of the grammar's pattern
+``_NUMBER``.  All three give the same parts, so values, traces and error
+positions do not depend on which one ran.
 """
 
 import functools
@@ -191,10 +196,23 @@ def _scan(text: str) -> tuple[bool, str, int] | float:
     # (-1)**negative * int(digits) * 10**point, where digits has no leading
     # or trailing zero ("" for zero, with point 0), or a float for the
     # special tokens.  The parts come from _split_long for a text longer
-    # than _LONG_TEXT that it accepts, else from one _NUMBER match, the
-    # only code that locates a rejection: a match short of the text, or not
-    # itself accepted ("+", "1e"), is rejected where it ends.
-    if (end := len(text)) <= _LONG_TEXT or (groups := _split_long(text)) is None:
+    # than _LONG_TEXT that it accepts.  A shorter text with no exponent
+    # mark that is digits, a point and digits ("0.25", every gauss read) is
+    # split at the point into the groups the pattern gives it; isdigit also
+    # takes non-ASCII digits ("\u0661", "\uff15", "\u00b2"), so the text
+    # must be ASCII too.  Every other text goes to one _NUMBER match, the
+    # only code that locates a rejection: a match short of the text, or
+    # not itself accepted ("+", "1e"), is rejected where it ends.  "e" is
+    # tested first, as host repr writes it: such a read pays one membership
+    # test, and one of the writer's own "E" texts two.
+    groups = None
+    if (end := len(text)) > _LONG_TEXT:
+        groups = _split_long(text)
+    elif "e" not in text and "E" not in text:
+        int_digits, _, frac_digits = text.partition(".")
+        if int_digits.isdigit() and frac_digits.isdigit() and text.isascii():
+            groups = "", int_digits, frac_digits, "", "", "", "", ""
+    if groups is None:
         m = _NUMBER.match(text)
         if (pos := m.end()) < end:
             raise ParseError(f"unexpected {text[pos]!r}", pos)
@@ -339,16 +357,19 @@ def _top_over(mant: int, point: int, edge: int) -> bool:
 def _checked(mant: int, point: int, stats: ConversionStats | None, twos: int) -> float:
     # The bindings' checks, each made once, then read_double's clamps on
     # top = point + digits(mant), then the conversion.  With n = bits(mant),
-    # 2**(n-1) <= mant < 2**n and 30102/100000 < log10(2) < 30103/100000
-    # put digits(mant) in [lo - point, hi - point]; a power is built only
-    # when that bracket holds an edge, to settle which side top is on.
+    # 2**(n-1) <= mant < 2**n and 30102999566/10**11 < log10(2) <
+    # 30102999567/10**11 put digits(mant) in [lo - point, hi - point], at
+    # most two digit counts below 6 * 10**10 bits.  A power is built only
+    # when that bracket holds an edge, to settle which side top is on: when
+    # a power of ten lies in mant's binade, as for 10**N - 1, and point
+    # puts it on an edge.
     if mant < 0:
         raise ValueError("mant must be nonnegative")
     if mant == 0:
         return 0.0
     n = mant.bit_length()
-    lo = point + (n - 1) * 30102 // 100000 + 1
-    hi = point + n * 30103 // 100000 + 1
+    lo = point + (n - 1) * 30102999566 // 10**11 + 1
+    hi = point + n * 30102999567 // 10**11 + 1
     if hi > _INF_TOP and (lo > _INF_TOP or _top_over(mant, point, _INF_TOP)):
         return math.inf
     if lo <= _ZERO_TOP and (hi <= _ZERO_TOP or not _top_over(mant, point, _ZERO_TOP)):
@@ -389,10 +410,12 @@ def read_double(text: str, stats: ConversionStats | None = None) -> float:
     A significand longer than any binary64 halfway point of its decade
     keeps only that many significant digits (17 to 768, 296 on average
     over the decades) and one sticky digit standing for the nonzero rest,
-    so a read costs one check of the text, a ``_NUMBER`` match or, for a
-    long plain number, a byte-level digit check at a third of the match's
-    cost, plus a conversion of bounded width, with at most one rounding
-    division.  The read clamps zero,
+    so a read costs one check of the text plus a conversion of bounded
+    width, with at most one rounding division.  The check is a ``_NUMBER``
+    match; for a long plain number, a byte-level digit check at a third
+    of the match's cost; and for a short ``digits.digits`` text, a split
+    at the point and ``str.isdigit`` on each side, with ``str.isascii``
+    keeping out non-ASCII digits.  The read clamps zero,
     overflow and underflow itself, from the digit count and the exponent,
     and then makes mant_exp_to_double5's conversion without that
     binding's frame or its checks, which the clamps have already settled.

@@ -18,6 +18,7 @@ import tracemalloc
 import pytest
 
 from ezfloat import (
+    ConversionStats,
     DecimalSci,
     ExactRational,
     ParseError,
@@ -241,3 +242,19 @@ def test_binding_past_the_power_table_builds_at_most_two_powers(convert):
         spent, value = min(_took(lambda: convert(mant, point)) for _ in range(5))
         assert float_to_bits(value) == want, point
         assert spent <= 4 * power, (point, spent / power)
+
+
+@pytest.mark.parametrize("convert", [mant_exp_to_double5, mant_exp_to_double10])
+def test_binding_settles_a_far_clamp_without_a_power(convert):
+    # 10**n - 1 at point 310 - n is just under 10**310, past the overflow
+    # clamp.  bits(mant) puts its digit count in a bracket of at most two
+    # counts that holds no edge, so the binding returns infinity without a
+    # division and without building 5**k, in far less time than one 5**n.
+    n = 100000
+    mant = 10**n - 1
+    stats = ConversionStats()
+    assert convert(mant, 310 - n, stats) == math.inf
+    assert stats.divisions == 0
+    power = min(_took(lambda: 5**n)[0] for _ in range(5))
+    spent = min(_took(lambda: convert(mant, 310 - n))[0] for _ in range(5))
+    assert spent < power / 10, spent / power

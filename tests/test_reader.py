@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -274,7 +275,7 @@ class TestParseDecimal:
 
 # Characters that break a plain number, or are not ASCII: a lone
 # surrogate is one that str.encode refuses.
-_MUTATIONS = [".", "e", "E", "+", "-", "x", "_", " ", "\n", "\u0663", "\uff15", "\ud800"]
+_MUTATIONS = [".", "e", "E", "+", "-", "x", "_", " ", "\n", "\u0663", "\uff15", "\ud800", "\u00b2"]
 
 
 @st.composite
@@ -348,6 +349,122 @@ class TestLongSplit:
             assert (accepted, exc.position) == (False, position), text
         else:
             assert accepted, text
+
+
+@st.composite
+def _plain_decimals(draw) -> str:
+    """A short plain decimal: 1 to 40 digits, zero runs at either end, and
+    one point anywhere among them, so "5." and ".5" too."""
+    width = draw(st.integers(1, 40))
+    digits = random.Random(draw(st.integers(0, 2**32))).choices("0123456789", k=width)
+    lead, trail = draw(st.integers(0, width)), draw(st.integers(0, width))
+    digits[:lead] = "0" * lead
+    digits[width - trail :] = "0" * trail
+    digits.insert(draw(st.integers(0, width)), ".")
+    return "".join(digits)
+
+
+class _CountingPattern:
+    """A stand-in for a compiled pattern that counts its matches."""
+
+    def __init__(self, pattern: re.Pattern):
+        self.pattern, self.matches = pattern, 0
+
+    def match(self, text: str) -> re.Match | None:
+        self.matches += 1
+        return self.pattern.match(text)
+
+
+class TestPlainSplit:
+    """The split of a short digits.digits text at its point, the front of
+    _scan that makes no match, against the grammar and the oracle."""
+
+    @settings(max_examples=500)
+    @given(_plain_decimals(), st.data())
+    def test_reads_as_the_grammar_says(self, text, data):
+        at = data.draw(st.integers(0, len(text)))
+        c = data.draw(st.sampled_from(_MUTATIONS))
+        for candidate in (text, text[:at] + c + text[at:], text[:at] + c + text[at + 1 :]):
+            self._check(candidate)
+
+    @pytest.mark.parametrize(
+        "text,dec",
+        [
+            ("0.0", DecimalSci(False, 0, 0)),
+            ("00.500", DecimalSci(False, 5, -1)),
+            ("5.", DecimalSci(False, 5, 0)),
+            (".5", DecimalSci(False, 5, -1)),
+            ("0.000", DecimalSci(False, 0, 0)),
+            ("12.34", DecimalSci(False, 1234, -2)),
+        ],
+    )
+    def test_accepted(self, text, dec):
+        assert parse_decimal(text) == dec
+        assert float_to_bits(read_double(text)) == float_to_bits(nearest_double_exact(dec))
+        self._check(text)
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("\u0661.\u0665", 0),  # ARABIC-INDIC DIGITS ONE and FIVE
+            ("1.\u0665", 2),
+            ("\u00b2.5", 0),  # SUPERSCRIPT TWO
+            ("1.\uff15", 2),  # FULLWIDTH DIGIT FIVE
+        ],
+    )
+    def test_digits_that_are_not_ascii_are_rejected(self, text, position):
+        # str.isdigit takes each of these characters; the grammar takes none.
+        for read in (parse_decimal, read_double):
+            with pytest.raises(ParseError) as exc:
+                read(text)
+            assert exc.value.position == position
+        self._check(text)
+
+    @pytest.mark.parametrize(
+        "text,matches",
+        [
+            ("0.5", 0),
+            ("12.34", 0),
+            ("0.000", 0),
+            ("-0.5", 1),
+            ("1.5E0", 1),
+            (".5", 1),
+            ("5.", 1),
+            ("7", 1),
+            ("\u0661.\u0665", 1),
+        ],
+    )
+    def test_only_digits_point_digits_skips_the_pattern(self, text, matches):
+        counting = _CountingPattern(reader._NUMBER)
+        with mock.patch.object(reader, "_NUMBER", counting):
+            try:
+                read_double(text)
+            except ParseError:
+                pass
+        assert counting.matches == matches
+
+    @staticmethod
+    def _check(text: str) -> None:
+        # Acceptance and rejection position as _grammar_reference says, for
+        # both entry points; an accepted text parses to its exact value,
+        # unless its exponent has more than ten digits, leading zeros not
+        # counted, and saturates; and it reads as the oracle's nearest double.
+        accepted, position = _grammar_reference(text)
+        for read in (parse_decimal, read_double):
+            try:
+                read(text)
+            except ParseError as exc:
+                assert (accepted, exc.position) == (False, position), text
+            else:
+                assert accepted, text
+        if accepted:
+            dec = parse_decimal(text)
+            assert dec.negative == text.startswith("-")
+            if not re.search("[eE][+-]?0*[0-9]{11}", text):
+                digits = tuple(map(int, str(dec.mant)))
+                assert Decimal((dec.negative, digits, dec.point)) == Decimal(text), text
+            want = nearest_double_exact(dec)
+            assert float_to_bits(read_double(text)) == float_to_bits(want), text
 
 
 class TestMantExpToDouble:

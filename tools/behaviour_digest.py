@@ -19,6 +19,10 @@ converted by both bindings, ``mant_exp_to_double5`` and
   probe of ``test_bindings_divide_exactly_when_read_double_does``.
 - ``clamp cases``: the cases of
   ``test_clamps_agree_with_oracle_at_their_edges``.
+- ``typed literals``: shapes the corpora miss, for each way ``_scan``
+  takes a text apart: leading and trailing zeros, signed and bare forms,
+  exponent forms, and plain decimals of 310 to 352 characters near both
+  clamp edges and either side of ``_LONG_TEXT``.
 """
 
 import hashlib
@@ -79,6 +83,26 @@ def _clamp_cases() -> list[str]:
     return [f"{mant}E{point}" for mant, point in cases]
 
 
+_TYPED_LITERALS = [
+    # leading and trailing zeros
+    "00.500", "0.000", "0.0", "000.0001", "10.10", "007.700",
+    # signed and bare forms
+    "-0.5", "+2.5", "-0.0", "+0.0", ".5", "-.5", "5.", "+5.", "1200", "-7", "0",
+    # exponent forms
+    "1.5E0", "1.5e0", "2.5e-3", "-2.5E+3", "1e23", "7.e22", ".1E-5", "0e999",
+    "1.7976931348623157e308", "4.9406564584124654E-324",
+    # long plain decimals near the clamp edges and the long-text crossover
+    "0." + "0" * 323 + "247",
+    "0." + "0" * 323 + "248",
+    "1" + "0" * 308 + ".5",
+    "9" * 308 + ".9",
+    "9" * 309 + ".9",
+    "0." + "0" * 347 + "1",
+    "0." + "0" * 348 + "1",
+    "1" * 175 + "." + "1" * 176,
+]
+
+
 def _line(name: str, records: list) -> str:
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     return f"{name}: {len(records)} conversions, sha256 {digest}"
@@ -91,6 +115,7 @@ def main() -> None:
             print(_line(f"{workload}/{seed}", _reads(texts)))
     print(_line("clamp-edge probe", _reads(_clamp_edge_probe())))
     print(_line("clamp cases", _reads(_clamp_cases())))
+    print(_line("typed literals", _reads(_TYPED_LITERALS)))
 
 
 if __name__ == "__main__":
