@@ -7,56 +7,12 @@ The audits of the division bounds (``ezfloat.audit``) and the command line
 (``ezfloat.cli``) sit on top of it; ``import ezfloat`` loads neither.
 """
 
-from .bigmath import DBL_MANT_DIG, LLOG2, MAX_POW, ConversionStats, round_quotient
-from .oracle import ExactRational, minimality_check, nearest_double_exact
-from .reader import (
-    DecimalSci,
-    ParseError,
-    ReadOutcome,
-    mant_exp_to_double5,
-    mant_exp_to_double10,
-    parse_decimal,
-    read_double,
-    read_double_with_stats,
-)
-from .writer import (
-    FloatKind,
-    ShortestDigits,
-    UnpackedDouble,
-    bits_to_float,
-    double_to_string,
-    float_to_bits,
-    format_sci,
-    shortest_digits,
-    unpack_double,
-)
+from . import bigmath, oracle, reader, writer
+from .bigmath import *
+from .oracle import *
+from .reader import *
+from .writer import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConversionStats",
-    "DBL_MANT_DIG",
-    "DecimalSci",
-    "ExactRational",
-    "FloatKind",
-    "LLOG2",
-    "MAX_POW",
-    "ParseError",
-    "ReadOutcome",
-    "ShortestDigits",
-    "UnpackedDouble",
-    "bits_to_float",
-    "double_to_string",
-    "float_to_bits",
-    "format_sci",
-    "mant_exp_to_double5",
-    "mant_exp_to_double10",
-    "minimality_check",
-    "nearest_double_exact",
-    "parse_decimal",
-    "read_double",
-    "read_double_with_stats",
-    "round_quotient",
-    "shortest_digits",
-    "unpack_double",
-]
+__all__ = [*bigmath.__all__, *oracle.__all__, *reader.__all__, *writer.__all__]

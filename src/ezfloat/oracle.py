@@ -5,20 +5,18 @@ nearest-double computation works from the exact rational value, locating
 the binade by integer comparison, and rounds once with the shared kernel
 ``round_quotient`` on operands it scaled itself.  A scaling bug would have
 to be reinvented independently on both sides to hide.  So this module
-imports only ``math``, ``namedtuple``, ``bigmath.round_quotient``, the
-reader's ``DecimalSci`` record and its helper ``_record_repr``, never the
-code it checks (enforced by
+imports only ``math``, ``bigmath.round_quotient`` and the reader's
+``DecimalSci`` record, never the code it checks (enforced by
 ``tests/test_oracle.py::test_oracle_imports_nothing_it_checks``); the
 audits that drive that code live in ``audit``.
 """
 
 import math
-from collections import namedtuple
 
 from .bigmath import round_quotient
-from .reader import DecimalSci, _record_repr
+from .reader import DecimalSci
 
-__all__ = ["ExactRational", "minimality_check", "nearest_double_exact"]
+__all__ = ["minimality_check", "nearest_double_exact"]
 
 # Values at or beyond the midpoint between the largest finite double and
 # 2**1024 round to infinity; values at or below half the smallest subnormal
@@ -26,46 +24,12 @@ __all__ = ["ExactRational", "minimality_check", "nearest_double_exact"]
 _OVERFLOW_BOUNDARY = (1 << 1024) - (1 << 970)
 
 
-class ExactRational(namedtuple("ExactRational", "num den negative", defaults=(False,))):
-    """(-1)**negative * num / den, unreduced.
-
-    Equality is field-wise, as for any tuple: 1/2 and 2/4 differ.
-    """
-
-    __slots__ = ()
-    __repr__ = _record_repr
-
-    @classmethod
-    def from_decimal(cls, dec: DecimalSci) -> "ExactRational":
-        """dec's exact value.  |point| > bits(mant) + 2048 raises ValueError
-        rather than build a power of ten far longer than the significand."""
-        if abs(dec.point) > dec.mant.bit_length() + 2048:
-            raise ValueError("from_decimal requires |point| <= bits(mant) + 2048")
-        if dec.point >= 0:
-            return cls(dec.mant * 10**dec.point, 1, dec.negative)
-        return cls(dec.mant, 10**-dec.point, dec.negative)
-
-    @classmethod
-    def from_float(cls, f: float) -> "ExactRational":
-        """f's exact value, the sign of -0.0 kept; f must be finite."""
-        if not math.isfinite(f):
-            raise ValueError("from_float requires a finite value")
-        negative = math.copysign(1.0, f) < 0
-        # frexp is exact for subnormals too: |f| = m * 2**e with 0.5 <= m < 1.
-        m, e = math.frexp(abs(f))
-        lmant = int(m * (1 << 53))
-        e2 = e - 53
-        if e2 >= 0:
-            return cls(lmant << e2, 1, negative)
-        return cls(lmant, 1 << -e2, negative)
-
-
 def nearest_double_exact(dec: DecimalSci) -> float:
     """The binary64 nearest to dec's exact value, ties to even.
 
-    Works purely on integers: the binade of num/den is found by shifted
-    comparison, then the 53 significand bits (fewer at the subnormal scale)
-    come from one exact rounding division.  Overflow and underflow are
+    Works purely on integers: the binade of the exact value a/b is found by
+    shifted comparison, then the 53 significand bits (fewer at the
+    subnormal scale) come from one exact rounding division.  Overflow and underflow are
     decided by comparing against 2**1024 - 2**970 and 2**-1075 exactly,
     once a bound from ``point`` has settled values far beyond them.
     """
@@ -74,14 +38,17 @@ def nearest_double_exact(dec: DecimalSci) -> float:
     # Far out of range before building 10**|point|: 2**(n-1) <= mant < 2**n
     # and 8**k <= 10**k put the value at or above 2**(n-1+3*point) when
     # point > 0, and below 2**(n+3*point) when point < 0.  What passes has
-    # point <= 341 or -point < (n + 1075) / 3, inside from_decimal's bound.
+    # point <= 341 or -point < (n + 1075) / 3, so the power of ten built
+    # below has at most 1133 bits, or about 1.11 * (n + 1075).
     n = dec.mant.bit_length()
     if dec.point > 0 and n - 1 + 3 * dec.point >= 1024:
         return -math.inf if dec.negative else math.inf
     if dec.point < 0 and n + 3 * dec.point <= -1075:
         return -0.0 if dec.negative else 0.0
-    r = ExactRational.from_decimal(dec)
-    a, b = r.num, r.den
+    if dec.point >= 0:
+        a, b = dec.mant * 10**dec.point, 1
+    else:
+        a, b = dec.mant, 10**-dec.point
     if a >= b * _OVERFLOW_BOUNDARY:
         return -math.inf if dec.negative else math.inf
     if a << 1075 <= b:
@@ -128,8 +95,7 @@ def minimality_check(f: float, produced_digits: int) -> bool:
         raise ValueError("minimality_check requires a finite nonzero value")
     if produced_digits <= 1:
         return True
-    r = ExactRational.from_float(f)
-    a, b = r.num, r.den
+    a, b = abs(f).as_integer_ratio()
     exp10 = _floor_log10(a, b)
     target = abs(f)
     for d in range(1, produced_digits):

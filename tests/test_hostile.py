@@ -2,10 +2,11 @@
 stays subquadratic.
 
 The entry points are read_double, parse_decimal, the CLI ``read`` and, on
-the parsed form, nearest_double_exact, ExactRational.from_decimal and
-minimality_check.  16x the input may take at most 150x the CPU time, the
-rule of test_reader's test_long_significand_is_subquadratic: a quadratic
-step takes 256x, CPython's Karatsuba products about 16**1.585 ~= 81x.
+the parsed form, nearest_double_exact, which builds the power of ten of
+the exact value, and minimality_check.  16x the input may take at most
+150x the CPU time, the rule of test_reader's
+test_long_significand_is_subquadratic: a quadratic step takes 256x,
+CPython's Karatsuba products about 16**1.585 ~= 81x.
 """
 
 import contextlib
@@ -20,7 +21,6 @@ import pytest
 from ezfloat import (
     ConversionStats,
     DecimalSci,
-    ExactRational,
     ParseError,
     double_to_string,
     float_to_bits,
@@ -86,7 +86,6 @@ def _parsed_calls(dec: DecimalSci, value: float, n: int) -> dict:
     """Entry point name -> zero-argument call on the parsed text or its value."""
     return {
         "nearest_double_exact": lambda: _outcome(nearest_double_exact, dec),
-        "ExactRational.from_decimal": lambda: _outcome(ExactRational.from_decimal, dec),
         "minimality_check": lambda: _outcome(minimality_check, value, n),
     }
 
@@ -121,8 +120,7 @@ def _took(call) -> tuple[float, object]:
 
 def _expected(kind: str, n: int, name: str, got: dict):
     # Every result follows from the input's construction, except the value
-    # of "digits", which the oracle's stands in for, and its power of ten,
-    # as long to build again as the call it checks.
+    # of "digits", which the oracle's stands in for.
     zero, inf = (0, "0.0"), (0x7FF0000000000000, "Infinity")
     if kind in INVALID_KINDS:
         return {
@@ -134,13 +132,11 @@ def _expected(kind: str, n: int, name: str, got: dict):
         dec = got["parse_decimal"]
         assert dec.point == -(n - 2) and dec.mant % 10 and not dec.negative
         value = got["nearest_double_exact"]
-        den = got["ExactRational.from_decimal"].den
         assert 0.1 < value < 1.0
         return {
             "read_double": value,
             "parse_decimal": dec,
             "nearest_double_exact": value,
-            "ExactRational.from_decimal": ExactRational(dec.mant, den),
             "minimality_check": False,
             "cli read": (0, f"0x{float_to_bits(value):016X} {double_to_string(value)}\n", ""),
         }[name]
@@ -154,7 +150,6 @@ def _expected(kind: str, n: int, name: str, got: dict):
         "read_double": math.inf if bits else 0.0,
         "parse_decimal": DecimalSci(False, 1, point),
         "nearest_double_exact": math.inf if bits else 0.0,
-        "ExactRational.from_decimal": ValueError,  # |point| far past bits(mant)
         "minimality_check": ValueError,  # not a finite nonzero value
         "cli read": (0, f"0x{bits:016X} {rendered}\n", ""),
     }[name]

@@ -13,7 +13,6 @@ import pytest
 from ezfloat import (
     ConversionStats,
     DecimalSci,
-    ExactRational,
     bits_to_float,
     double_to_string,
     float_to_bits,
@@ -141,7 +140,7 @@ class TestNearestDoubleExact:
 
     def test_million_digit_significand_far_below(self):
         # No early return applies, so the exact rational of a 3.3-million
-        # bit significand is built: inside from_decimal's bound.
+        # bit significand is built, over a power of ten of 3.3 million bits.
         dec = DecimalSci(False, (10**10**6 - 1) // 9, -1000300)
         want = float("1" * 10**6 + "e-1000300")
         assert float_to_bits(nearest_double_exact(dec)) == float_to_bits(want)
@@ -154,42 +153,6 @@ class TestNearestDoubleExact:
             lo = nearest_double_exact(DecimalSci(False, mant, point))
             hi = nearest_double_exact(DecimalSci(False, mant + 1, point))
             assert lo <= hi
-
-
-class TestExactRational:
-    def test_from_decimal(self):
-        r = ExactRational.from_decimal(DecimalSci(True, 15, -1))
-        assert (r.num, r.den, r.negative) == (15, 10, True)
-        r = ExactRational.from_decimal(DecimalSci(False, 2, 3))
-        assert (r.num, r.den) == (2000, 1)
-
-    def test_from_decimal_bound(self):
-        # |point| <= bits(mant) + 2048 is built; past it nothing is.
-        for point in (2049, -2049):
-            r = ExactRational.from_decimal(DecimalSci(False, 1, point))
-            assert Fraction(r.num, r.den) == Fraction(10) ** point
-        for point in (2050, -2050, 10**12, -(10**12)):
-            started = time.perf_counter()
-            with pytest.raises(ValueError):
-                ExactRational.from_decimal(DecimalSci(False, 1, point))
-            assert time.perf_counter() - started < 0.05, point
-
-    def test_from_float_exact(self):
-        r = ExactRational.from_float(-0.1)
-        assert Fraction(r.num, r.den) == Fraction(0.1)
-        assert r.negative
-        r = ExactRational.from_float(5e-324)
-        assert Fraction(r.num, r.den) == Fraction(5e-324)
-
-    def test_from_float_zero_and_non_finite(self):
-        # The sign of zero is kept, as from_decimal keeps it.
-        for negative, zero in ((False, 0.0), (True, -0.0)):
-            r = ExactRational.from_float(zero)
-            assert (r.num, r.negative) == (0, negative)
-            assert ExactRational.from_decimal(DecimalSci(negative, 0, 0)).negative == negative
-        for f in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ValueError, match="from_float requires a finite value"):
-                ExactRational.from_float(f)
 
 
 class TestMinimalityCheck:
@@ -496,13 +459,12 @@ class TestRoundtripAudit:
 
 
 # (module, level, name) of every import the oracle may make: the kernel and
-# the records, nothing of the reader's or the writer's conversions.
+# the parsed-decimal record, nothing of the reader's or the writer's
+# conversions.
 _ORACLE_IMPORTS = {
     ("math", 0, None),
-    ("collections", 0, "namedtuple"),
     ("bigmath", 1, "round_quotient"),
     ("reader", 1, "DecimalSci"),
-    ("reader", 1, "_record_repr"),
 }
 
 

@@ -11,7 +11,6 @@ import ezfloat
 from ezfloat import (
     ConversionStats,
     DecimalSci,
-    ExactRational,
     FloatKind,
     ReadOutcome,
     ShortestDigits,
@@ -26,7 +25,6 @@ RECORDS = [
     (ReadOutcome, {"value": 1.5, "stats": ConversionStats()}),
     (ShortestDigits, {"lquo": 17976931348623157, "point": 292}),
     (UnpackedDouble, {"negative": False, "lmant": 1 << 52, "e2": -1074, "kind": FloatKind.NORMAL}),
-    (ExactRational, {"num": 1, "den": 3, "negative": True}),
 ]
 RECORD_IDS = [cls.__name__ for cls, _ in RECORDS]
 
@@ -85,6 +83,22 @@ def test_import_loads_no_heavy_module_and_defers_nothing():
     assert got["tables"] == [True] * 2
 
 
+def test_public_api_is_each_modules_all():
+    # The package lists no name itself: its API is the four library
+    # modules' own __all__, joined.
+    modules = (ezfloat.bigmath, ezfloat.oracle, ezfloat.reader, ezfloat.writer)
+    joined = [name for module in modules for name in module.__all__]
+    assert ezfloat.__all__ == joined
+    assert len(set(joined)) == len(joined) == 24
+    for name in joined:
+        assert hasattr(ezfloat, name), name
+    assert "ExactRational" not in joined
+    namespace = {}
+    exec("from ezfloat import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(joined)
+
+
 class TestRecords:
     @pytest.mark.parametrize("cls,fields", RECORDS, ids=RECORD_IDS)
     def test_construction(self, cls, fields):
@@ -130,17 +144,6 @@ class TestRecords:
         assert repr(DecimalSci(False, -(10**4300), 10**5000)) == (
             "DecimalSci(negative=False, mant=<4301 digits>, point=<5001 digits>)"
         )
-        rational = ExactRational.from_decimal(DecimalSci(False, 10**5000 - 1, -4400))
-        assert repr(rational) == (
-            "ExactRational(num=<5000 digits>, den=<4401 digits>, negative=False)"
-        )
-
-    def test_exact_rational_default_and_classmethods(self):
-        assert ExactRational(1, 2).negative is False
-        assert ExactRational.from_float(-0.5) == ExactRational(1 << 52, 1 << 53, True)
-        assert ExactRational.from_decimal(DecimalSci(False, 25, -1)) == (25, 10, False)
-        # Field-wise, not by value: 1/2 and 2/4 differ.
-        assert ExactRational(1, 2) != ExactRational(2, 4)
 
 
 class TestConversionStats:

@@ -5,11 +5,12 @@ A change that must keep behaviour prints the same lines as its parent::
     PYTHONPATH=<tree>/src python tools/behaviour_digest.py > <tree>.txt
 
 run once per tree, then ``diff`` the two files.  Each line names an input
-set, the number of conversions made on it and a SHA-256 over every
-conversion's result bits and trace (``ConversionStats.trace``).  Every
+set, the number of results taken from it and a SHA-256 over them.  Every
 text is read by ``read_double`` and, as parsed by ``parse_decimal``,
 converted by both bindings, ``mant_exp_to_double5`` and
-``mant_exp_to_double10``.  The sets:
+``mant_exp_to_double10``; a result is a conversion's bits and trace
+(``ConversionStats.trace``).  An ``oracle/<set>`` line holds the bits of
+``nearest_double_exact`` of each parsed text of the set.  The sets:
 
 - ``<workload>/<seed>``: the read texts of the perfbench corpora of all
   three workloads at seeds 1-3, built by ``perfbench/corpus.py``.  A long
@@ -23,9 +24,18 @@ converted by both bindings, ``mant_exp_to_double5`` and
   takes a text apart: leading and trailing zeros, signed and bare forms,
   exponent forms, and plain decimals of 310 to 352 characters near both
   clamp edges and either side of ``_LONG_TEXT``.
+
+Two more kinds of line follow.  ``minimality/<workload>/1`` holds
+``minimality_check(f, n)`` and ``minimality_check(f, n + 1)`` for every
+finite nonzero write ``f`` of the corpus at seed 1, where ``n`` is the
+digit count the writer emits.  ``rejected texts`` holds the ``ParseError``
+position and message that ``read_double`` and ``parse_decimal`` give for
+texts each front of ``_scan`` rejects: the short match, the plain split
+and ``_split_long``.
 """
 
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -36,11 +46,15 @@ import corpus
 from ezfloat import (
     ConversionStats,
     DecimalSci,
+    ParseError,
     float_to_bits,
     mant_exp_to_double5,
     mant_exp_to_double10,
+    minimality_check,
+    nearest_double_exact,
     parse_decimal,
     read_double,
+    shortest_digits,
 )
 
 
@@ -57,6 +71,34 @@ def _reads(texts) -> list:
         if isinstance(dec, DecimalSci):
             records.append(_record(mant_exp_to_double5, dec.mant, dec.point))
             records.append(_record(mant_exp_to_double10, dec.mant, dec.point))
+    return records
+
+
+def _oracle(texts) -> list:
+    return [float_to_bits(nearest_double_exact(parse_decimal(text))) for text in texts]
+
+
+def _minimality(writes) -> list:
+    # Each finite nonzero write is minimal at its written digit count n, and
+    # so not at n + 1.
+    records = []
+    for f in writes:
+        if 0.0 < abs(f) < math.inf:
+            n = len(str(shortest_digits(f).lquo).rstrip("0"))
+            records.append((minimality_check(f, n), minimality_check(f, n + 1)))
+    return records
+
+
+def _rejections(texts) -> list:
+    records = []
+    for text in texts:
+        for convert in (read_double, parse_decimal):
+            try:
+                convert(text)
+            except ParseError as exc:
+                records.append((exc.position, str(exc)))
+            else:
+                raise SystemExit(f"{convert.__name__} accepted {text!r}")
     return records
 
 
@@ -102,20 +144,39 @@ _TYPED_LITERALS = [
     "1" * 175 + "." + "1" * 176,
 ]
 
+_REJECTED_TEXTS = [
+    # the short match
+    "", ".", "+", "1e", "1e+", "e5", "1.2.3", "+-1", " 1", "1\n",
+    "nan", "NaNx", "0x10", "1_0",
+    # the plain split: digits that are not ASCII
+    "\u0661.\u0665", "1.\uff15",
+    # _split_long
+    "1" * 400 + "x",
+    "1." + "2" * 400 + "e",
+]
 
-def _line(name: str, records: list) -> str:
+
+def _line(name: str, records: list, unit: str = "conversions") -> str:
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
-    return f"{name}: {len(records)} conversions, sha256 {digest}"
+    return f"{name}: {len(records)} {unit}, sha256 {digest}"
 
 
 def main() -> None:
+    sets = {}
     for workload in corpus.WORKLOADS:
         for seed in (1, 2, 3):
-            texts = corpus.make_corpus(workload, seed).reads
-            print(_line(f"{workload}/{seed}", _reads(texts)))
-    print(_line("clamp-edge probe", _reads(_clamp_edge_probe())))
-    print(_line("clamp cases", _reads(_clamp_cases())))
-    print(_line("typed literals", _reads(_TYPED_LITERALS)))
+            sets[f"{workload}/{seed}"] = corpus.make_corpus(workload, seed).reads
+    sets["clamp-edge probe"] = _clamp_edge_probe()
+    sets["clamp cases"] = _clamp_cases()
+    sets["typed literals"] = _TYPED_LITERALS
+    for name, texts in sets.items():
+        print(_line(name, _reads(texts)))
+    for name, texts in sets.items():
+        print(_line(f"oracle/{name}", _oracle(texts)))
+    for workload in corpus.WORKLOADS:
+        writes = corpus.make_corpus(workload, 1).writes
+        print(_line(f"minimality/{workload}/1", _minimality(writes), "checks"))
+    print(_line("rejected texts", _rejections(_REJECTED_TEXTS), "rejections"))
 
 
 if __name__ == "__main__":
