@@ -33,10 +33,15 @@ digits, a point and digits, as every read of the ``10**N(0,1)`` corpus
 is, is split at its point with ``str.partition`` and checked with
 ``str.isdigit`` and ``str.isascii``: ``isdigit`` alone would also take
 non-ASCII digits (Arabic-Indic, fullwidth, superscript), which the
-grammar rejects.  That costs about a fifth less than the match.  Every
-other text, and every rejection, is one match of the grammar's pattern
-``_NUMBER``.  All three give the same parts, so values, traces and error
-positions do not depend on which one ran.
+grammar rejects.  Such a text has no sign and no exponent, so the split
+strips its zeros and returns its canonical parts itself: the split costs
+about a fifth less than the match, and returning there takes about 9% more
+off a ``10**N(0,1)`` read than handing the pattern's groups to the shared
+body would (``BENCH_39.json``).  Every other text, and every rejection, is
+one match of the grammar's pattern ``_NUMBER``; only that match and the
+long split build the pattern's groups, for the shared body to finish.  All
+three give the same parts, so values, traces and error positions do not
+depend on which one ran.
 """
 
 import functools
@@ -195,14 +200,17 @@ def _scan(text: str) -> tuple[bool, str, int] | float:
     # The one scanner: (negative, digits, point) with the value
     # (-1)**negative * int(digits) * 10**point, where digits has no leading
     # or trailing zero ("" for zero, with point 0), or a float for the
-    # special tokens.  The parts come from _split_long for a text longer
-    # than _LONG_TEXT that it accepts.  A shorter text with no exponent
-    # mark that is digits, a point and digits ("0.25", every gauss read) is
-    # split at the point into the groups the pattern gives it; isdigit also
-    # takes non-ASCII digits ("\u0661", "\uff15", "\u00b2"), so the text
-    # must be ASCII too.  Every other text goes to one _NUMBER match, the
-    # only code that locates a rejection: a match short of the text, or
-    # not itself accepted ("+", "1e"), is rejected where it ends.  "e" is
+    # special tokens.  A text of at most _LONG_TEXT characters with no
+    # exponent mark that is digits, a point and digits ("0.25", every gauss
+    # read) is split at the point and stripped right there, as it has no
+    # sign and no exponent; isdigit also takes non-ASCII digits ("\u0661",
+    # "\uff15", "\u00b2"), so the text must be ASCII too.  Its three strip
+    # lines repeat the body's: one shared strip made _scan 7% slower on
+    # bits texts.  A longer text goes to _split_long, and every other text,
+    # or one _split_long refuses, to one _NUMBER match; only these two
+    # build the pattern's groups for the body below.  The match is the only
+    # code that locates a rejection: a match short of the text, or not
+    # itself accepted ("+", "1e"), is rejected where it ends.  "e" is
     # tested first, as host repr writes it: such a read pays one membership
     # test, and one of the writer's own "E" texts two.
     groups = None
@@ -211,7 +219,11 @@ def _scan(text: str) -> tuple[bool, str, int] | float:
     elif "e" not in text and "E" not in text:
         int_digits, _, frac_digits = text.partition(".")
         if int_digits.isdigit() and frac_digits.isdigit() and text.isascii():
-            groups = "", int_digits, frac_digits, "", "", "", "", ""
+            digits = (int_digits + frac_digits).lstrip("0")
+            stripped = digits.rstrip("0")
+            if not stripped:
+                return False, "", 0
+            return False, stripped, len(digits) - len(stripped) - len(frac_digits)
     if groups is None:
         m = _NUMBER.match(text)
         if (pos := m.end()) < end:
@@ -415,7 +427,9 @@ def read_double(text: str, stats: ConversionStats | None = None) -> float:
     match; for a long plain number, a byte-level digit check at a third
     of the match's cost; and for a short ``digits.digits`` text, a split
     at the point and ``str.isdigit`` on each side, with ``str.isascii``
-    keeping out non-ASCII digits.  The read clamps zero,
+    keeping out non-ASCII digits, after which the split strips the zeros
+    and hands back the canonical parts without building the match's
+    groups.  The read clamps zero,
     overflow and underflow itself, from the digit count and the exponent,
     and then makes mant_exp_to_double5's conversion without that
     binding's frame or its checks, which the clamps have already settled.

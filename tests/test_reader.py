@@ -387,6 +387,20 @@ class TestPlainSplit:
         for candidate in (text, text[:at] + c + text[at:], text[:at] + c + text[at + 1 :]):
             self._check(candidate)
 
+    @settings(max_examples=500)
+    @given(_plain_decimals(), st.sampled_from([0, reader._LONG_TEXT - 1, reader._LONG_TEXT]))
+    def test_split_agrees_with_the_shared_body(self, text, width):
+        # text + "e0" has the same value but goes through the match, or,
+        # padded with leading zeros to width, through _split_long; either
+        # way through the shared body's strip, which the split repeats.
+        text = text.rjust(width, "0")
+        other = text + "e0"
+        assert reader._scan(text) == reader._scan(other), text
+        stats, other_stats = ConversionStats(), ConversionStats()
+        bits = float_to_bits(read_double(text, stats))
+        assert bits == float_to_bits(read_double(other, other_stats)), text
+        assert stats.trace == other_stats.trace, text
+
     @pytest.mark.parametrize(
         "text,dec",
         [
@@ -396,6 +410,14 @@ class TestPlainSplit:
             (".5", DecimalSci(False, 5, -1)),
             ("0.000", DecimalSci(False, 0, 0)),
             ("12.34", DecimalSci(False, 1234, -2)),
+            # Under _LONG_TEXT, past the clamps: the first reads 0.0, the
+            # second inf.
+            pytest.param(
+                "0." + "0" * 330 + "5", DecimalSci(False, 5, -331), id="below-zero-clamp"
+            ),
+            pytest.param(
+                "9" * 320 + ".5", DecimalSci(False, int("9" * 320 + "5"), -1), id="past-inf-clamp"
+            ),
         ],
     )
     def test_accepted(self, text, dec):
@@ -432,6 +454,9 @@ class TestPlainSplit:
             ("5.", 1),
             ("7", 1),
             ("\u0661.\u0665", 1),
+            # the split at _LONG_TEXT characters, _split_long one past it
+            pytest.param("1." + "2" * (reader._LONG_TEXT - 2), 0, id="at-long-text"),
+            pytest.param("1." + "2" * (reader._LONG_TEXT - 1), 0, id="past-long-text"),
         ],
     )
     def test_only_digits_point_digits_skips_the_pattern(self, text, matches):

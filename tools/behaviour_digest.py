@@ -4,11 +4,13 @@ A change that must keep behaviour prints the same lines as its parent::
 
     PYTHONPATH=<tree>/src python tools/behaviour_digest.py > <tree>.txt
 
-run once per tree, then ``diff`` the two files.  Each line names an input
-set, the number of results taken from it and a SHA-256 over them.  Every
-text is read by ``read_double`` and, as parsed by ``parse_decimal``,
-converted by both bindings, ``mant_exp_to_double5`` and
-``mant_exp_to_double10``; a result is a conversion's bits and trace
+run once per tree, then ``diff`` the two files.  The output is committed
+as ``tests/behaviour_digest.txt``, which ``tests/test_goldens.py`` compares
+line for line; a change that means to alter behaviour regenerates it.
+Each line names an input set, the number of results taken from it and a
+SHA-256 over them.  Every text is read by ``read_double`` and, as parsed
+by ``parse_decimal``, converted by both bindings, ``mant_exp_to_double5``
+and ``mant_exp_to_double10``; a result is a conversion's bits and trace
 (``ConversionStats.trace``).  An ``oracle/<set>`` line holds the bits of
 ``nearest_double_exact`` of each parsed text of the set.  The sets:
 
