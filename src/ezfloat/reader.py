@@ -26,22 +26,17 @@ is built, unless the bracket ``bits(mant)`` puts on ``top`` holds an
 edge; then one power settles it.
 
 ``_scan`` reads the text for both ``parse_decimal`` and ``read_double``.
-A text of more than ``_LONG_TEXT`` characters that is a plain number is
-split with ``str.find`` and its digits checked with ``bytes.isdigit``, at
-about a third of the cost of the pattern.  A shorter text that is only
+One split takes every plain number, at any length: ``str.partition`` at
+its exponent mark and its point, then its sign.  A text that is only
 digits, a point and digits, as every read of the ``10**N(0,1)`` corpus
-is, is split at its point with ``str.partition`` and checked with
-``str.isdigit`` and ``str.isascii``: ``isdigit`` alone would also take
-non-ASCII digits (Arabic-Indic, fullwidth, superscript), which the
-grammar rejects.  Such a text has no sign and no exponent, so the split
-strips its zeros and returns its canonical parts itself: the split costs
-about a fifth less than the match, and returning there takes about 9% more
-off a ``10**N(0,1)`` read than handing the pattern's groups to the shared
-body would (``BENCH_39.json``).  Every other text, and every rejection, is
-one match of the grammar's pattern ``_NUMBER``; only that match and the
-long split build the pattern's groups, for the shared body to finish.  All
-three give the same parts, so values, traces and error positions do not
-depend on which one ran.
+is, returns its canonical parts right after the point; it has no sign
+and no exponent.  Digit runs are checked with ``bytes.isdigit`` after
+``str.isascii``: ``str.isdigit`` would also take non-ASCII digits, which
+the grammar rejects, at two to six times the cost per character.  Only a
+text the split refuses, a special word or a rejection, meets the
+grammar's pattern ``_NUMBER``, whose match locates the rejection.  The
+split takes exactly the plain numbers the pattern accepts, so values,
+traces and error positions do not depend on which code read the text.
 """
 
 import functools
@@ -80,23 +75,15 @@ _CLINGER_POWS = tuple(float(10**k) for k in range(23))
 _CLINGER_MANT = 1 << DBL_MANT_DIG
 
 # The longest prefix of some accepted string: an exponent is viable only
-# after a digit, the special words only whole.  Groups: sign, integer
-# digits, fraction digits, exponent mark, exponent sign, exponent digits,
-# NaN, Infinity.  Digits are spelled [0-9], not \d: the same ASCII set,
-# but sre tests a range about 25% faster per character than the digit
-# category, and a long rejection spends most of its scan here.
+# after a digit, the special words only whole.  _scan's split takes every
+# plain number, so the match only rejects and reads the special words; its
+# groups are the sign, NaN and Infinity.  Digits are spelled [0-9], not
+# \d: the same ASCII set, but sre tests a range about 25% faster per
+# character than the digit category, and a long rejection spends most of
+# its scan here.
 _NUMBER = re.compile(
-    r"([+-]?)(?:(?:([0-9]+)|(?=\.[0-9]))(?:\.([0-9]*))?(?:([eE])([+-]?)([0-9]*))?|(NaN)|(Infinity)|\.?)"
+    r"([+-]?)(?:(?:[0-9]+|(?=\.[0-9]))(?:\.[0-9]*)?(?:[eE][+-]?[0-9]*)?|(NaN)|(Infinity)|\.?)"
 )
-
-# Texts longer than this are first split by _split_long, at the measured
-# crossover: on texts shaped like perfbench's longdigits ("-d.ddd...e-123",
-# random digits), _scan through the split took 1.25x its time through the
-# match at 70 characters, 1.10x at 207, 1.05x at 306, 0.99x at 356 and
-# 0.91x at 457 (median of 61 interleaved rounds of 300 texts, Python 3.11,
-# 2 cores).  No bits or gauss text is that long; half the longdigits texts,
-# holding 91% of its characters, are longer (seeds 1-3).
-_LONG_TEXT = 350
 
 # The clamps of every read, on the decimal top of its value, where
 # 10**(top-1) <= value < 10**top: a value below 10**-324, under half the
@@ -161,95 +148,66 @@ def _digits_to_int(s: str) -> int:
     return _digits_to_int(s[:-m]) * 10**m + _digits_to_int(s[-m:])
 
 
-def _split_long(text: str) -> tuple[str, ...] | None:
-    # _NUMBER.match(text).groups("") for a plain number _scan accepts, or
-    # None.  str.find locates the sign, the point and the exponent mark, and
-    # bytes.isdigit checks the digits about four times faster per character
-    # than the pattern.  isascii is a flag test, and keeps encode from
-    # failing on a lone surrogate.
-    if not text.isascii():
-        return None
-    sign = mark = exp_sign = exp_digits = ""
-    if text[0] in "+-":
-        sign = text[0]
-    stop = text.find("e")
-    if stop < 0:
-        stop = text.find("E")
-    if stop >= 0:
-        mark, exp_digits = text[stop], text[stop + 1 :]
-        if exp_digits[:1] in ("+", "-"):
-            exp_sign, exp_digits = exp_digits[0], exp_digits[1:]
-        if not exp_digits.encode().isdigit():
-            return None
-    else:
-        stop = len(text)
-    dot = text.find(".", 0, stop)
-    if dot < 0:
-        int_digits, frac_digits = text[len(sign) : stop], ""
-    else:
-        int_digits, frac_digits = text[len(sign) : dot], text[dot + 1 : stop]
-    # Either digit run may be empty, but not both; b"".isdigit() is False.
-    if int_digits and not int_digits.encode().isdigit():
-        return None
-    if frac_digits.encode().isdigit() or int_digits and not frac_digits:
-        return sign, int_digits, frac_digits, mark, exp_sign, exp_digits, "", ""
-    return None
-
-
 def _scan(text: str) -> tuple[bool, str, int] | float:
     # The one scanner: (negative, digits, point) with the value
     # (-1)**negative * int(digits) * 10**point, where digits has no leading
     # or trailing zero ("" for zero, with point 0), or a float for the
-    # special tokens.  A text of at most _LONG_TEXT characters with no
-    # exponent mark that is digits, a point and digits ("0.25", every gauss
-    # read) is split at the point and stripped right there, as it has no
-    # sign and no exponent; isdigit also takes non-ASCII digits ("\u0661",
-    # "\uff15", "\u00b2"), so the text must be ASCII too.  Its three strip
-    # lines repeat the body's: one shared strip made _scan 7% slower on
-    # bits texts.  A longer text goes to _split_long, and every other text,
-    # or one _split_long refuses, to one _NUMBER match; only these two
-    # build the pattern's groups for the body below.  The match is the only
-    # code that locates a rejection: a match short of the text, or not
-    # itself accepted ("+", "1e"), is rejected where it ends.  "e" is
-    # tested first, as host repr writes it: such a read pays one membership
-    # test, and one of the writer's own "E" texts two.
-    groups = None
-    if (end := len(text)) > _LONG_TEXT:
-        groups = _split_long(text)
-    elif "e" not in text and "E" not in text:
-        int_digits, _, frac_digits = text.partition(".")
-        if int_digits.isdigit() and frac_digits.isdigit() and text.isascii():
-            digits = (int_digits + frac_digits).lstrip("0")
+    # special tokens.  One split reads every plain number, at its exponent
+    # mark ("e" first, as host repr writes it) and its point.  A text with
+    # no mark that is digits, a point and digits ("0.25", every gauss read)
+    # has no sign and no exponent, and is stripped right there.  isascii, a
+    # flag test, comes first: isdigit would take "\u0661", "\uff15" and
+    # "\u00b2", and encode fails on a lone surrogate.  A text the split
+    # refuses meets the pattern, which rejects it where the match ends, or
+    # reads a special word.
+    if text.isascii():
+        if "e" in text:
+            mant, mark, exp_digits = text.partition("e")
+        elif "E" in text:
+            mant, mark, exp_digits = text.partition("E")
+        else:
+            mant, mark, exp_digits = text, "", ""
+        # Rebinding the mantissa's name to its integer digits lets the whole
+        # mantissa go before the fraction is encoded.
+        mant, _, frac_digits = mant.partition(".")
+        if not mark and frac_digits.encode().isdigit() and mant.encode().isdigit():
+            digits = (mant + frac_digits).lstrip("0")
             stripped = digits.rstrip("0")
             if not stripped:
                 return False, "", 0
             return False, stripped, len(digits) - len(stripped) - len(frac_digits)
-    if groups is None:
-        m = _NUMBER.match(text)
-        if (pos := m.end()) < end:
-            raise ParseError(f"unexpected {text[pos]!r}", pos)
-        groups = m.groups("")
-    sign, int_digits, frac_digits, mark, exp_sign, exp_digits, nan, inf = groups
-    if (int_digits or frac_digits) and (exp_digits or not mark):
-        digits = (int_digits + frac_digits).lstrip("0")
-        stripped = digits.rstrip("0")
-        if not stripped:
-            return sign == "-", "", 0
-        point = len(digits) - len(stripped) - len(frac_digits)
-        if exp_digits:
-            if len(exp_digits) <= _MAX_EXP_DIGITS:
-                exp = int(exp_digits)
-            elif len(exp_digits := exp_digits.lstrip("0")) > _MAX_EXP_DIGITS:
-                exp = _HUGE_EXP  # saturates; the read clamps decide the value
-            else:
-                exp = int(exp_digits or 0)
-            point = point - exp if exp_sign == "-" else point + exp
-        return sign == "-", stripped, point
-    if nan:
+        sign = mant[:1]
+        if sign == "-" or sign == "+":
+            mant = mant[1:]
+        exp_sign = exp_digits[:1]
+        if exp_sign == "-" or exp_sign == "+":
+            exp_digits = exp_digits[1:]
+        # Either digit run may be empty, but not both; b"".isdigit() is False.
+        if (mant.encode().isdigit() or not mant) and (
+            frac_digits.encode().isdigit() or mant and not frac_digits
+        ) and (exp_digits.encode().isdigit() or not mark):
+            digits = (mant + frac_digits).lstrip("0")
+            stripped = digits.rstrip("0")
+            if not stripped:
+                return sign == "-", "", 0
+            point = len(digits) - len(stripped) - len(frac_digits)
+            if exp_digits:
+                if len(exp_digits) <= _MAX_EXP_DIGITS:
+                    exp = int(exp_digits)
+                elif len(exp_digits := exp_digits.lstrip("0")) > _MAX_EXP_DIGITS:
+                    exp = _HUGE_EXP  # saturates; the read clamps decide the value
+                else:
+                    exp = int(exp_digits or 0)
+                point = point - exp if exp_sign == "-" else point + exp
+            return sign == "-", stripped, point
+    m = _NUMBER.match(text)
+    if (pos := m.end()) < len(text):
+        raise ParseError(f"unexpected {text[pos]!r}", pos)
+    if m[2]:
         return math.nan
-    if inf:
-        return -math.inf if sign == "-" else math.inf
-    raise ParseError("unexpected end of input", end)
+    if m[3]:
+        return -math.inf if m[1] == "-" else math.inf
+    raise ParseError("unexpected end of input", pos)
 
 
 def parse_decimal(text: str) -> DecimalSci | float:
@@ -268,9 +226,10 @@ def parse_decimal(text: str) -> DecimalSci | float:
     accepted string starts with, where the match ends.  Returns a canonical
     DecimalSci, its significand exact at any length, or a float for the
     special tokens (NaN maps to the canonical quiet NaN regardless of
-    sign).  An exponent of more than ten digits saturates to +/-10**12
-    (``_HUGE_EXP``), so ``point`` is then inexact but still far beyond the
-    overflow and underflow clamps that decide such a value.
+    sign).  An exponent of more than ten digits, leading zeros not
+    counted, saturates to +/-10**12 (``_HUGE_EXP``), so ``point`` is then
+    inexact but still far beyond the overflow and underflow clamps that
+    decide such a value.
     """
     scanned = _scan(text)
     if isinstance(scanned, float):
@@ -423,13 +382,10 @@ def read_double(text: str, stats: ConversionStats | None = None) -> float:
     keeps only that many significant digits (17 to 768, 296 on average
     over the decades) and one sticky digit standing for the nonzero rest,
     so a read costs one check of the text plus a conversion of bounded
-    width, with at most one rounding division.  The check is a ``_NUMBER``
-    match; for a long plain number, a byte-level digit check at a third
-    of the match's cost; and for a short ``digits.digits`` text, a split
-    at the point and ``str.isdigit`` on each side, with ``str.isascii``
-    keeping out non-ASCII digits, after which the split strips the zeros
-    and hands back the canonical parts without building the match's
-    groups.  The read clamps zero,
+    width, with at most one rounding division.  The check of a plain
+    number is ``_scan``'s ``str.partition`` split, with ``bytes.isdigit``
+    on each digit run; only a special word or a rejection makes a
+    ``_NUMBER`` match.  The read clamps zero,
     overflow and underflow itself, from the digit count and the exponent,
     and then makes mant_exp_to_double5's conversion without that
     binding's frame or its checks, which the clamps have already settled.

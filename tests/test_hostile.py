@@ -178,10 +178,10 @@ def test_hostile_input_is_subquadratic_and_unchanged(kind):
 
 @pytest.mark.parametrize("kind", INVALID_KINDS)
 def test_rejection_costs_no_more_than_acceptance(kind):
-    # A rejection is located by one _NUMBER match, after a failed split when
-    # the text is long, while a long acceptance makes no match at all.  So
-    # the budget is the match that accepts the same text with its last
-    # character a digit.  4x leaves room for the split and for noise; a
+    # A rejection is located by one _NUMBER match, after the split has
+    # refused it, while an acceptance makes no match at all.  So the budget
+    # is the match that accepts the same text with its last character a
+    # digit.  4x leaves room for the split and for noise; a
     # scanner that backtracks through every digit on a failed match takes
     # 20-40x.
     invalid = _text(kind, LARGE)
@@ -197,15 +197,40 @@ def test_rejection_costs_no_more_than_acceptance(kind):
     "text", ["7." + "7" * 999999 + "e-1", "1" * 10**6 + "e-999999"], ids=["sevens", "ones"]
 )
 def test_long_plain_read_costs_less_than_its_match(text):
-    # A plain number longer than reader._LONG_TEXT has its digits checked
-    # with bytes.isdigit, not with the pattern, so the whole read, the
-    # conversion of its kept digits included, costs less than the match
-    # alone (measured 0.3x; 1.1x when every read ran the match).
+    # A plain number has its digits checked with bytes.isdigit, not with
+    # the pattern, so the whole read, the conversion of its kept digits
+    # included, costs less than the match alone (measured 0.3x; 1.1x when
+    # every read ran the match).
     read = matched = math.inf
     for _ in range(5):
         read = min(read, _took(lambda: read_double(text))[0])
         matched = min(matched, _took(lambda: reader._NUMBER.match(text))[0])
     assert read <= 0.7 * matched, (read, matched)
+
+
+@pytest.mark.parametrize(
+    "text,copies",
+    [
+        ("7." + "7" * 999999 + "e-1", 2),
+        ("1" * 10**6 + "e-999999", 2),
+        ("0." + "0" * 999999 + "1", 2),
+        ("1" + "0" * 999999, 1),
+    ],
+    ids=["sevens", "ones", "fractional-zeros", "integer-zeros"],
+)
+def test_megabyte_read_holds_at_most_two_copies(text, copies):
+    # The split holds a digit run and one more copy of it at a time: its
+    # bytes while they are checked, or the digits joined for stripping.
+    # The integer zeros have no point, so their run is the text itself and
+    # only its bytes are a copy.  Encoding the joined digits would hold
+    # three copies.
+    tracemalloc.start()
+    try:
+        read_double(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= copies * len(text) + 64 * 1024, peak / len(text)
 
 
 def test_binding_past_the_power_table_keeps_nothing():

@@ -149,12 +149,13 @@ class TestParseDecimal:
             for chars in itertools.product("01.eE+-Nax", repeat=n):
                 text = "".join(chars)
                 accepted, position = _grammar_reference(text)
-                try:
-                    parse_decimal(text)
-                except ParseError as exc:
-                    assert (accepted, exc.position) == (False, position), text
-                else:
-                    assert accepted, text
+                for read in (parse_decimal, read_double):
+                    try:
+                        read(text)
+                    except ParseError as exc:
+                        assert (accepted, exc.position) == (False, position), text
+                    else:
+                        assert accepted, text
 
     def test_error_survives_pickle_and_copy(self):
         # A read error raised in a worker process reaches the caller whole.
@@ -185,6 +186,8 @@ class TestParseDecimal:
         assert read_double("1e00000000000000005") == 1e5
         assert read_double("1E-00000000000000005") == 1e-5
         assert read_double("1e+00000000000000000") == 1.0
+        # Leading zeros do not count towards the ten digits that saturate.
+        assert parse_decimal("1e" + "0" * 20 + "5") == DecimalSci(False, 1, 5)
 
     @pytest.mark.parametrize(
         "text,point,value",
@@ -279,76 +282,89 @@ _MUTATIONS = [".", "e", "E", "+", "-", "x", "_", " ", "\n", "\u0663", "\uff15", 
 
 
 @st.composite
-def _long_numbers(draw) -> str:
-    """A plain number of 100 to 5000 characters: an optional sign, digits
-    with zero runs at either end and inside, an optional point and an
-    optional exponent of 1 to 15 digits."""
+def _numbers(draw, low: int, high: int) -> str:
+    """A plain number of low to high digits: an optional sign, digits with
+    zero runs at either end and inside, an optional point anywhere among
+    them, so "5." and ".5" too, and an optional exponent of 1 to 15
+    digits."""
     sign = draw(st.sampled_from(["", "+", "-"]))
     exponent = draw(st.sampled_from(["", "e", "E"]))
     if exponent:
         exponent += draw(st.sampled_from(["", "+", "-"]))
         exponent += draw(st.text("0123456789", min_size=1, max_size=15))
-    width = draw(st.integers(100, 5000)) - len(sign) - len(exponent)
+    width = draw(st.integers(low, high))
     digits = random.Random(draw(st.integers(0, 2**32))).choices("0123456789", k=width)
     lead, trail = draw(st.integers(0, width)), draw(st.integers(0, width))
     inner = draw(st.lists(st.tuples(st.integers(0, width), st.integers(1, width)), max_size=3))
     for start, count in [(0, lead), (width - trail, trail), *inner]:
         digits[start : start + count] = "0" * len(digits[start : start + count])
-    point = draw(st.none() | st.integers(0, width - 1))
+    point = draw(st.none() | st.integers(0, width))
     if point is not None:
-        digits[point] = "."
+        digits.insert(point, ".")
     return sign + "".join(digits) + exponent
 
 
-def _spanning_groups(text: str) -> tuple[str, ...] | None:
-    m = reader._NUMBER.match(text)
-    return m.groups("") if m.end() == len(text) else None
+# Short numbers, and long ones such as a 10**6-digit read in small.
+_SHORT_AND_LONG_NUMBERS = _numbers(1, 20) | _numbers(100, 5000)
+
+
+def _decimal_parts(text: str) -> tuple[bool, str, int]:
+    """reader._scan's parts of an accepted plain number, from
+    decimal.Decimal: the sign, the digits without leading or trailing zeros
+    ("" for zero) and the point.  An exponent of more than ten digits,
+    leading zeros not counted, is read as 10**12."""
+    mant, _, exponent = text.replace("E", "e").partition("e")
+    sign, digit_tuple, point = Decimal(mant).as_tuple()
+    if exponent:
+        magnitude = exponent.lstrip("+-")
+        exp = reader._HUGE_EXP if len(magnitude.lstrip("0")) > 10 else int(magnitude)
+        point += -exp if exponent[0] == "-" else exp
+    digits = "".join(map(str, digit_tuple)).lstrip("0")
+    stripped = digits.rstrip("0")
+    if not stripped:
+        return bool(sign), "", 0
+    return bool(sign), stripped, point + len(digits) - len(stripped)
 
 
 class TestLongSplit:
-    """reader._split_long, the front of _scan for texts longer than
-    reader._LONG_TEXT, against the one pattern it stands in for."""
-
-    @settings(max_examples=200)
-    @given(_long_numbers())
-    def test_takes_every_plain_number(self, text):
-        assert reader._split_long(text) == _spanning_groups(text) is not None
+    """reader._scan's split, which takes every plain number at any length,
+    on numbers with a sign, a point and an exponent, against
+    decimal.Decimal and the grammar's reference."""
 
     @settings(max_examples=300)
-    @given(_long_numbers(), st.data())
+    @given(_SHORT_AND_LONG_NUMBERS)
+    def test_takes_every_plain_number(self, text):
+        assert reader._scan(text) == _decimal_parts(text)
+
+    @settings(max_examples=300)
+    @given(_SHORT_AND_LONG_NUMBERS, st.data())
     def test_agrees_with_the_pattern_on_one_wrong_character(self, text, data):
+        # _scan returns the reference's parts, or raises where the grammar
+        # rejects the text.
         at = data.draw(st.integers(0, len(text)))
         c = data.draw(st.sampled_from(_MUTATIONS))
         for broken in (text[:at] + c + text[at:], text[:at] + c + text[at + 1 :]):
-            split = reader._split_long(broken)
-            assert split is None or split == _spanning_groups(broken), broken
+            accepted, position = _grammar_reference(broken)
+            try:
+                parts = reader._scan(broken)
+            except ParseError as exc:
+                assert (accepted, exc.position) == (False, position), broken
+            else:
+                assert accepted and parts == _decimal_parts(broken), broken
 
     @settings(max_examples=50)
-    @given(_long_numbers(), st.data())
+    @given(_SHORT_AND_LONG_NUMBERS, st.data())
     def test_reads_as_the_grammar_says_through_the_split(self, text, data):
         at = data.draw(st.integers(0, len(text)))
         broken = text[:at] + data.draw(st.sampled_from(_MUTATIONS)) + text[at + 1 :]
-        with mock.patch.object(reader, "_LONG_TEXT", 0):
-            for candidate in (text, broken):
-                self._check_against_reference(candidate)
-
-    def test_short_texts_read_as_the_grammar_says_through_the_split(self):
-        # test_matches_grammar_reference's 111,111 texts, every nonempty one
-        # offered to the split first.
-        with mock.patch.object(reader, "_LONG_TEXT", 0):
-            for n in range(6):
-                for chars in itertools.product("01.eE+-Nax", repeat=n):
-                    self._check_against_reference("".join(chars))
-
-    @staticmethod
-    def _check_against_reference(text: str) -> None:
-        accepted, position = _grammar_reference(text)
-        try:
-            read_double(text)
-        except ParseError as exc:
-            assert (accepted, exc.position) == (False, position), text
-        else:
-            assert accepted, text
+        for candidate in (text, broken):
+            accepted, position = _grammar_reference(candidate)
+            try:
+                read_double(candidate)
+            except ParseError as exc:
+                assert (accepted, exc.position) == (False, position), candidate
+            else:
+                assert accepted, candidate
 
 
 @st.composite
@@ -376,8 +392,8 @@ class _CountingPattern:
 
 
 class TestPlainSplit:
-    """The split of a short digits.digits text at its point, the front of
-    _scan that makes no match, against the grammar and the oracle."""
+    """The digits.digits texts that reader._scan returns right after its
+    split at the point, against the grammar and the oracle."""
 
     @settings(max_examples=500)
     @given(_plain_decimals(), st.data())
@@ -388,11 +404,11 @@ class TestPlainSplit:
             self._check(candidate)
 
     @settings(max_examples=500)
-    @given(_plain_decimals(), st.sampled_from([0, reader._LONG_TEXT - 1, reader._LONG_TEXT]))
+    @given(_plain_decimals(), st.sampled_from([0, 400]))
     def test_split_agrees_with_the_shared_body(self, text, width):
-        # text + "e0" has the same value but goes through the match, or,
-        # padded with leading zeros to width, through _split_long; either
-        # way through the shared body's strip, which the split repeats.
+        # text + "e0" has the same value but goes on past the digits.digits
+        # return, whose strip repeats the one that follows; left-padded with
+        # zeros to width characters, both are long reads.
         text = text.rjust(width, "0")
         other = text + "e0"
         assert reader._scan(text) == reader._scan(other), text
@@ -410,8 +426,7 @@ class TestPlainSplit:
             (".5", DecimalSci(False, 5, -1)),
             ("0.000", DecimalSci(False, 0, 0)),
             ("12.34", DecimalSci(False, 1234, -2)),
-            # Under _LONG_TEXT, past the clamps: the first reads 0.0, the
-            # second inf.
+            # Past the clamps: the first reads 0.0, the second inf.
             pytest.param(
                 "0." + "0" * 330 + "5", DecimalSci(False, 5, -331), id="below-zero-clamp"
             ),
@@ -448,25 +463,47 @@ class TestPlainSplit:
             ("0.5", 0),
             ("12.34", 0),
             ("0.000", 0),
-            ("-0.5", 1),
-            ("1.5E0", 1),
-            (".5", 1),
-            ("5.", 1),
-            ("7", 1),
+            pytest.param("1." + "2" * 398, 0, id="400-characters"),
+            # str.isdigit would take these digits; the pattern rejects them.
             ("\u0661.\u0665", 1),
-            # the split at _LONG_TEXT characters, _split_long one past it
-            pytest.param("1." + "2" * (reader._LONG_TEXT - 2), 0, id="at-long-text"),
-            pytest.param("1." + "2" * (reader._LONG_TEXT - 1), 0, id="past-long-text"),
         ],
     )
     def test_only_digits_point_digits_skips_the_pattern(self, text, matches):
+        assert self._matches(text) == matches
+
+    @pytest.mark.parametrize(
+        "text,matches",
+        [
+            ("-0.5", 0),
+            ("1.5E0", 0),
+            (".5", 0),
+            ("5.", 0),
+            ("7", 0),
+            ("-1e-5", 0),
+            pytest.param("-" + "1" * 395 + "e-123", 0, id="400-characters"),
+            pytest.param("." + "0" * 397 + "E+1", 0, id="400-character-zero"),
+            pytest.param("", 1, id="empty"),
+            ("1e", 1),
+            ("-1.2x", 1),
+            ("1e\u0665", 1),
+            pytest.param("1" * 399 + "x", 1, id="400-character-rejection"),
+            ("NaN", 1),
+            ("-Infinity", 1),
+        ],
+    )
+    def test_only_rejections_and_special_words_meet_the_pattern(self, text, matches):
+        assert self._matches(text) == matches
+
+    @staticmethod
+    def _matches(text: str) -> int:
+        # The _NUMBER matches one read of text makes.
         counting = _CountingPattern(reader._NUMBER)
         with mock.patch.object(reader, "_NUMBER", counting):
             try:
                 read_double(text)
             except ParseError:
                 pass
-        assert counting.matches == matches
+        return counting.matches
 
     @staticmethod
     def _check(text: str) -> None:

@@ -25,15 +25,15 @@ and ``mant_exp_to_double10``; a result is a conversion's bits and trace
 - ``typed literals``: shapes the corpora miss, for each way ``_scan``
   takes a text apart: leading and trailing zeros, signed and bare forms,
   exponent forms, and plain decimals of 310 to 352 characters near both
-  clamp edges and either side of ``_LONG_TEXT``.
+  clamp edges.
 
 Two more kinds of line follow.  ``minimality/<workload>/1`` holds
 ``minimality_check(f, n)`` and ``minimality_check(f, n + 1)`` for every
 finite nonzero write ``f`` of the corpus at seed 1, where ``n`` is the
 digit count the writer emits.  ``rejected texts`` holds the ``ParseError``
 position and message that ``read_double`` and ``parse_decimal`` give for
-texts each front of ``_scan`` rejects: the short match, the plain split
-and ``_split_long``.
+texts that ``_scan``'s split refuses and its ``_NUMBER`` match rejects,
+short and long.
 """
 
 import hashlib
@@ -135,7 +135,7 @@ _TYPED_LITERALS = [
     # exponent forms
     "1.5E0", "1.5e0", "2.5e-3", "-2.5E+3", "1e23", "7.e22", ".1E-5", "0e999",
     "1.7976931348623157e308", "4.9406564584124654E-324",
-    # long plain decimals near the clamp edges and the long-text crossover
+    # plain decimals of 310 to 352 characters near the clamp edges
     "0." + "0" * 323 + "247",
     "0." + "0" * 323 + "248",
     "1" + "0" * 308 + ".5",
@@ -147,14 +147,18 @@ _TYPED_LITERALS = [
 ]
 
 _REJECTED_TEXTS = [
-    # the short match
     "", ".", "+", "1e", "1e+", "e5", "1.2.3", "+-1", " 1", "1\n",
     "nan", "NaNx", "0x10", "1_0",
-    # the plain split: digits that are not ASCII
+    # digits that are not ASCII
     "\u0661.\u0665", "1.\uff15",
-    # _split_long
+    # each check of the split of a number with a sign or an exponent
+    "-1.2x", "1e+-5", "1e5E5", "1E5e5", "1e5.0", "1.2.3e4",
+    "1e\u0665", "1e\ud800", "-\ud800", "+.e1",
+    # long texts
     "1" * 400 + "x",
     "1." + "2" * 400 + "e",
+    "-" + "1" * 400 + "e",
+    "1" * 400 + "e+",
 ]
 
 
