@@ -366,6 +366,26 @@ class TestLongSplit:
             else:
                 assert accepted, candidate
 
+    def test_short_texts_read_as_the_grammar_says_through_the_split(self):
+        # Every text of up to five characters over an alphabet that spells
+        # each rule with a non-ASCII digit and a lone surrogate among them,
+        # which the split's isascii test must hand to the pattern: 37,449
+        # texts.
+        for n in range(6):
+            for chars in itertools.product("0.e+-٥５\ud800", repeat=n):
+                text = "".join(chars)
+                accepted, position = _grammar_reference(text)
+                try:
+                    parts = reader._scan(text)
+                except ParseError as exc:
+                    assert (accepted, exc.position) == (False, position), text
+                    with pytest.raises(ParseError) as read_exc:
+                        read_double(text)
+                    assert read_exc.value.position == position, text
+                else:
+                    assert accepted and parts == _decimal_parts(text), text
+                    read_double(text)
+
 
 @st.composite
 def _plain_decimals(draw) -> str:
