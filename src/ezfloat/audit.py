@@ -166,7 +166,8 @@ def roundtrip_audit(count: int, seed: int) -> Report:
     ``quotient_length_audit``, and its read at most 1 within the scan's
     ceiling for the text's point, as in ``intermediate_size_scan``.  That
     ceiling is 803 bits at every point from -323 up and wider below, so
-    the point is parsed only for a read whose widest operand is wider.
+    the point is parsed only for a read whose widest operand is wider; a
+    text not in ``d.dddEn`` form, which has no point to parse, is a violation.
     """
     rng = random.Random(seed)
     report = Report("roundtrip: {count} values, {failures} failures", count=0)
@@ -187,8 +188,12 @@ def roundtrip_audit(count: int, seed: int) -> Report:
                 add(f"0x{pattern:016X} write {broken}")
             ceiling = least
             if rstats.max_intermediate_bits > ceiling:
-                point = int(text.partition("E")[2]) + 1 - _emitted_digits(text)
-                ceiling = _read_width_ceiling(5, point)
+                exp = text.partition("E")[2]
+                if exp.removeprefix("-").isdecimal():
+                    ceiling = _read_width_ceiling(5, int(exp) + 1 - _emitted_digits(text))
+                else:  # no point to bound the read by
+                    add(f"0x{pattern:016X} wrote {text}, not d.dddEn")
+                    ceiling = rstats.max_intermediate_bits
             for broken in _check(rstats, ceiling):
                 add(f"0x{pattern:016X} read {broken}")
         report.count += 1

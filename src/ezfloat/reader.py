@@ -25,18 +25,18 @@ decade can have, plus one sticky digit.  The bindings, which accept any
 is built, unless the bracket ``bits(mant)`` puts on ``top`` holds an
 edge; then one power settles it.
 
-``_scan`` reads the text for both ``parse_decimal`` and ``read_double``.
-One split takes every plain number, at any length: ``str.partition`` at
-its exponent mark and its point, then its sign.  A text that is only
-digits, a point and digits, as every read of the ``10**N(0,1)`` corpus
-is, returns its canonical parts right after the point; it has no sign
-and no exponent.  Digit runs are checked with ``bytes.isdigit`` after
-``str.isascii``: ``str.isdigit`` would also take non-ASCII digits, which
-the grammar rejects, at two to six times the cost per character.  Only a
-text the split refuses, a special word or a rejection, meets the
-grammar's pattern ``_NUMBER``, whose match locates the rejection.  The
-split takes exactly the plain numbers the pattern accepts, so values,
-traces and error positions do not depend on which code read the text.
+``_scan`` reads the text for both ``parse_decimal`` and ``read_double``,
+on one path at any length: ``str.partition`` at its exponent mark and its
+point, then each digit run checked once, the integer digits first.  A
+sign is looked for only when those refuse, so a plain ``0.25``, as every
+read of the ``10**N(0,1)`` corpus is, never tests for one.  Digit runs are
+checked with ``bytes.isdigit`` after ``str.isascii``: ``str.isdigit``
+would also take non-ASCII digits, which the grammar rejects, at two to
+six times the cost per character.  Every text the path refuses, a special
+word or a rejection, goes to ``_refuse``, whose match of the grammar's
+pattern ``_NUMBER`` locates the rejection.  The path takes exactly the
+numbers the pattern accepts, so values, traces and error positions do not
+depend on which code read the text.
 """
 
 import functools
@@ -75,9 +75,9 @@ _CLINGER_POWS = tuple(float(10**k) for k in range(23))
 _CLINGER_MANT = 1 << DBL_MANT_DIG
 
 # The longest prefix of some accepted string: an exponent is viable only
-# after a digit, the special words only whole.  _scan's split takes every
-# plain number, so the match only rejects and reads the special words; its
-# groups are the sign, NaN and Infinity.  Digits are spelled [0-9], not
+# after a digit, the special words only whole.  _scan takes every number,
+# so the match, made by _refuse, only rejects and reads the special words;
+# its groups are the sign, NaN and Infinity.  Digits are spelled [0-9], not
 # \d: the same ASCII set, but sre tests a range about 25% faster per
 # character than the digit category, and a long rejection spends most of
 # its scan here.
@@ -152,54 +152,53 @@ def _scan(text: str) -> tuple[bool, str, int] | float:
     # The one scanner: (negative, digits, point) with the value
     # (-1)**negative * int(digits) * 10**point, where digits has no leading
     # or trailing zero ("" for zero, with point 0), or a float for the
-    # special tokens.  One split reads every plain number, at its exponent
-    # mark ("e" first, as host repr writes it) and its point.  A text with
-    # no mark that is digits, a point and digits ("0.25", every gauss read)
-    # has no sign and no exponent, and is stripped right there.  isascii, a
-    # flag test, comes first: isdigit would take "\u0661", "\uff15" and
-    # "\u00b2", and encode fails on a lone surrogate.  A text the split
-    # refuses meets the pattern, which rejects it where the match ends, or
-    # reads a special word.
-    if text.isascii():
-        if "e" in text:
-            mant, mark, exp_digits = text.partition("e")
-        elif "E" in text:
-            mant, mark, exp_digits = text.partition("E")
-        else:
-            mant, mark, exp_digits = text, "", ""
-        # Rebinding the mantissa's name to its integer digits lets the whole
-        # mantissa go before the fraction is encoded.
-        mant, _, frac_digits = mant.partition(".")
-        if not mark and frac_digits.encode().isdigit() and mant.encode().isdigit():
-            digits = (mant + frac_digits).lstrip("0")
-            stripped = digits.rstrip("0")
-            if not stripped:
-                return False, "", 0
-            return False, stripped, len(digits) - len(stripped) - len(frac_digits)
-        sign = mant[:1]
-        if sign == "-" or sign == "+":
-            mant = mant[1:]
+    # special tokens.  One path reads every number: str.partition at its
+    # exponent mark ("e" first, as host repr writes it) and its point, then
+    # each digit run checked once.  A sign, all a valid integer part can
+    # start with, is looked for only when its digits refuse: a plain "0.25",
+    # every gauss read, never tests for one.  isascii, a flag test, comes first:
+    # isdigit would take "\u0661", "\uff15" and "\u00b2", and encode fails
+    # on a lone surrogate.  Every refusal goes to _refuse.
+    if not text.isascii():
+        return _refuse(text)
+    if "e" in text:
+        mant, mark, exp_digits = text.partition("e")
+    elif "E" in text:
+        mant, mark, exp_digits = text.partition("E")
+    else:
+        mant, mark, exp_digits = text, "", ""
+    # Rebinding the mantissa's name to its integer digits lets the whole
+    # mantissa go before the fraction is encoded.
+    mant, _, frac_digits = mant.partition(".")
+    negative = False
+    if not mant.encode().isdigit() and mant:
+        if mant[0] not in "+-":
+            return _refuse(text)
+        negative, mant = mant[0] == "-", mant[1:]
+        if mant and not mant.encode().isdigit():
+            return _refuse(text)
+    # Either digit run may be empty, but not both; b"".isdigit() is False.
+    if not frac_digits.encode().isdigit() and (frac_digits or not mant):
+        return _refuse(text)
+    digits = (mant + frac_digits).lstrip("0")
+    stripped = digits.rstrip("0")
+    point = len(digits) - len(stripped) - len(frac_digits)
+    if mark:
         exp_sign = exp_digits[:1]
         if exp_sign == "-" or exp_sign == "+":
             exp_digits = exp_digits[1:]
-        # Either digit run may be empty, but not both; b"".isdigit() is False.
-        if (mant.encode().isdigit() or not mant) and (
-            frac_digits.encode().isdigit() or mant and not frac_digits
-        ) and (exp_digits.encode().isdigit() or not mark):
-            digits = (mant + frac_digits).lstrip("0")
-            stripped = digits.rstrip("0")
-            if not stripped:
-                return sign == "-", "", 0
-            point = len(digits) - len(stripped) - len(frac_digits)
-            if exp_digits:
-                if len(exp_digits) <= _MAX_EXP_DIGITS:
-                    exp = int(exp_digits)
-                elif len(exp_digits := exp_digits.lstrip("0")) > _MAX_EXP_DIGITS:
-                    exp = _HUGE_EXP  # saturates; the read clamps decide the value
-                else:
-                    exp = int(exp_digits or 0)
-                point = point - exp if exp_sign == "-" else point + exp
-            return sign == "-", stripped, point
+        if not exp_digits.encode().isdigit():
+            return _refuse(text)
+        if len(exp_digits) > _MAX_EXP_DIGITS:
+            exp_digits = exp_digits.lstrip("0") or "0"
+        # A longer exponent saturates; the read clamps decide the value.
+        exp = int(exp_digits) if len(exp_digits) <= _MAX_EXP_DIGITS else _HUGE_EXP
+        point = point - exp if exp_sign == "-" else point + exp
+    return negative, stripped, point if stripped else 0
+
+
+def _refuse(text: str) -> float:
+    # _NUMBER's match ends where a text _scan refused is rejected, or reads a special word.
     m = _NUMBER.match(text)
     if (pos := m.end()) < len(text):
         raise ParseError(f"unexpected {text[pos]!r}", pos)
@@ -382,10 +381,9 @@ def read_double(text: str, stats: ConversionStats | None = None) -> float:
     keeps only that many significant digits (17 to 768, 296 on average
     over the decades) and one sticky digit standing for the nonzero rest,
     so a read costs one check of the text plus a conversion of bounded
-    width, with at most one rounding division.  The check of a plain
-    number is ``_scan``'s ``str.partition`` split, with ``bytes.isdigit``
-    on each digit run; only a special word or a rejection makes a
-    ``_NUMBER`` match.  The read clamps zero,
+    width, with at most one rounding division.  The check is ``_scan``'s
+    one path, with ``bytes.isdigit`` on each digit run; only a special
+    word or a rejection makes a ``_NUMBER`` match.  The read clamps zero,
     overflow and underflow itself, from the digit count and the exponent,
     and then makes mant_exp_to_double5's conversion without that
     binding's frame or its checks, which the clamps have already settled.

@@ -151,20 +151,17 @@ def _shortest(f: float, stats: ConversionStats | None) -> tuple[int, int]:
         # as far, so the interval reaches a quarter ulp below and half an
         # ulp above (lmant is even: the endpoints count).  Every candidate
         # is measured exactly; one that falls short below gives way to its
-        # upper neighbour when that one fits.
+        # upper neighbour, which then must lie within half an ulp above.
         for less, scale, half in ((0, 100, 50), (1, 10, 5)):
             lquo, d = divmod(q, scale)
             # No power of two reaches an odd exact tie, so ties need no parity.
             if d > half or d == half and q * den < num:
                 lquo += 1
-            dist2 = (lquo * scale * den - num) << 1
-            if dist2 >= 0:
-                if dist2 <= ulp:
-                    break
-            elif -dist2 << 1 <= ulp:
-                break
-            elif dist2 + (scale * den << 1) <= ulp:
+            dist = lquo * scale * den - num
+            if -dist << 2 > ulp:  # more than a quarter ulp below
                 lquo += 1
+                dist += scale * den
+            if dist << 1 <= ulp:
                 break
         else:
             lquo, less = q, 2

@@ -244,6 +244,20 @@ class TestRoundtrip:
         assert lines[-1] == "roundtrip: 2 values, 2 failures"
         assert len(lines) == 3
 
+    def test_text_without_its_point_is_a_violation(self, capsys, monkeypatch):
+        # A writer that marks its exponent with "e": every text reads back,
+        # but the one read wider than 803 bits needs its text's point, and
+        # there is no "E" to read it at.
+        real = audit.double_to_string
+        monkeypatch.setattr(audit, "double_to_string",
+                            lambda f, stats=None: real(f, stats).replace("E", "e"))
+        code, out, _ = run(capsys, "verify", "roundtrip", "--count", "2000", "--seed", "4")
+        assert code == 1
+        assert out.splitlines() == [
+            "VIOLATION 0x8013643970BDA26C wrote -2.6967201874994467e-308, not d.dddEn",
+            "roundtrip: 1999 values, 1 failures",
+        ]
+
     def test_wider_write_operand_fails(self, capsys, monkeypatch):
         # Every write division on operands shifted left by 2: same outputs,
         # 2 bits wider, over 810 bits for the smallest binades.

@@ -194,7 +194,10 @@ def test_rejection_costs_no_more_than_acceptance(kind):
 
 
 @pytest.mark.parametrize(
-    "text", ["7." + "7" * 999999 + "e-1", "1" * 10**6 + "e-999999"], ids=["sevens", "ones"]
+    "text",
+    ["7." + "7" * 999999 + "e-1", "1" * 10**6 + "e-999999", "-7." + "7" * 999998,
+     "+." + "7" * 999998],
+    ids=["sevens", "ones", "minus-sevens", "plus-point-sevens"],
 )
 def test_long_plain_read_costs_less_than_its_match(text):
     # A plain number has its digits checked with bytes.isdigit, not with
@@ -215,11 +218,14 @@ def test_long_plain_read_costs_less_than_its_match(text):
         ("1" * 10**6 + "e-999999", 2),
         ("0." + "0" * 999999 + "1", 2),
         ("1" + "0" * 999999, 1),
+        ("-7." + "7" * 999998, 2),
+        ("+." + "7" * 999998, 2),
     ],
-    ids=["sevens", "ones", "fractional-zeros", "integer-zeros"],
+    ids=["sevens", "ones", "fractional-zeros", "integer-zeros", "minus-sevens",
+         "plus-point-sevens"],
 )
 def test_megabyte_read_holds_at_most_two_copies(text, copies):
-    # The split holds a digit run and one more copy of it at a time: its
+    # _scan holds a digit run and one more copy of it at a time: its
     # bytes while they are checked, or the digits joined for stripping.
     # The integer zeros have no point, so their run is the text itself and
     # only its bytes are a copy.  Encoding the joined digits would hold

@@ -6,7 +6,7 @@ import pickle
 import random
 import re
 import time
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
 
@@ -369,8 +369,8 @@ class TestLongSplit:
     def test_short_texts_read_as_the_grammar_says_through_the_split(self):
         # Every text of up to five characters over an alphabet that spells
         # each rule with a non-ASCII digit and a lone surrogate among them,
-        # which the split's isascii test must hand to the pattern: 37,449
-        # texts.
+        # which _scan's isascii test must hand to _refuse and its pattern:
+        # 37,449 texts.
         for n in range(6):
             for chars in itertools.product("0.e+-٥５\ud800", repeat=n):
                 text = "".join(chars)
@@ -412,8 +412,9 @@ class _CountingPattern:
 
 
 class TestPlainSplit:
-    """The digits.digits texts that reader._scan returns right after its
-    split at the point, against the grammar and the oracle."""
+    """Plain decimals, digits and a point with no sign and no exponent as
+    in every gauss read, through reader._scan, against the grammar and
+    the oracle."""
 
     @settings(max_examples=500)
     @given(_plain_decimals(), st.data())
@@ -425,10 +426,10 @@ class TestPlainSplit:
 
     @settings(max_examples=500)
     @given(_plain_decimals(), st.sampled_from([0, 400]))
-    def test_split_agrees_with_the_shared_body(self, text, width):
-        # text + "e0" has the same value but goes on past the digits.digits
-        # return, whose strip repeats the one that follows; left-padded with
-        # zeros to width characters, both are long reads.
+    def test_reads_as_the_same_text_with_e0(self, text, width):
+        # text + "e0" has the same value and a mark, whose exponent adds 0
+        # to the point; left-padded with zeros to width characters, both
+        # are long reads.
         text = text.rjust(width, "0")
         other = text + "e0"
         assert reader._scan(text) == reader._scan(other), text
@@ -673,6 +674,20 @@ class TestMantExpToDouble:
         for point in range(305, 312):
             want = nearest_double_exact(DecimalSci(False, 1, point))
             assert mant_exp_to_double5(1, point) == mant_exp_to_double10(1, point) == want
+
+    def test_log10_2_bracket(self):
+        # The bindings bracket digits(mant) by bits(mant) = n between
+        # lo = (n - 1) * 30102999566 // 10**11 and hi = n * 30102999567 // 10**11,
+        # plus one each: both fractions must lie either side of log10(2),
+        # here correctly rounded to 40 digits.  n * 30102999567 is
+        # (n - 1) * 30102999566 + 30102999566 + n, so hi - lo <= 1 while
+        # that addend stays below 10**11: at most two digit counts below
+        # 6 * 10**10 bits.
+        with localcontext() as ctx:
+            ctx.prec = 40
+            log10_2 = Decimal(2).log10()
+        assert Decimal("0.30102999566") < log10_2 < Decimal("0.30102999567")
+        assert 6 * 10**10 * (30102999567 - 30102999566) + 30102999566 < 10**11
 
     def test_variant_agreement_randomized(self):
         rng = random.Random(20150118)

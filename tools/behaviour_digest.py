@@ -22,18 +22,22 @@ and ``mant_exp_to_double10``; a result is a conversion's bits and trace
   probe of ``test_bindings_divide_exactly_when_read_double_does``.
 - ``clamp cases``: the cases of
   ``test_clamps_agree_with_oracle_at_their_edges``.
-- ``typed literals``: shapes the corpora miss, for each way ``_scan``
-  takes a text apart: leading and trailing zeros, signed and bare forms,
-  exponent forms, and plain decimals of 310 to 352 characters near both
-  clamp edges.
+- ``typed literals``: shapes the corpora miss, for each check ``_scan``
+  makes: leading and trailing zeros, signed and bare forms, exponent
+  forms, long signed forms, Clinger's edge at 2**53, and plain decimals
+  of 310 to 352 characters near both clamp edges.
 
-Two more kinds of line follow.  ``minimality/<workload>/1`` holds
-``minimality_check(f, n)`` and ``minimality_check(f, n + 1)`` for every
-finite nonzero write ``f`` of the corpus at seed 1, where ``n`` is the
-digit count the writer emits.  ``rejected texts`` holds the ``ParseError``
-position and message that ``read_double`` and ``parse_decimal`` give for
-texts that ``_scan``'s split refuses and its ``_NUMBER`` match rejects,
-short and long.
+Three more kinds of line follow.  A ``write/<set>`` line holds the text
+and trace of ``double_to_string`` of each value of the set: the writes of
+the perfbench corpora at seeds 1-3 (``write/<workload>/<seed>``), the 2098
+all-ones significands (``write/all-ones``) and every power of two from
+2**-1074 to 2**1023 of either sign (``write/powers-of-two``).
+``minimality/<workload>/1`` holds ``minimality_check(f, n)`` and
+``minimality_check(f, n + 1)`` for every finite nonzero write ``f`` of the
+corpus at seed 1, where ``n`` is the digit count the writer emits.
+``rejected texts`` holds the ``ParseError`` position and message that
+``read_double`` and ``parse_decimal`` give for texts that ``_scan``
+refuses and the ``_NUMBER`` match rejects, short and long.
 """
 
 import hashlib
@@ -49,6 +53,7 @@ from ezfloat import (
     ConversionStats,
     DecimalSci,
     ParseError,
+    double_to_string,
     float_to_bits,
     mant_exp_to_double5,
     mant_exp_to_double10,
@@ -58,6 +63,7 @@ from ezfloat import (
     read_double,
     shortest_digits,
 )
+from ezfloat.audit import all_ones_mantissa_values
 
 
 def _record(convert, *args) -> tuple[int, list]:
@@ -73,6 +79,14 @@ def _reads(texts) -> list:
         if isinstance(dec, DecimalSci):
             records.append(_record(mant_exp_to_double5, dec.mant, dec.point))
             records.append(_record(mant_exp_to_double10, dec.mant, dec.point))
+    return records
+
+
+def _writes(values) -> list:
+    records = []
+    for f in values:
+        stats = ConversionStats()
+        records.append((double_to_string(f, stats), stats.trace))
     return records
 
 
@@ -135,6 +149,10 @@ _TYPED_LITERALS = [
     # exponent forms
     "1.5E0", "1.5e0", "2.5e-3", "-2.5E+3", "1e23", "7.e22", ".1E-5", "0e999",
     "1.7976931348623157e308", "4.9406564584124654E-324",
+    # Clinger's edge: 2**53, and with the point a table power away
+    "9007199254740992", "9007199254740992e-22",
+    # long signed forms and signs on both parts
+    "-" + "7" * 400 + ".5", "+." + "5" * 400, "-0e5", "+7E+0",
     # plain decimals of 310 to 352 characters near the clamp edges
     "0." + "0" * 323 + "247",
     "0." + "0" * 323 + "248",
@@ -151,14 +169,15 @@ _REJECTED_TEXTS = [
     "nan", "NaNx", "0x10", "1_0",
     # digits that are not ASCII
     "\u0661.\u0665", "1.\uff15",
-    # each check of the split of a number with a sign or an exponent
+    # each check _scan makes of a sign, a point and an exponent
     "-1.2x", "1e+-5", "1e5E5", "1E5e5", "1e5.0", "1.2.3e4",
-    "1e\u0665", "1e\ud800", "-\ud800", "+.e1",
+    "1e\u0665", "1e\ud800", "-\ud800", "+.e1", "-+5", "--.5", "+e5",
     # long texts
     "1" * 400 + "x",
     "1." + "2" * 400 + "e",
     "-" + "1" * 400 + "e",
     "1" * 400 + "e+",
+    "-" + "1" * 400 + "x",
 ]
 
 
@@ -179,6 +198,16 @@ def main() -> None:
         print(_line(name, _reads(texts)))
     for name, texts in sets.items():
         print(_line(f"oracle/{name}", _oracle(texts)))
+    writes = {}
+    for workload in corpus.WORKLOADS:
+        for seed in (1, 2, 3):
+            writes[f"{workload}/{seed}"] = corpus.make_corpus(workload, seed).writes
+    writes["all-ones"] = all_ones_mantissa_values()
+    writes["powers-of-two"] = [
+        sign * math.ldexp(1.0, e) for e in range(-1074, 1024) for sign in (1.0, -1.0)
+    ]
+    for name, values in writes.items():
+        print(_line(f"write/{name}", _writes(values), "writes"))
     for workload in corpus.WORKLOADS:
         writes = corpus.make_corpus(workload, 1).writes
         print(_line(f"minimality/{workload}/1", _minimality(writes), "checks"))
