@@ -18,6 +18,7 @@ asserts.  They call the code they check, which ``oracle`` may not import
 import functools
 import math
 import random
+import re
 
 from .bigmath import ConversionStats
 from .oracle import minimality_check, nearest_double_exact
@@ -112,11 +113,27 @@ def _read_width_ceiling(base: int, point: int) -> int:
     return (base ** max(-point, 323)).bit_length() + 53
 
 
-def _emitted_digits(text: str) -> int:
-    # A written value's significant digits: format_sci trims trailing
-    # zeros and pads a single digit to "d.0", whose zero is not one.
-    mant = text.partition("E")[0].lstrip("-").replace(".", "")
-    return len(mant) - mant.endswith("0")
+# d.dddEn, the form of every finite nonzero written value.
+_SCI_FORM = re.compile(r"-?[0-9]\.([0-9]+)E-?[0-9]+")
+
+
+def _emitted_digits(text: str) -> int | None:
+    # A written value's significant digits, None for a text not in d.dddEn
+    # form: format_sci trims trailing zeros and pads a single digit to
+    # "d.0", whose zero is not one.
+    if m := _SCI_FORM.fullmatch(text):
+        return 1 + len(m[1]) - m[1].endswith("0")
+    return None
+
+
+def _minimality_violations(f: float, text: str) -> list[str]:
+    # The written text of f breaks its form or holds more digits than f needs.
+    digits = _emitted_digits(text)
+    if digits is None:
+        return [f"0x{float_to_bits(f):016X} wrote {text}, not d.dddEn"]
+    if not minimality_check(f, digits):
+        return [f"0x{float_to_bits(f):016X} wrote {text}, not minimal"]
+    return []
 
 
 def oracle_audit(count: int, seed: int) -> Report:
@@ -142,7 +159,8 @@ def oracle_audit(count: int, seed: int) -> Report:
 
 def minimality_audit(count: int, seed: int) -> Report:
     """Write four curated doubles and ``count`` random finite nonzero
-    ones; ``minimality_check`` must find no shorter form that reads back."""
+    ones; each text must be in d.dddEn form, and ``minimality_check``
+    must find no shorter form that reads back."""
     rng = random.Random(seed)
     values = [5e-324, 0.1, 0.3, 1.7976931348623157e308]
     while len(values) < count + 4:
@@ -151,9 +169,7 @@ def minimality_audit(count: int, seed: int) -> Report:
             values.append(f)
     report = Report("minimality: {count} values, {failures} failures", count=0)
     for f in values:
-        text = double_to_string(f)
-        if not minimality_check(f, _emitted_digits(text)):
-            report.violations.append(f"0x{float_to_bits(f):016X} wrote {text}, not minimal")
+        report.violations += _minimality_violations(f, double_to_string(f))
         report.count += 1
     return report
 
@@ -188,9 +204,9 @@ def roundtrip_audit(count: int, seed: int) -> Report:
                 add(f"0x{pattern:016X} write {broken}")
             ceiling = least
             if rstats.max_intermediate_bits > ceiling:
-                exp = text.partition("E")[2]
-                if exp.removeprefix("-").isdecimal():
-                    ceiling = _read_width_ceiling(5, int(exp) + 1 - _emitted_digits(text))
+                digits = _emitted_digits(text)
+                if digits is not None:
+                    ceiling = _read_width_ceiling(5, int(text.partition("E")[2]) + 1 - digits)
                 else:  # no point to bound the read by
                     add(f"0x{pattern:016X} wrote {text}, not d.dddEn")
                     ceiling = rstats.max_intermediate_bits
@@ -207,13 +223,13 @@ def quotient_length_audit() -> Report:
     An all-ones significand is the largest of its binade, so these values
     reach every write maximum.  The least significands of the normal
     binades, 2**-1022 to 2**1023, are the 2045 writes that go round the
-    writer's power-of-two loop and 2**-1022; each must be minimal
-    (``minimality_check``).  A write's significand must stay below 10**17
-    and its operands within 810 bits (``_WRITE_WIDTH_CEILING``).  A reread
-    of either kind of value through either binding must give the value
-    back within the scan's read bounds, but never puts num/den at or above
-    2**53: a missing pre-compare before the read division shows only in
-    ``intermediate_size_scan``.  Expected: no violation.
+    writer's power-of-two loop and 2**-1022; each must be in d.dddEn form
+    and minimal (``minimality_check``).  A write's significand must stay
+    below 10**17 and its operands within 810 bits (``_WRITE_WIDTH_CEILING``).
+    A reread of either kind of value through either binding must give the
+    value back within the scan's read bounds, but never puts num/den at or
+    above 2**53: a missing pre-compare before the read division shows only
+    in ``intermediate_size_scan``.  Expected: no violation.
     """
     ones = all_ones_mantissa_values()
     powers = [math.ldexp(1.0, e) for e in range(-1022, 1024)]
@@ -233,8 +249,8 @@ def quotient_length_audit() -> Report:
         report.max_write_bits = max(report.max_write_bits, stats.max_intermediate_bits)
         report.max_write_divisions = max(report.max_write_divisions, stats.divisions)
         text = format_sci(False, *sd)
-        if i >= len(ones) and not minimality_check(f, _emitted_digits(text)):
-            add(f"0x{float_to_bits(f):016X} wrote {text}, not minimal")
+        if i >= len(ones):
+            report.violations += _minimality_violations(f, text)
         dec = parse_decimal(text)
         assert isinstance(dec, DecimalSci)
         for reader, base in ((mant_exp_to_double5, 5), (mant_exp_to_double10, 10)):

@@ -32,11 +32,14 @@ sign is looked for only when those refuse, so a plain ``0.25``, as every
 read of the ``10**N(0,1)`` corpus is, never tests for one.  Digit runs are
 checked with ``bytes.isdigit`` after ``str.isascii``: ``str.isdigit``
 would also take non-ASCII digits, which the grammar rejects, at two to
-six times the cost per character.  Every text the path refuses, a special
-word or a rejection, goes to ``_refuse``, whose match of the grammar's
-pattern ``_NUMBER`` locates the rejection.  The path takes exactly the
-numbers the pattern accepts, so values, traces and error positions do not
-depend on which code read the text.
+six times the cost per character.  An exponent the writer or host
+``repr`` spells, ``E-5`` or ``e-05``, is one lookup in ``_EXPONENTS``,
+built once at import; any other spelling is checked and saturated digit
+by digit, so the table changes no value.  Every text the path refuses, a
+special word or a rejection, goes to ``_refuse``, whose match of the
+grammar's pattern ``_NUMBER`` locates the rejection.  The path takes
+exactly the numbers the pattern accepts, so values, traces and error
+positions do not depend on which code read the text.
 """
 
 import functools
@@ -63,6 +66,13 @@ __all__ = [
 # most this many characters is read as it is, zeros and all.
 _MAX_EXP_DIGITS = 10
 _HUGE_EXP = 10**12
+
+# The 972 exponent spellings the writer ("E-5") and host repr ("e-05",
+# "e+16") write, k and +k for -324 <= k <= 308 and the padded 0d, +0d and
+# -0d, each to int(key).  Built once at import and never changed.
+_EXPONENTS = dict(zip(map(str, range(-324, 309)), range(-324, 309)))
+_EXPONENTS.update(zip(map("+{}".format, range(309)), range(309)))
+_EXPONENTS.update({f"{sign}0{d}": int(f"{sign}{d}") for sign in ("", "+", "-") for d in range(10)})
 
 # CPython limits str<->int conversion length; convert long digit runs in
 # chunks so mantissas of any length are read exactly.
@@ -154,11 +164,12 @@ def _scan(text: str) -> tuple[bool, str, int] | float:
     # or trailing zero ("" for zero, with point 0), or a float for the
     # special tokens.  One path reads every number: str.partition at its
     # exponent mark ("e" first, as host repr writes it) and its point, then
-    # each digit run checked once.  A sign, all a valid integer part can
-    # start with, is looked for only when its digits refuse: a plain "0.25",
-    # every gauss read, never tests for one.  isascii, a flag test, comes first:
-    # isdigit would take "\u0661", "\uff15" and "\u00b2", and encode fails
-    # on a lone surrogate.  Every refusal goes to _refuse.
+    # each digit run checked once; an exponent the writer or host repr
+    # spells is one _EXPONENTS lookup instead.  A sign, all a valid integer
+    # part can start with, is looked for only when its digits refuse: a
+    # plain "0.25", every gauss read, never tests for one.  isascii, a flag
+    # test, comes first: isdigit would take "\u0661", "\uff15" and "\u00b2",
+    # and encode fails on a lone surrogate.  Every refusal goes to _refuse.
     if not text.isascii():
         return _refuse(text)
     if "e" in text:
@@ -184,16 +195,20 @@ def _scan(text: str) -> tuple[bool, str, int] | float:
     stripped = digits.rstrip("0")
     point = len(digits) - len(stripped) - len(frac_digits)
     if mark:
-        exp_sign = exp_digits[:1]
-        if exp_sign == "-" or exp_sign == "+":
-            exp_digits = exp_digits[1:]
-        if not exp_digits.encode().isdigit():
-            return _refuse(text)
-        if len(exp_digits) > _MAX_EXP_DIGITS:
-            exp_digits = exp_digits.lstrip("0") or "0"
-        # A longer exponent saturates; the read clamps decide the value.
-        exp = int(exp_digits) if len(exp_digits) <= _MAX_EXP_DIGITS else _HUGE_EXP
-        point = point - exp if exp_sign == "-" else point + exp
+        exp = _EXPONENTS.get(exp_digits)
+        if exp is None:
+            exp_sign = exp_digits[:1]
+            if exp_sign == "-" or exp_sign == "+":
+                exp_digits = exp_digits[1:]
+            if not exp_digits.encode().isdigit():
+                return _refuse(text)
+            if len(exp_digits) > _MAX_EXP_DIGITS:
+                exp_digits = exp_digits.lstrip("0") or "0"
+            # A longer exponent saturates; the read clamps decide the value.
+            exp = int(exp_digits) if len(exp_digits) <= _MAX_EXP_DIGITS else _HUGE_EXP
+            if exp_sign == "-":
+                exp = -exp
+        point += exp
     return negative, stripped, point if stripped else 0
 
 

@@ -1,6 +1,7 @@
 import csv
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -325,6 +326,24 @@ class TestVerify:
             "VIOLATION 0x3FB999999999999A wrote 1.0E-1, not minimal",
             "minimality: 5 values, 1 failures",
         ]
+
+    def test_text_out_of_form_is_not_a_minimality_fault(self, capsys, monkeypatch):
+        # A writer that marks its exponent with "e" writes minimal digits in
+        # the wrong form: each text is a form violation, none a minimal one.
+        real = audit.double_to_string
+        monkeypatch.setattr(audit, "double_to_string",
+                            lambda f, stats=None: real(f, stats).replace("E", "e"))
+        code, out, _ = run(capsys, "verify", "minimality", "--count", "1")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[:4] == [
+            "VIOLATION 0x0000000000000001 wrote 5.0e-324, not d.dddEn",
+            "VIOLATION 0x3FB999999999999A wrote 1.0e-1, not d.dddEn",
+            "VIOLATION 0x3FD3333333333333 wrote 3.0e-1, not d.dddEn",
+            "VIOLATION 0x7FEFFFFFFFFFFFFF wrote 1.7976931348623157e308, not d.dddEn",
+        ]
+        assert re.fullmatch(r"VIOLATION 0x[0-9A-F]{16} wrote \S+e-?[0-9]+, not d\.dddEn", lines[4])
+        assert lines[5:] == ["minimality: 5 values, 5 failures"]
 
     def test_minimality_count_is_not_capped(self, capsys):
         code, out, _ = run(capsys, "verify", "minimality", "--count", "2001")

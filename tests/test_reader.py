@@ -387,6 +387,35 @@ class TestLongSplit:
                     read_double(text)
 
 
+class TestExponentTable:
+    """reader._EXPONENTS, the exponent spellings _scan reads with one
+    lookup, against the checked path's reading of every other spelling."""
+
+    def test_table_and_near_misses_read_as_the_grammar_says(self):
+        # Every key, and every spelling of up to four characters over
+        # "0159+-" ("", "-00", "+-5", "5-" among them), behind a bare and a
+        # signed mantissa: 4840 texts.
+        spellings = set(reader._EXPONENTS)
+        for n in range(5):
+            spellings.update(map("".join, itertools.product("0159+-", repeat=n)))
+        for spelling in spellings:
+            for text in ("1e" + spelling, "-9.5E" + spelling):
+                accepted, position = _grammar_reference(text)
+                try:
+                    parts = reader._scan(text)
+                except ParseError as exc:
+                    assert (accepted, exc.position) == (False, position), text
+                else:
+                    assert accepted and parts == _decimal_parts(text), text
+
+    def test_writer_and_repr_spellings_hit_the_table(self):
+        # The writer's "E%d" and host repr's "e%+03d", at every exponent a
+        # double's text can have, take the lookup and not the checked path.
+        for k in range(-324, 309):
+            for text in ("E%d" % k, "e%+03d" % k):
+                assert reader._EXPONENTS.get(text[1:]) == k, text
+
+
 @st.composite
 def _plain_decimals(draw) -> str:
     """A short plain decimal: 1 to 40 digits, zero runs at either end, and

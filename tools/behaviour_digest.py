@@ -37,10 +37,17 @@ all-ones significands (``write/all-ones``) and every power of two from
 corpus at seed 1, where ``n`` is the digit count the writer emits.
 ``rejected texts`` holds the ``ParseError`` position and message that
 ``read_double`` and ``parse_decimal`` give for texts that ``_scan``
-refuses and the ``_NUMBER`` match rejects, short and long.
+refuses and the ``_NUMBER`` match rejects, short and long.  ``exponent
+spellings`` holds, for ``1e<s>``, the bits and trace of ``read_double``
+and the result of ``parse_decimal``, or each one's ``ParseError``
+position: ``s`` is every exponent spelling the writer and host repr
+write (``k`` and ``+k`` for -324 <= k <= 308, and the padded ``0d``,
+``+0d`` and ``-0d``) and every spelling of up to four characters over
+``0159+-``, the near misses.
 """
 
 import hashlib
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -116,6 +123,25 @@ def _rejections(texts) -> list:
             else:
                 raise SystemExit(f"{convert.__name__} accepted {text!r}")
     return records
+
+
+def _spelled(texts) -> list:
+    records = []
+    for text in texts:
+        for convert in (lambda t: _record(read_double, t), parse_decimal):
+            try:
+                records.append(convert(text))
+            except ParseError as exc:
+                records.append(exc.position)
+    return records
+
+
+def _exponent_spellings() -> list[str]:
+    spellings = {*map(str, range(-324, 309)), *map("+{}".format, range(309))}
+    spellings.update(f"{sign}0{d}" for sign in ("", "+", "-") for d in range(10))
+    for n in range(5):
+        spellings.update(map("".join, itertools.product("0159+-", repeat=n)))
+    return ["1e" + s for s in sorted(spellings)]
 
 
 def _clamp_edge_probe() -> list[str]:
@@ -212,6 +238,7 @@ def main() -> None:
         writes = corpus.make_corpus(workload, 1).writes
         print(_line(f"minimality/{workload}/1", _minimality(writes), "checks"))
     print(_line("rejected texts", _rejections(_REJECTED_TEXTS), "rejections"))
+    print(_line("exponent spellings", _spelled(_exponent_spellings()), "results"))
 
 
 if __name__ == "__main__":
