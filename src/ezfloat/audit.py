@@ -8,7 +8,8 @@ reads each text back; ``intermediate_size_scan`` reads a grid spanning the
 whole read domain; ``halfway_audit`` reads halfway points at both ends of
 every binade, exact and with a far tail, where a read cuts long digits.  These three and
 ``roundtrip_audit`` pass every conversion they make through ``_check``,
-which returns the bounds it breaks: only a violation formats a label.  No
+which returns the bounds it breaks: only a violation formats a label.
+A written text out of ``d.dddEn`` form also counts in ``form_faults``.  No
 point's read ceiling is below 803 bits, so ``roundtrip_audit`` parses a
 text's point only for a wider read.  Each audit collects violations, never
 asserts.  They call the code they check, which ``oracle`` may not import
@@ -126,14 +127,14 @@ def _emitted_digits(text: str) -> int | None:
     return None
 
 
-def _minimality_violations(f: float, text: str) -> list[str]:
+def _check_minimal(report: Report, f: float, text: str) -> None:
     # The written text of f breaks its form or holds more digits than f needs.
     digits = _emitted_digits(text)
     if digits is None:
-        return [f"0x{float_to_bits(f):016X} wrote {text}, not d.dddEn"]
-    if not minimality_check(f, digits):
-        return [f"0x{float_to_bits(f):016X} wrote {text}, not minimal"]
-    return []
+        report.form_faults += 1
+        report.violations.append(f"0x{float_to_bits(f):016X} wrote {text}, not d.dddEn")
+    elif not minimality_check(f, digits):
+        report.violations.append(f"0x{float_to_bits(f):016X} wrote {text}, not minimal")
 
 
 def oracle_audit(count: int, seed: int) -> Report:
@@ -167,9 +168,10 @@ def minimality_audit(count: int, seed: int) -> Report:
         f = bits_to_float(rng.getrandbits(64))
         if 0.0 < abs(f) < math.inf:
             values.append(f)
-    report = Report("minimality: {count} values, {failures} failures", count=0)
+    report = Report("minimality: {count} values, {failures} failures, {form_faults} not d.dddEn",
+                    count=0, form_faults=0)
     for f in values:
-        report.violations += _minimality_violations(f, double_to_string(f))
+        _check_minimal(report, f, double_to_string(f))
         report.count += 1
     return report
 
@@ -186,7 +188,8 @@ def roundtrip_audit(count: int, seed: int) -> Report:
     text not in ``d.dddEn`` form, which has no point to parse, is a violation.
     """
     rng = random.Random(seed)
-    report = Report("roundtrip: {count} values, {failures} failures", count=0)
+    report = Report("roundtrip: {count} values, {failures} failures, {form_faults} not d.dddEn",
+                    count=0, form_faults=0)
     add = report.violations.append
     least = _read_width_ceiling(5, 0)
     for _ in range(count):
@@ -208,6 +211,7 @@ def roundtrip_audit(count: int, seed: int) -> Report:
                 if digits is not None:
                     ceiling = _read_width_ceiling(5, int(text.partition("E")[2]) + 1 - digits)
                 else:  # no point to bound the read by
+                    report.form_faults += 1
                     add(f"0x{pattern:016X} wrote {text}, not d.dddEn")
                     ceiling = rstats.max_intermediate_bits
             for broken in _check(rstats, ceiling):
@@ -235,9 +239,10 @@ def quotient_length_audit() -> Report:
     powers = [math.ldexp(1.0, e) for e in range(-1022, 1024)]
     report = Report("values tested: {values_tested}", "powers of two: {powers}",
                     "max write operand bits: {max_write_bits}",
-                    "max write divisions: {max_write_divisions}", "violations: {failures}",
+                    "max write divisions: {max_write_divisions}",
+                    "texts not d.dddEn: {form_faults}", "violations: {failures}",
                     values_tested=len(ones), powers=len(powers),
-                    max_write_bits=0, max_write_divisions=0)
+                    max_write_bits=0, max_write_divisions=0, form_faults=0)
     add = report.violations.append
     for i, f in enumerate(ones + powers):
         stats = ConversionStats()
@@ -250,7 +255,7 @@ def quotient_length_audit() -> Report:
         report.max_write_divisions = max(report.max_write_divisions, stats.divisions)
         text = format_sci(False, *sd)
         if i >= len(ones):
-            report.violations += _minimality_violations(f, text)
+            _check_minimal(report, f, text)
         dec = parse_decimal(text)
         assert isinstance(dec, DecimalSci)
         for reader, base in ((mant_exp_to_double5, 5), (mant_exp_to_double10, 10)):

@@ -13,7 +13,8 @@ a halfway point there plus a sticky digit, so its ``point`` is at least
 e0 - 2 for the ulp 2**e0 >= 2**-1074 of the binade holding 10**(top-1),
 and a value at or above 10**309 is infinity without a power, so
 ``point`` is at most 308.  The table is built once at import (about
-0.2 ms, about 0.2 MB).
+0.2 ms, about 0.2 MB), as is ``_EXP_TEXTS``, the exponents a written
+double has, -324 to 308, spelled once for the writer and the reader.
 """
 
 import math
@@ -45,6 +46,9 @@ def _build() -> tuple[int, ...]:
 
 # 5**k for 0 <= k <= MAX_POW; multiplying is 4x faster than 5**k for each.
 _POWS5 = _build()
+
+# str(k) at index k + 324: the exponents of 4.9E-324 to 1.7976931348623157E308.
+_EXP_TEXTS = tuple(map(str, range(-324, 309)))
 
 
 class ConversionStats:

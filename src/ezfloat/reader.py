@@ -47,7 +47,7 @@ import math
 import re
 from collections import namedtuple
 
-from .bigmath import _POWS5, DBL_MANT_DIG, MAX_POW, ConversionStats, round_quotient
+from .bigmath import _EXP_TEXTS, _POWS5, DBL_MANT_DIG, MAX_POW, ConversionStats, round_quotient
 
 __all__ = [
     "DecimalSci",
@@ -69,8 +69,9 @@ _HUGE_EXP = 10**12
 
 # The 972 exponent spellings the writer ("E-5") and host repr ("e-05",
 # "e+16") write, k and +k for -324 <= k <= 308 and the padded 0d, +0d and
-# -0d, each to int(key).  Built once at import and never changed.
-_EXPONENTS = dict(zip(map(str, range(-324, 309)), range(-324, 309)))
+# -0d, each to int(key), the k from bigmath._EXP_TEXTS, which the writer
+# prints from.  Built once at import and never changed.
+_EXPONENTS = dict(zip(_EXP_TEXTS, range(-324, 309)))
 _EXPONENTS.update(zip(map("+{}".format, range(309)), range(309)))
 _EXPONENTS.update({f"{sign}0{d}": int(f"{sign}{d}") for sign in ("", "+", "-") for d in range(10)})
 

@@ -23,8 +23,13 @@ resort.  The fewest digits that fit win, and nothing is read back.
 
 double_to_string composes the two halves, a plain (lquo, point) pair and
 format_sci, without building the ShortestDigits that shortest_digits returns.
+It unpacks |f| once with math.frexp into m * 2**e, where 0.5 <= m < 1
+exactly when f is finite and nonzero.  A normal (e > -1022) has biased
+exponent e + 1022 and significand m * 2**53, a subnormal 0 and
+m * 2**(e + 1074); both are exact.  format_sci spells the exponent from
+bigmath._EXP_TEXTS, the keys of the reader's exponent table.
 float_to_bits and bits_to_float map a double to its raw 64-bit pattern and
-back, with the prebuilt Structs every write unpacks through.
+back through prebuilt Structs.
 """
 
 import math
@@ -32,7 +37,7 @@ import struct
 from collections import namedtuple
 from enum import Enum
 
-from .bigmath import _POWS5, LLOG2, ConversionStats, round_quotient
+from .bigmath import _EXP_TEXTS, _POWS5, LLOG2, ConversionStats, round_quotient
 
 __all__ = [
     "FloatKind",
@@ -128,13 +133,12 @@ def _build_scales() -> tuple[tuple[int, int, int, int], ...]:
 _SCALES = _build_scales()
 
 
-def _shortest(f: float, stats: ConversionStats | None) -> tuple[int, int]:
-    """shortest_digits' (lquo, point) for a finite nonzero f, unchecked."""
-    bits = unpack_u64(pack_f64(f))[0]
-    ue2 = (bits >> 52) & 0x7FF
-    lmant = bits & _FRAC_MASK
-    if ue2:
-        lmant += 1 << 52
+def _shortest(m: float, e: int, stats: ConversionStats | None) -> tuple[int, int]:
+    """shortest_digits' (lquo, point) for |f| = m * 2**e, 0.5 <= m < 1, unchecked."""
+    if e > -1022:
+        ue2, lmant = e + 1022, int(m * 2.0**53)
+    else:
+        ue2, lmant = 0, int(math.ldexp(m, e + 1074))
     # num / den == |f| / 10**(point - 2), at the scale _SCALES holds for
     # this exponent: nothing about the scale is computed per write.
     point, ulp, den, cut = _SCALES[ue2]
@@ -166,7 +170,7 @@ def _shortest(f: float, stats: ConversionStats | None) -> tuple[int, int]:
         else:
             lquo, less = q, 2
     else:
-        lquo, d = divmod(q, 100)
+        lquo, d = q // 100, q % 100
         # An exact tie (50 units off) fits only if ulp == 100 * den: e2 == point == 0, q % 100 == 0.
         if d > 50 or d == 50 and q * den < num:
             lquo += 1
@@ -195,9 +199,10 @@ def shortest_digits(f: float, stats: ConversionStats | None = None) -> ShortestD
     neighbour where the nearest falls below a binade boundary's narrow
     interval.
     """
-    if not 0.0 < abs(f) < math.inf:
+    m, e = math.frexp(abs(f))
+    if not 0.5 <= m < 1.0:
         raise ValueError("shortest_digits requires a finite nonzero value")
-    return ShortestDigits(*_shortest(f, stats))
+    return ShortestDigits(*_shortest(m, e, stats))
 
 
 def format_sci(negative: bool, lquo: int, point: int) -> str:
@@ -209,7 +214,10 @@ def format_sci(negative: bool, lquo: int, point: int) -> str:
     sman = str(lquo)
     body = sman[1:].rstrip("0") or "0"
     sign = "-" if negative else ""
-    return f"{sign}{sman[0]}.{body}E{point + len(sman) - 1}"
+    exp = point + len(sman) - 1
+    if -324 <= exp <= 308:
+        exp = _EXP_TEXTS[exp + 324]
+    return f"{sign}{sman[0]}.{body}E{exp}"
 
 
 def double_to_string(f: float, stats: ConversionStats | None = None) -> str:
@@ -219,8 +227,9 @@ def double_to_string(f: float, stats: ConversionStats | None = None) -> str:
     "Infinity", "-Infinity", "0.0" and "-0.0", so negative zero keeps
     its sign.
     """
-    if 0.0 < abs(f) < math.inf:
-        lquo, point = _shortest(f, stats)
+    m, e = math.frexp(abs(f))
+    if 0.5 <= m < 1.0:
+        lquo, point = _shortest(m, e, stats)
         return format_sci(f < 0, lquo, point)
     if f != f:
         return "NaN"

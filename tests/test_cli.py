@@ -46,15 +46,15 @@ sys.exit(main(["verify", "bounds"]))
 # Runs `ezfloat verify bounds` with each power of two written wrongly:
 # sys.argv[2] names the wrong (lquo, point) made from the right one.
 _WRONG_POWER_OF_TWO = """
-import math, sys
+import sys
 sys.path.insert(0, sys.argv[1])
 from ezfloat import writer
 from ezfloat.cli import main
 real = writer._shortest
 wrong = eval("lambda lquo, point: " + sys.argv[2])
-def shortest(f, stats):
-    lquo, point = real(f, stats)
-    return wrong(lquo, point) if math.frexp(f)[0] == 0.5 else (lquo, point)
+def shortest(m, e, stats):
+    lquo, point = real(m, e, stats)
+    return wrong(lquo, point) if m == 0.5 else (lquo, point)
 writer._shortest = shortest
 sys.exit(main(["verify", "bounds"]))
 """
@@ -242,7 +242,7 @@ class TestRoundtrip:
         assert lines[0] == (
             f"VIOLATION 0x{pattern:016X} wrote {text} read 0x{pattern ^ 1 << 63:016X}"
         )
-        assert lines[-1] == "roundtrip: 2 values, 2 failures"
+        assert lines[-1] == "roundtrip: 2 values, 2 failures, 0 not d.dddEn"
         assert len(lines) == 3
 
     def test_text_without_its_point_is_a_violation(self, capsys, monkeypatch):
@@ -256,7 +256,7 @@ class TestRoundtrip:
         assert code == 1
         assert out.splitlines() == [
             "VIOLATION 0x8013643970BDA26C wrote -2.6967201874994467e-308, not d.dddEn",
-            "roundtrip: 1999 values, 1 failures",
+            "roundtrip: 1999 values, 1 failures, 1 not d.dddEn",
         ]
 
     def test_wider_write_operand_fails(self, capsys, monkeypatch):
@@ -272,7 +272,7 @@ class TestRoundtrip:
             "VIOLATION 0x000DF9079D5BBAA7 write operand bits 811 over 810",
             "VIOLATION 0x8029C804D1453186 write operand bits 812 over 810",
             "VIOLATION 0x0013CB01438F7195 write operand bits 811 over 810",
-            "roundtrip: 2999 values, 3 failures",
+            "roundtrip: 2999 values, 3 failures, 0 not d.dddEn",
         ]
 
     def test_extra_read_division_fails(self, capsys, monkeypatch):
@@ -290,7 +290,7 @@ class TestRoundtrip:
         # -6.692647873169096E13 reads on Clinger's path, without a division.
         assert len(lines) == 20 and "VIOLATION 0xC2CE6F447ED4D57B" not in out
         assert all(line.endswith(" read made 2 divisions") for line in lines[:-1])
-        assert lines[-1] == "roundtrip: 20 values, 19 failures"
+        assert lines[-1] == "roundtrip: 20 values, 19 failures, 0 not d.dddEn"
 
 
 class TestVerify:
@@ -324,7 +324,7 @@ class TestVerify:
         lines = out.splitlines()
         assert lines == [
             "VIOLATION 0x3FB999999999999A wrote 1.0E-1, not minimal",
-            "minimality: 5 values, 1 failures",
+            "minimality: 5 values, 1 failures, 0 not d.dddEn",
         ]
 
     def test_text_out_of_form_is_not_a_minimality_fault(self, capsys, monkeypatch):
@@ -343,12 +343,12 @@ class TestVerify:
             "VIOLATION 0x7FEFFFFFFFFFFFFF wrote 1.7976931348623157e308, not d.dddEn",
         ]
         assert re.fullmatch(r"VIOLATION 0x[0-9A-F]{16} wrote \S+e-?[0-9]+, not d\.dddEn", lines[4])
-        assert lines[5:] == ["minimality: 5 values, 5 failures"]
+        assert lines[5:] == ["minimality: 5 values, 5 failures, 5 not d.dddEn"]
 
     def test_minimality_count_is_not_capped(self, capsys):
         code, out, _ = run(capsys, "verify", "minimality", "--count", "2001")
         assert code == 0
-        assert "minimality: 2005 values, 0 failures" in out.splitlines()
+        assert "minimality: 2005 values, 0 failures, 0 not d.dddEn" in out.splitlines()
 
     def test_bad_suite_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -389,6 +389,7 @@ class TestVerify:
             # An all-ones significand at e2 = -1074 times 100 * 5**323.
             "max write operand bits: 810",
             "max write divisions: 1",
+            "texts not d.dddEn: 0",
             "violations: 0",
             "bounds: ok",
         ]

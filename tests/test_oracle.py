@@ -317,6 +317,7 @@ class TestQuotientLengthAudit:
             "powers of two: 2046",
             "max write operand bits: 810",
             "max write divisions: 1",
+            "texts not d.dddEn: 0",
             "violations: 0",
         ]
 
@@ -455,7 +456,7 @@ class TestRoundtripAudit:
         assert report.violations == expected
         assert sum(v.endswith(" over 803") for v in expected) == 100
         assert sum(v.endswith(" over 806") for v in expected) == 12
-        assert report.render().splitlines()[-1] == "roundtrip: 19994 values, 112 failures"
+        assert report.render().splitlines()[-1] == "roundtrip: 19994 values, 112 failures, 0 not d.dddEn"
 
 
 # (module, level, name) of every import the oracle may make: the kernel and

@@ -239,6 +239,8 @@ class TestCandidateBands:
                 expected = _model(f)[1]
                 assert shortest_digits(f) == expected, hex(bits)
                 assert _trimmed(*expected) == _repr_digits(f), hex(bits)
+                # The sign goes through abs() before the unpack.
+                assert double_to_string(-f) == "-" + double_to_string(f), hex(bits)
 
 
 class TestShortestDigits:
@@ -333,6 +335,16 @@ class TestFormatSci:
             (False, 3000000000000000, -16, "3.0E-1"),
             (False, 12340, 0, "1.234E4"),
             (True, 10**16, -16, "-1.0E0"),
+            # The ends of the spelled exponents, E-324 and E308, and just
+            # past them, where the integer is formatted as it is.
+            (False, 25, -325, "2.5E-324"),
+            (True, 25, -325, "-2.5E-324"),
+            (False, 123, 306, "1.23E308"),
+            (True, 123, 306, "-1.23E308"),
+            (False, 25, -326, "2.5E-325"),
+            (True, 25, -326, "-2.5E-325"),
+            (False, 123, 307, "1.23E309"),
+            (True, 123, 307, "-1.23E309"),
         ],
     )
     def test_examples(self, negative, lquo, point, expected):

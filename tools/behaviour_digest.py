@@ -30,8 +30,10 @@ and ``mant_exp_to_double10``; a result is a conversion's bits and trace
 Three more kinds of line follow.  A ``write/<set>`` line holds the text
 and trace of ``double_to_string`` of each value of the set: the writes of
 the perfbench corpora at seeds 1-3 (``write/<workload>/<seed>``), the 2098
-all-ones significands (``write/all-ones``) and every power of two from
-2**-1074 to 2**1023 of either sign (``write/powers-of-two``).
+all-ones significands (``write/all-ones``), every power of two from
+2**-1074 to 2**1023 of either sign (``write/powers-of-two``), and the
+doubles of fraction field 1 and 2**51 at every biased exponent 0 to 2046
+of either sign, then the negated all-ones values (``write/binade-edges``).
 ``minimality/<workload>/1`` holds ``minimality_check(f, n)`` and
 ``minimality_check(f, n + 1)`` for every finite nonzero write ``f`` of the
 corpus at seed 1, where ``n`` is the digit count the writer emits.
@@ -60,6 +62,7 @@ from ezfloat import (
     ConversionStats,
     DecimalSci,
     ParseError,
+    bits_to_float,
     double_to_string,
     float_to_bits,
     mant_exp_to_double5,
@@ -232,6 +235,10 @@ def main() -> None:
     writes["powers-of-two"] = [
         sign * math.ldexp(1.0, e) for e in range(-1074, 1024) for sign in (1.0, -1.0)
     ]
+    writes["binade-edges"] = [
+        sign * bits_to_float(ue2 << 52 | frac)
+        for ue2 in range(2047) for frac in (1, 1 << 51) for sign in (1.0, -1.0)
+    ] + [-f for f in writes["all-ones"]]
     for name, values in writes.items():
         print(_line(f"write/{name}", _writes(values), "writes"))
     for workload in corpus.WORKLOADS:
