@@ -182,10 +182,11 @@ def roundtrip_audit(count: int, seed: int) -> Report:
     The read must give the pattern back.  A finite nonzero value's write
     must make exactly 1 division on operands within 810 bits, as in
     ``quotient_length_audit``, and its read at most 1 within the scan's
-    ceiling for the text's point, as in ``intermediate_size_scan``.  That
-    ceiling is 803 bits at every point from -323 up and wider below, so
-    the point is parsed only for a read whose widest operand is wider; a
-    text not in ``d.dddEn`` form, which has no point to parse, is a violation.
+    ceiling for the text's point, as in ``intermediate_size_scan``.  Every
+    such text must be in ``d.dddEn`` form; one that is not is a violation,
+    counted once, and has no point to bound its read by.  The ceiling is
+    803 bits at every point from -323 up and wider below, so the point is
+    parsed only for a read whose widest operand is wider.
     """
     rng = random.Random(seed)
     report = Report("roundtrip: {count} values, {failures} failures, {form_faults} not d.dddEn",
@@ -205,15 +206,14 @@ def roundtrip_audit(count: int, seed: int) -> Report:
         if 0.0 < abs(f) < math.inf:
             for broken in _check(wstats, _WRITE_WIDTH_CEILING, divisions=(1,)):
                 add(f"0x{pattern:016X} write {broken}")
+            digits = _emitted_digits(text)
             ceiling = least
-            if rstats.max_intermediate_bits > ceiling:
-                digits = _emitted_digits(text)
-                if digits is not None:
-                    ceiling = _read_width_ceiling(5, int(text.partition("E")[2]) + 1 - digits)
-                else:  # no point to bound the read by
-                    report.form_faults += 1
-                    add(f"0x{pattern:016X} wrote {text}, not d.dddEn")
-                    ceiling = rstats.max_intermediate_bits
+            if digits is None:  # no point to bound the read by
+                report.form_faults += 1
+                add(f"0x{pattern:016X} wrote {text}, not d.dddEn")
+                ceiling = rstats.max_intermediate_bits
+            elif rstats.max_intermediate_bits > ceiling:
+                ceiling = _read_width_ceiling(5, int(text.partition("E")[2]) + 1 - digits)
             for broken in _check(rstats, ceiling):
                 add(f"0x{pattern:016X} read {broken}")
         report.count += 1

@@ -80,8 +80,12 @@ _EXPONENTS.update({f"{sign}0{d}": int(f"{sign}{d}") for sign in ("", "+", "-") f
 _INT_CHUNK = 4000
 
 # Clinger's exact path: 10**k for 0 <= k <= 22 is an exact binary64
-# (5**22 < 2**53), so mant * 10**point with mant < 2**53 is one IEEE
-# rounding of two exact operands.
+# (5**22 < 2**53), so mant * 10**point with |point| <= 22 and mant an
+# exact double is one IEEE rounding of two exact operands.  A mant below
+# 2**53 is tested first, against _CLINGER_MANT; a wider one is exact when
+# n = bits(mant) <= 1024 and its bits under the top 53 are all zero, which
+# _to_double tests only once the narrow test has failed, with the n that
+# a division by a power of 5 needs anyway.
 _CLINGER_POWS = tuple(float(10**k) for k in range(23))
 _CLINGER_MANT = 1 << DBL_MANT_DIG
 
@@ -283,9 +287,17 @@ def _to_double(mant: int, point: int, stats: ConversionStats | None, twos: int) 
         if point >= 0:
             return mant * _CLINGER_POWS[point]
         return mant / _CLINGER_POWS[-point]
+    # A wider mant: mant >= 2**53 when |point| <= 22 here, so n - 53 >= 1.
+    # An odd one is no double; that one-bit test turns most reads that
+    # divide away before a mask as wide as mant is built.
+    n = mant.bit_length()
+    if -22 <= point <= 22 and not mant & 1 and not mant & (1 << n - 53) - 1 and n <= 1024:
+        if point >= 0:
+            return mant * _CLINGER_POWS[point]
+        return mant / _CLINGER_POWS[-point]
     if point >= 0:
-        # Past Clinger's path mant >= 2**53 or point >= 23 (5**23 > 2**53),
-        # so num has at least 54 bits and bex >= 1.
+        # Past Clinger's path mant is no double or point >= 23 (5**23 >
+        # 2**53), so num has at least 54 bits and bex >= 1.
         num = mant * _POWS5[point]
         if not twos:
             num <<= point
@@ -303,7 +315,7 @@ def _to_double(mant: int, point: int, stats: ConversionStats | None, twos: int) 
         scl = pow5 = _POWS5[-point] if point >= -MAX_POW else 5**-point
         if not twos:
             scl <<= -point
-        bex = mant.bit_length() - scl.bit_length() - DBL_MANT_DIG
+        bex = n - scl.bit_length() - DBL_MANT_DIG
         if bex < 0:
             num = mant << -bex
             den = scl
@@ -370,9 +382,9 @@ def mant_exp_to_double5(
 
     ``mant`` may be arbitrarily large; the rounding is always a single
     round-half-to-even division, or one IEEE multiply or divide when
-    ``mant < 2**53`` and ``|point| <= 22``.  A value of 10**309 or more
-    returns +Infinity and one below 10**-324 +0.0, without a division, as
-    ``read_double``.  The sign is the caller's concern.
+    ``mant`` is an exact double and ``|point| <= 22``.  A value of 10**309
+    or more returns +Infinity and one below 10**-324 +0.0, without a
+    division, as ``read_double``.  The sign is the caller's concern.
     """
     return _checked(mant, point, stats, point)
 

@@ -1100,7 +1100,7 @@ class TestClingerPath:
         assert stats.divisions == 0
 
     @pytest.mark.parametrize(
-        "text", [f"{2**53}e-1", "1e23", "9007199254740991e23", "12345e-23"]
+        "text", [f"{2**53 + 1}e-1", "1e23", "9007199254740991e23", "12345e-23"]
     )
     def test_outside_the_path_divides(self, text):
         outcome = read_double_with_stats(text)
@@ -1108,6 +1108,51 @@ class TestClingerPath:
         assert float_to_bits(outcome.value) == float_to_bits(
             nearest_double_exact(parse_decimal(text))
         )
+
+    # Significands of 54 to 72 bits that are exact doubles: every bit under
+    # the top 53 is zero.
+    WIDE_EXACT = [2**53, 2**53 + 2, 2**55, 2**64 - 2**11, 3 * 2**70]
+
+    @staticmethod
+    def _divisions(mant, point):
+        # The bits and division count of read_double and of both bindings.
+        results = []
+        for convert in (
+            functools.partial(read_double, f"{mant}e{point}"),
+            functools.partial(mant_exp_to_double5, mant, point),
+            functools.partial(mant_exp_to_double10, mant, point),
+        ):
+            stats = ConversionStats()
+            results.append((float_to_bits(convert(stats)), stats.divisions))
+        return results
+
+    @pytest.mark.parametrize("mant", WIDE_EXACT)
+    @pytest.mark.parametrize("point", [-22, -1, 0, 1, 22])
+    def test_wide_exact_significand_makes_no_division(self, mant, point):
+        assert float(mant) == mant
+        want = float_to_bits(nearest_double_exact(DecimalSci(False, mant, point)))
+        assert self._divisions(mant, point) == [(want, 0)] * 3
+
+    # Inexact neighbours, odd and even: an even one has one set bit too
+    # many under its top 53.
+    @pytest.mark.parametrize(
+        "mant, point",
+        [(m, p) for m in (2**53 + 1, 2**54 + 2, 2**64 - 2**10, 2**64 - 1)
+         for p in (-22, -1, 0, 1, 22)]
+        + [(m, p) for m in WIDE_EXACT for p in (-23, 23)],
+    )
+    def test_inexact_significand_or_far_point_divides_once(self, mant, point):
+        want = float_to_bits(nearest_double_exact(DecimalSci(False, mant, point)))
+        assert self._divisions(mant, point) == [(want, 1)] * 3
+
+    def test_significand_past_the_doubles_divides(self):
+        # 2**1024 has every bit under its top 53 zero, but no double holds
+        # it: the read divides, and at point 0 its value rounds to infinity.
+        outcome = read_double_with_stats(f"{2**1024}e-1")
+        assert outcome.value == 1.797693134862316e307
+        assert outcome.stats.divisions == 1
+        for point, want in ((-1, 1.797693134862316e307), (0, math.inf)):
+            assert self._divisions(2**1024, point) == [(float_to_bits(want), 1)] * 3
 
 
 def _midpoint(v: float) -> tuple[str, int]:
@@ -1260,16 +1305,17 @@ class TestSharedTail:
         "binding", [mant_exp_to_double5, mant_exp_to_double10], ids=["pow5", "pow10"]
     )
     def test_nonnegative_point_divides_once(self, binding):
-        # Past Clinger's path mant >= 2**53 or point >= 23, and 5**23 > 2**53,
-        # so mant * 10**point has at least 54 bits and is never exact as is.
-        cases = [(m, p) for m in range(2**53 - 1, 2**53 + 2) for p in range(31)]
+        # Past Clinger's path mant is no exact double (so mant > 2**53) or
+        # point >= 23 (and 5**23 > 2**53), so mant * 10**point has at least
+        # 54 bits and is never exact as is.  2**53 and 2**53 + 2 are exact.
+        cases = [(m, p) for m in range(2**53 - 1, 2**53 + 3) for p in range(31)]
         cases += [(m, p) for m in range(1, 10) for p in range(23, 31)]
         for mant, point in cases:
             stats = ConversionStats()
             value = binding(mant, point, stats)
             want = nearest_double_exact(DecimalSci(False, mant, point))
             assert float_to_bits(value) == float_to_bits(want), (mant, point)
-            if mant < 2**53 and point <= 22:
+            if float(mant) == mant and point <= 22:
                 assert stats.trace == [], (mant, point)  # Clinger's path
             else:
                 assert [t[0] for t in stats.trace] == ["read-shift"], (mant, point)

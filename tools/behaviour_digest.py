@@ -11,8 +11,11 @@ Each line names an input set, the number of results taken from it and a
 SHA-256 over them.  Every text is read by ``read_double`` and, as parsed
 by ``parse_decimal``, converted by both bindings, ``mant_exp_to_double5``
 and ``mant_exp_to_double10``; a result is a conversion's bits and trace
-(``ConversionStats.trace``).  An ``oracle/<set>`` line holds the bits of
-``nearest_double_exact`` of each parsed text of the set.  The sets:
+(``ConversionStats.trace``).  A ``values/<set>`` line holds the same
+conversions' bits alone, so a change that moves only traces, such as a
+wider Clinger's path, leaves it as it is.  An ``oracle/<set>`` line holds
+the bits of ``nearest_double_exact`` of each parsed text of the set.  The
+sets:
 
 - ``<workload>/<seed>``: the read texts of the perfbench corpora of all
   three workloads at seeds 1-3, built by ``perfbench/corpus.py``.  A long
@@ -24,8 +27,8 @@ and ``mant_exp_to_double10``; a result is a conversion's bits and trace
   ``test_clamps_agree_with_oracle_at_their_edges``.
 - ``typed literals``: shapes the corpora miss, for each check ``_scan``
   makes: leading and trailing zeros, signed and bare forms, exponent
-  forms, long signed forms, Clinger's edge at 2**53, and plain decimals
-  of 310 to 352 characters near both clamp edges.
+  forms, long signed forms, Clinger's edges at 2**53 and past it, and
+  plain decimals of 310 to 352 characters near both clamp edges.
 
 Three more kinds of line follow.  A ``write/<set>`` line holds the text
 and trace of ``double_to_string`` of each value of the set: the writes of
@@ -178,8 +181,11 @@ _TYPED_LITERALS = [
     # exponent forms
     "1.5E0", "1.5e0", "2.5e-3", "-2.5E+3", "1e23", "7.e22", ".1E-5", "0e999",
     "1.7976931348623157e308", "4.9406564584124654E-324",
-    # Clinger's edge: 2**53, and with the point a table power away
+    # Clinger's edge: 2**53, and with the point a table power away; wider
+    # significands, exact (2**53 + 2, 2**64 - 2**11, 2**55) or not
     "9007199254740992", "9007199254740992e-22",
+    "9007199254740993e-22", "9007199254740994e-22",
+    "18446744073709549568e-1", "18446744073709551615e-1", "36028797018963968e5",
     # long signed forms and signs on both parts
     "-" + "7" * 400 + ".5", "+." + "5" * 400, "-0e5", "+7E+0",
     # plain decimals of 310 to 352 characters near the clamp edges
@@ -223,8 +229,11 @@ def main() -> None:
     sets["clamp-edge probe"] = _clamp_edge_probe()
     sets["clamp cases"] = _clamp_cases()
     sets["typed literals"] = _TYPED_LITERALS
-    for name, texts in sets.items():
-        print(_line(name, _reads(texts)))
+    reads = {name: _reads(texts) for name, texts in sets.items()}
+    for name, records in reads.items():
+        print(_line(name, records))
+    for name, records in reads.items():
+        print(_line(f"values/{name}", [bits for bits, _ in records]))
     for name, texts in sets.items():
         print(_line(f"oracle/{name}", _oracle(texts)))
     writes = {}
