@@ -81,11 +81,12 @@ _INT_CHUNK = 4000
 
 # Clinger's exact path: 10**k for 0 <= k <= 22 is an exact binary64
 # (5**22 < 2**53), so mant * 10**point with |point| <= 22 and mant an
-# exact double is one IEEE rounding of two exact operands.  A mant below
-# 2**53 is tested first, against _CLINGER_MANT; a wider one is exact when
-# n = bits(mant) <= 1024 and its bits under the top 53 are all zero, which
-# _to_double tests only once the narrow test has failed, with the n that
-# a division by a power of 5 needs anyway.
+# exact double is one IEEE rounding of two exact operands.  mant is an
+# exact double when it is below _CLINGER_MANT = 2**53, or when it is even,
+# n = bits(mant) <= 1024 and its bits under the top 53 are all zero.
+# _to_double makes that one test after the range test, cheapest part
+# first: an odd mant is turned away before n is taken or a mask as wide
+# as mant is built.
 _CLINGER_POWS = tuple(float(10**k) for k in range(23))
 _CLINGER_MANT = 1 << DBL_MANT_DIG
 
@@ -283,18 +284,12 @@ def _to_double(mant: int, point: int, stats: ConversionStats | None, twos: int) 
     # Unchecked: the caller has made sure that mant > 0, that point <= 308
     # and that the value is not below the underflow clamp, so 5**point and,
     # on every read, 5**-point are in the power table.
-    if mant < _CLINGER_MANT and -22 <= point <= 22:
-        if point >= 0:
-            return mant * _CLINGER_POWS[point]
-        return mant / _CLINGER_POWS[-point]
-    # A wider mant: mant >= 2**53 when |point| <= 22 here, so n - 53 >= 1.
-    # An odd one is no double; that one-bit test turns most reads that
-    # divide away before a mask as wide as mant is built.
-    n = mant.bit_length()
-    if -22 <= point <= 22 and not mant & 1 and not mant & (1 << n - 53) - 1 and n <= 1024:
-        if point >= 0:
-            return mant * _CLINGER_POWS[point]
-        return mant / _CLINGER_POWS[-point]
+    # Past mant < 2**53, n >= 54, so the mask is at least 1 bit wide.
+    if -22 <= point <= 22 and (
+        mant < _CLINGER_MANT
+        or not mant & 1 and (n := mant.bit_length()) <= 1024 and not mant & (1 << n - 53) - 1
+    ):
+        return mant * _CLINGER_POWS[point] if point >= 0 else mant / _CLINGER_POWS[-point]
     if point >= 0:
         # Past Clinger's path mant is no double or point >= 23 (5**23 >
         # 2**53), so num has at least 54 bits and bex >= 1.
@@ -315,7 +310,7 @@ def _to_double(mant: int, point: int, stats: ConversionStats | None, twos: int) 
         scl = pow5 = _POWS5[-point] if point >= -MAX_POW else 5**-point
         if not twos:
             scl <<= -point
-        bex = n - scl.bit_length() - DBL_MANT_DIG
+        bex = mant.bit_length() - scl.bit_length() - DBL_MANT_DIG
         if bex < 0:
             num = mant << -bex
             den = scl

@@ -1145,14 +1145,34 @@ class TestClingerPath:
         want = float_to_bits(nearest_double_exact(DecimalSci(False, mant, point)))
         assert self._divisions(mant, point) == [(want, 1)] * 3
 
+    # The widest exact significands, of 1024 bits: 2**1023 and the largest
+    # double's.  At point -22 read_double keeps 287 of their 309 digits
+    # plus a sticky one, a significand that is no double, so it alone
+    # divides.
+    @pytest.mark.parametrize(
+        "mant", [2**1023, ((1 << 53) - 1) << 971], ids=["2**1023", "max-double"]
+    )
+    @pytest.mark.parametrize("point", [-22, -1, 0])
+    def test_widest_exact_significand(self, mant, point):
+        assert mant.bit_length() == 1024 and float(mant) == mant
+        want = float_to_bits(nearest_double_exact(DecimalSci(False, mant, point)))
+        read = 1 if point == -22 else 0
+        assert self._divisions(mant, point) == [(want, read), (want, 0), (want, 0)]
+
     def test_significand_past_the_doubles_divides(self):
-        # 2**1024 has every bit under its top 53 zero, but no double holds
-        # it: the read divides, and at point 0 its value rounds to infinity.
+        # 2**1024 and the largest double's significand shifted once more,
+        # both of 1025 bits, have every bit under their top 53 zero, but no
+        # double holds them: the read divides, and at point 0 their values
+        # round to infinity.
         outcome = read_double_with_stats(f"{2**1024}e-1")
         assert outcome.value == 1.797693134862316e307
         assert outcome.stats.divisions == 1
         for point, want in ((-1, 1.797693134862316e307), (0, math.inf)):
             assert self._divisions(2**1024, point) == [(float_to_bits(want), 1)] * 3
+        mant = ((1 << 53) - 1) << 972
+        for point in (-22, -1, 0):
+            want = float_to_bits(nearest_double_exact(DecimalSci(False, mant, point)))
+            assert self._divisions(mant, point) == [(want, 1)] * 3
 
 
 def _midpoint(v: float) -> tuple[str, int]:

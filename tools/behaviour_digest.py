@@ -27,8 +27,9 @@ sets:
   ``test_clamps_agree_with_oracle_at_their_edges``.
 - ``typed literals``: shapes the corpora miss, for each check ``_scan``
   makes: leading and trailing zeros, signed and bare forms, exponent
-  forms, long signed forms, Clinger's edges at 2**53 and past it, and
-  plain decimals of 310 to 352 characters near both clamp edges.
+  forms, long signed forms, Clinger's edges at 2**53, past it and at
+  the widest exact significands, of 1024 bits, and plain decimals of 310
+  to 352 characters near both clamp edges.
 
 Three more kinds of line follow.  A ``write/<set>`` line holds the text
 and trace of ``double_to_string`` of each value of the set: the writes of
@@ -182,10 +183,12 @@ _TYPED_LITERALS = [
     "1.5E0", "1.5e0", "2.5e-3", "-2.5E+3", "1e23", "7.e22", ".1E-5", "0e999",
     "1.7976931348623157e308", "4.9406564584124654E-324",
     # Clinger's edge: 2**53, and with the point a table power away; wider
-    # significands, exact (2**53 + 2, 2**64 - 2**11, 2**55) or not
+    # significands, exact (2**53 + 2, 2**64 - 2**11, 2**55) or not; the
+    # widest exact ones, of 1024 bits (the largest double's, 2**1023)
     "9007199254740992", "9007199254740992e-22",
     "9007199254740993e-22", "9007199254740994e-22",
     "18446744073709549568e-1", "18446744073709551615e-1", "36028797018963968e5",
+    str(((1 << 53) - 1) << 971) + "e-1", str(2**1023),
     # long signed forms and signs on both parts
     "-" + "7" * 400 + ".5", "+." + "5" * 400, "-0e5", "+7E+0",
     # plain decimals of 310 to 352 characters near the clamp edges
