@@ -1,14 +1,16 @@
 """Audits of the reader and the writer: every check ``ezfloat verify`` runs.
 
 ``oracle_audit``, ``minimality_audit`` and ``roundtrip_audit`` check seeded
-draws against the oracle, for minimal output and for round trips.
+draws against the oracle, for minimal output and for round trips;
+``stability_audit`` reads decimal texts and writes each value back.
 ``quotient_length_audit`` writes every all-ones value and every normal
 power of two once, holds each power's output to ``minimality_check`` and
 reads each text back; ``intermediate_size_scan`` reads a grid spanning the
 whole read domain; ``halfway_audit`` reads halfway points at both ends of
-every binade, exact and with a far tail, where a read cuts long digits.  These three and
-``roundtrip_audit`` pass every conversion they make through ``_check``,
-which returns the bounds it breaks: only a violation formats a label.
+every binade, exact and with a far tail, where a read cuts long digits.
+These three, ``roundtrip_audit`` and ``stability_audit`` pass every
+conversion they make through ``_check``, which returns the bounds it
+breaks: only a violation formats a label.
 A written text out of ``d.dddEn`` form also counts in ``form_faults``.  No
 point's read ceiling is below 803 bits, so ``roundtrip_audit`` parses a
 text's point only for a wider read.  Each audit collects violations, never
@@ -36,6 +38,7 @@ __all__ = [
     "oracle_audit",
     "quotient_length_audit",
     "roundtrip_audit",
+    "stability_audit",
 ]
 
 
@@ -217,6 +220,47 @@ def roundtrip_audit(count: int, seed: int) -> Report:
             for broken in _check(rstats, ceiling):
                 add(f"0x{pattern:016X} read {broken}")
         report.count += 1
+    return report
+
+
+def stability_audit(count: int, seed: int) -> Report:
+    """Read decimal texts ``d.dddEk``, written as the writer writes them,
+    and write each value back.
+
+    The 1- and 2-digit decimals at every k from -307 to 307 (55,350 texts)
+    and ``count`` seeded ones of 3 to 15 digits there are normal doubles
+    of at most 15 digits: each must write back as itself (Matula 1968;
+    Goldberg 1991).  ``count`` seeded texts of 16 to 40 digits at k from
+    -323 to 307, and ``count`` of 1 to 15 digits at k from -323 to -308,
+    must write no more digits and read back to the same double.  Reads and
+    writes have ``roundtrip_audit``'s bounds.  A text that breaks its rule
+    is one violation.
+    """
+    rng = random.Random(seed)
+
+    def drawn(low: int, high: int, exp_low: int, exp_high: int) -> list[tuple[int, int]]:
+        return [(rng.randint(10 ** (n - 1), 10**n - 1), rng.randint(exp_low, exp_high))
+                for n in [rng.randint(low, high) for _ in range(count)]]
+
+    grid = [(mant, exp) for exp in range(-307, 308) for mant in range(10, 100)]
+    report = Report("stable: {count} texts, {failures} failures", count=0)
+    add = report.violations.append
+    for exact, cases in ((True, grid + drawn(3, 15, -307, 307)),
+                         (False, drawn(16, 40, -323, 307) + drawn(1, 15, -323, -308))):
+        for mant, exp in cases:
+            digits = str(mant).rstrip("0")
+            text = f"{digits[0]}.{digits[1:] or '0'}E{exp}"
+            rstats, wstats = ConversionStats(), ConversionStats()
+            f = read_double(text, rstats)
+            back = double_to_string(f, wstats)
+            if back != text and (exact or (n := _emitted_digits(back)) is None
+                                 or n > len(digits) or read_double(back) != f):
+                add(f"{text} read 0x{float_to_bits(f):016X} wrote {back}")
+            for broken in _check(rstats, _read_width_ceiling(5, exp + 1 - len(digits))):
+                add(f"{text} read {broken}")
+            for broken in _check(wstats, _WRITE_WIDTH_CEILING, divisions=(1,)):
+                add(f"{text} write {broken}")
+            report.count += 1
     return report
 
 

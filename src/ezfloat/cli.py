@@ -1,4 +1,4 @@
-"""Command line front end: convert, verify and benchmark.
+"""Command line front end: convert and verify.
 
 ``verify`` runs the audits of ``ezfloat.audit``, one or more per suite,
 and prints each report; it fails when any report holds a violation.
@@ -7,19 +7,15 @@ Exit codes: 0 success, 1 verification failure, 2 usage, input or I/O error.
 """
 
 import argparse
-import csv
 import random
 import sys
-import time
 
 from . import audit
 from .bigmath import ConversionStats
-from .reader import ParseError, mant_exp_to_double5, read_double
-from .writer import bits_to_float, double_to_string, float_to_bits, shortest_digits
+from .reader import ParseError, read_double
+from .writer import bits_to_float, double_to_string, float_to_bits
 
 __all__ = ["main"]
-
-_CSV_HEADER = ["n", "engine", "write_ns", "read_ns", "values", "verified"]
 
 
 def cmd_read(args: argparse.Namespace) -> int:
@@ -66,6 +62,7 @@ _SUITES = {
     "oracle": lambda count, seed: [audit.oracle_audit(count, seed)],
     "minimality": lambda count, seed: [audit.minimality_audit(count, seed)],
     "roundtrip": lambda count, seed: [audit.roundtrip_audit(count, seed)],
+    "stable": lambda count, seed: [audit.stability_audit(count, seed)],
     "bounds": lambda count, seed: [
         audit.intermediate_size_scan(range(-340, 309), range(1, 18), random.Random(seed)),
         audit.halfway_audit(),
@@ -88,41 +85,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.exp_low > args.exp_high or args.count < 1:
-        print("error: need exp-low <= exp-high and count >= 1", file=sys.stderr)
-        return 2
-    # Opened before any timing, so an unwritable path fails at once.
-    handle = open(args.csv, "w", newline="")
-    rng = random.Random(args.seed)
-    decs = [shortest_digits(10.0 ** rng.gauss(0.0, 1.0)) for _ in range(args.count)]
-    # Built per call, so the functions timed are the module's current bindings.
-    engines = (("ezfloat", double_to_string, read_double), ("native", repr, float))
-    with handle:
-        writer = csv.writer(handle)
-        writer.writerow(_CSV_HEADER)
-        for n in range(args.exp_low, args.exp_high + 1):
-            # Exact scaling: shift the decimal exponent, convert once.
-            vec = [mant_exp_to_double5(sd.lquo, sd.point + n) for sd in decs]
-            for name, write_one, read_one in engines:
-                t0 = time.perf_counter_ns()
-                texts = [write_one(v) for v in vec]
-                t1 = time.perf_counter_ns()
-                back = [read_one(s) for s in texts]
-                t2 = time.perf_counter_ns()
-                bad = next((i for i, v in enumerate(vec)
-                            if float_to_bits(back[i]) != float_to_bits(v)), None)
-                verified = "true" if bad is None else "false"
-                writer.writerow([n, name, t1 - t0, t2 - t1, len(vec), verified])
-                if bad is not None:
-                    print(f"FAIL 0x{float_to_bits(vec[bad]):016X} wrote {texts[bad]} "
-                          f"read 0x{float_to_bits(back[bad]):016X}", file=sys.stderr)
-                    return 1
-    rows = len(engines) * (args.exp_high - args.exp_low + 1)
-    print(f"bench: wrote {rows} rows to {args.csv}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ezfloat",
@@ -142,20 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run correctness checks")
     p.add_argument("suite", choices=[*_SUITES, "all"])
     p.add_argument("--count", type=_count_arg, default=10000,
-                   help="cases for oracle, minimality and roundtrip; "
-                        "bounds scans a fixed grid and ignores it")
+                   help="cases for oracle, minimality, roundtrip and each seeded set "
+                        "of stable texts; bounds scans a fixed grid and ignores it")
     p.add_argument("--seed", type=int, default=1,
-                   help="seeds the oracle, minimality and roundtrip draws "
+                   help="seeds the oracle, minimality, roundtrip and stable draws "
                         "and the random fillers of the bounds scan")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="timed write/read over an exponent grid")
-    p.add_argument("--count", type=int, default=100000, help="values per batch")
-    p.add_argument("--exp-low", type=int, default=-322)
-    p.add_argument("--exp-high", type=int, default=307)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--csv", default="bench.csv", help="output CSV path")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

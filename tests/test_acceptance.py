@@ -4,9 +4,12 @@ Every tolerance here is exact (bit identity or integer bounds); corpus
 sizes and seeds are fixed so results are reproducible.
 """
 
-import csv
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -20,7 +23,6 @@ from ezfloat.audit import (
     quotient_length_audit,
     roundtrip_audit,
 )
-from ezfloat.cli import main as cli_main
 
 MAX_FINITE = 1.7976931348623157e308
 MIN_NORMAL = 2.2250738585072014e-308
@@ -198,40 +200,30 @@ def test_criterion_6_all_ones_quotient_audit():
     assert 2098 <= len(values) <= 2100
 
 
-def test_criterion_7_benchmark_harness(tmp_path):
-    # Full default exponent grid; the batch size is reduced from the
-    # default 100000 so the suite finishes in seconds.  Every row must
-    # verify and the CSV must match the pinned header.
-    path = tmp_path / "bench.csv"
-    code = cli_main(
-        [
-            "bench",
-            "--count", "50",
-            "--seed", "7",
-            "--csv", str(path),
-        ]
+def test_criterion_7_benchmark_harness():
+    # The command the benchmark runs, on one workload for a short time.  It
+    # gates every conversion before timing and ends with one JSON line:
+    # the gate's verdict and the end-to-end metrics BENCHMARK.json names.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "gauss", "--seed", "7",
+         "--seconds", "0.2", "--trace", "0"],
+        cwd=root, capture_output=True, text=True, timeout=300,
     )
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    header_ok = rows[0] == ["n", "engine", "write_ns", "read_ns", "values", "verified"]
-    body = rows[1:]
-    ours = [row for row in body if row[1] == "ezfloat"]
-    native = [row for row in body if row[1] == "native"]
-    grid_ok = (
-        len(ours) == 630
-        and len(native) == 630
-        and [int(r[0]) for r in ours] == list(range(-322, 308))
-    )
-    verified_ok = all(row[5] == "true" for row in body)
-    ok = code == 0 and header_ok and grid_ok and verified_ok
+    assert done.returncode == 0, done.stderr
+    last = json.loads(done.stdout.splitlines()[-1])
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as handle:
+        names = {metric["name"] for metric in json.load(handle)["end_to_end"]}
+    ok = last["correct"] is True and last["failed"] == 0 and set(last["metrics"]) == names
     _report(
         7,
         "benchmark harness",
         ok,
-        f"{len(body)} rows, verified={verified_ok}, header={header_ok}",
+        f"gauss: {last['attempted']} conversions gated, {last['failed']} failed;"
+        f" {len(last['metrics'])} end-to-end metrics",
     )
-    assert code == 0
-    assert header_ok and grid_ok and verified_ok
+    assert last["correct"] is True and last["failed"] == 0
+    assert set(last["metrics"]) == names
 
 
 def test_criterion_8_grammar_goldens():

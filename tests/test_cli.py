@@ -1,4 +1,3 @@
-import csv
 import os
 import random
 import re
@@ -8,7 +7,7 @@ import sys
 import pytest
 
 import ezfloat
-from ezfloat import audit, bits_to_float, cli, double_to_string, float_to_bits, nearest_double_exact
+from ezfloat import audit, bits_to_float, double_to_string, nearest_double_exact
 from ezfloat import writer
 from ezfloat.cli import main
 
@@ -104,15 +103,6 @@ if wrong == source:
 exec(wrong, vars(reader))
 from ezfloat.cli import main
 sys.exit(main(["verify", "bounds"]))
-"""
-
-
-# Runs `ezfloat` on the arguments after the source root.
-_MAIN = """
-import sys
-sys.path.insert(0, sys.argv[1])
-from ezfloat.cli import main
-sys.exit(main(sys.argv[2:]))
 """
 
 
@@ -354,6 +344,11 @@ class TestVerify:
         assert code == 0
         assert "minimality: 2005 values, 0 failures, 0 not d.dddEn" in out.splitlines()
 
+    def test_stable_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "stable", "--count", "0")
+        assert code == 0
+        assert out == "stable: 55350 texts, 0 failures\n"
+
     def test_bad_suite_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
@@ -527,99 +522,9 @@ class TestVerify:
             assert out.splitlines() == handle.read().splitlines()
 
 
-class TestBench:
-    def test_small_grid_csv(self, capsys, tmp_path):
-        path = tmp_path / "bench.csv"
-        code, out, _ = run(
-            capsys,
-            "bench",
-            "--count", "25",
-            "--exp-low", "-3",
-            "--exp-high", "3",
-            "--seed", "11",
-            "--csv", str(path),
-        )
-        assert code == 0
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["n", "engine", "write_ns", "read_ns", "values", "verified"]
-        body = rows[1:]
-        assert len(body) == 14  # 7 exponents x 2 engines
-        engines = {row[1] for row in body}
-        assert engines == {"ezfloat", "native"}
-        assert all(row[5] == "true" for row in body)
-        assert all(row[4] == "25" for row in body)
-        ns = sorted(int(row[0]) for row in body if row[1] == "ezfloat")
-        assert ns == list(range(-3, 4))
-
-    def test_wrong_read_fails_the_bench(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(cli, "read_double", _negated(cli.read_double))
-        code, out, err = run(
-            capsys,
-            "bench", "--count", "3", "--exp-low", "0", "--exp-high", "0",
-            "--seed", "11", "--csv", str(tmp_path / "bench.csv"),
-        )
-        assert code == 1
-        # At n = 0 the exactly scaled vector is the base vector itself.
-        value = 10.0 ** random.Random(11).gauss(0.0, 1.0)
-        bits = float_to_bits(value)
-        assert err.splitlines()[0] == (
-            f"FAIL 0x{bits:016X} wrote {double_to_string(value)} read 0x{bits ^ 1 << 63:016X}"
-        )
-        assert out == ""
-        # The header and the failing row, written before the bench stops.
-        with open(tmp_path / "bench.csv", newline="") as handle:
-            header, *rows = csv.reader(handle)
-        assert header == ["n", "engine", "write_ns", "read_ns", "values", "verified"]
-        [row] = rows
-        assert row[:2] == ["0", "ezfloat"] and row[4:] == ["3", "false"]
-        assert all(field.isdigit() for field in row[2:4])
-
-    def test_csv_deterministic_apart_from_timings(self, capsys, tmp_path):
-        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        for path in paths:
-            run(
-                capsys,
-                "bench", "--count", "20", "--exp-low", "-2", "--exp-high", "2",
-                "--seed", "77", "--csv", str(path),
-            )
-        def stable(path):
-            with open(path, newline="") as handle:
-                return [
-                    (row[0], row[1], row[4], row[5])
-                    for row in csv.reader(handle)
-                ]
-        assert stable(paths[0]) == stable(paths[1])
-
-    def test_unwritable_csv_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "missing" / "bench.csv"
-        code, out, err = run(
-            capsys,
-            "bench", "--count", "5", "--exp-low", "0", "--exp-high", "0",
-            "--csv", str(path),
-        )
-        assert code == 2
-        assert err.startswith("error: ") and "bench.csv" in err
-        assert out == ""
-        assert not path.parent.exists()
-
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_csv_write_error_is_an_io_error(self):
-        # /dev/full opens but fails every write with ENOSPC.
-        root = os.path.dirname(os.path.dirname(ezfloat.__file__))
-        done = subprocess.run(
-            [sys.executable, "-c", _MAIN, root,
-             "bench", "--count", "5", "--exp-low", "0", "--exp-high", "1", "--csv", "/dev/full"],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 2
-        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
-
-    def test_bad_range_usage_error(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys,
-            "bench", "--count", "5", "--exp-low", "5", "--exp-high", "0",
-            "--csv", str(tmp_path / "x.csv"),
-        )
-        assert code == 2
-        assert "exp-low" in err
+def test_bench_is_no_command(capsys):
+    # Timing is perfbench's; verify roundtrip and verify stable check round trips.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 import ast
 import functools
+import inspect
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -26,7 +28,7 @@ from ezfloat import (
     shortest_digits,
     unpack_double,
 )
-from ezfloat import audit, oracle, reader
+from ezfloat import audit, oracle, reader, writer
 from ezfloat.audit import (
     Report,
     _check,
@@ -35,6 +37,7 @@ from ezfloat.audit import (
     intermediate_size_scan,
     quotient_length_audit,
     roundtrip_audit,
+    stability_audit,
 )
 from ezfloat.writer import FloatKind
 
@@ -459,6 +462,40 @@ class TestRoundtripAudit:
         assert sum(v.endswith(" over 803") for v in expected) == 100
         assert sum(v.endswith(" over 806") for v in expected) == 12
         assert report.render().splitlines()[-1] == "roundtrip: 19994 values, 112 failures, 0 not d.dddEn"
+
+
+class TestStabilityAudit:
+    def test_grid_alone(self):
+        # 90 two-digit significands, 1.0 to 9.9, at each of 615 exponents.
+        report = stability_audit(0, 1)
+        assert report.count == 90 * 615 == 55350
+        assert report.violations == []
+        assert report.render() == "stable: 55350 texts, 0 failures"
+
+    def test_text_out_of_form_is_one_violation(self, monkeypatch):
+        # A writer that marks its exponent with "e": no text writes back as
+        # itself, and no loose one is in d.dddEn form to count digits in.
+        real = audit.double_to_string
+        monkeypatch.setattr(audit, "double_to_string",
+                            lambda f, stats=None: real(f, stats).replace("E", "e"))
+        report = stability_audit(100, 1)
+        assert report.count == len(report.violations) == 55350 + 300
+        form = re.compile(r"\S+E-?[0-9]+ read 0x[0-9A-F]{16} wrote \S+e-?[0-9]+")
+        assert all(form.fullmatch(v) for v in report.violations)
+        assert report.violations[0] == "1.0E-307 read 0x0031FA182C40C60D wrote 1.0e-307"
+
+    def test_strict_fit_test_fails(self, monkeypatch):
+        # The writer's fit test made strict: a shortest candidate at the edge
+        # of the rounding interval is turned down for a longer text.
+        source = inspect.getsource(writer._shortest)
+        wrong = source.replace("<< 1 <= ulp - (lmant & 1)", "<< 1 < ulp - (lmant & 1)")
+        assert wrong != source
+        namespace = dict(vars(writer))
+        exec(wrong, namespace)
+        monkeypatch.setattr(writer, "_shortest", namespace["_shortest"])
+        report = stability_audit(10000, 1)
+        assert len(report.violations) == 50
+        assert "7.676271E19 read 0x4410A52FB827A94E wrote 7.676271000000001E19" in report.violations
 
 
 # (module, level, name) of every import the oracle may make: the kernel and
