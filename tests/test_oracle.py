@@ -472,6 +472,21 @@ class TestStabilityAudit:
         assert report.violations == []
         assert report.render() == "stable: 55350 texts, 0 failures"
 
+    def test_seeded_texts(self):
+        # count exact texts of 3-15 digits, count loose ones of 16-40 digits
+        # and count in the subnormal range, after the grid.
+        report = stability_audit(200, 7)
+        assert report.count == 55350 + 3 * 200
+        assert report.violations == []
+
+    def test_write_over_its_bound_is_one_violation(self, monkeypatch):
+        # No write fits in 0 bits: each text breaks its write bound once.
+        monkeypatch.setattr(audit, "_WRITE_WIDTH_CEILING", 0)
+        report = stability_audit(10, 1)
+        assert report.count == len(report.violations) == 55350 + 30
+        assert all(re.fullmatch(r"\S+ write operand bits [0-9]+ over 0", v)
+                   for v in report.violations)
+
     def test_text_out_of_form_is_one_violation(self, monkeypatch):
         # A writer that marks its exponent with "e": no text writes back as
         # itself, and no loose one is in d.dddEn form to count digits in.
